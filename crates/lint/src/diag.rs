@@ -43,7 +43,7 @@ pub struct Finding {
     pub message: String,
     /// The offending source line, trimmed.
     pub excerpt: String,
-    /// Enclosing item path (`serve::Shard::advance_to`), when the finding
+    /// Enclosing item path (`serve::FleetShard::advance_to`), when the finding
     /// sits inside a segmented item.
     pub item: Option<String>,
 }

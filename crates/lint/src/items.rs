@@ -5,7 +5,7 @@
 //! `trait` / `const` / `static` / `type` / `macro_rules!` item is recorded
 //! with its byte span, its attributes (so `#[cfg(test)]` and
 //! `#[derive(...)]` are item properties, not text matches), its body span,
-//! and its path inside the file (`tests::helper`, `Shard::advance_to`).
+//! and its path inside the file (`tests::helper`, `FleetShard::advance_to`).
 //!
 //! The segmenter is deliberately forgiving — it recurses into `mod`,
 //! `impl` and `trait` bodies (where nested items live), treats anything it
@@ -63,7 +63,7 @@ pub struct Item {
     /// segment — the crate the edge points at).
     pub name: String,
     /// `::`-joined path within the file, including this item's own name
-    /// (`tests::roundtrip`, `Shard::advance_to`).
+    /// (`tests::roundtrip`, `FleetShard::advance_to`).
     pub path: String,
     /// Byte span `[start, end)` covering attributes through body/`;`.
     pub span: (usize, usize),

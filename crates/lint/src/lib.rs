@@ -3,11 +3,12 @@
 //!
 //! Every claim this reproduction makes — the paper's robustness numbers,
 //! the fused-evaluator perf wins, checkpoint kill/restore — rests on
-//! bit-identical determinism, and the upcoming threaded `ServiceDriver`
-//! raises the stakes: one stray `HashMap` iteration or entropy-seeded RNG
-//! silently breaks the "byte-identical at any thread count" invariant that
-//! the differential suites can only catch after the fact. This crate is
-//! the layer that *prevents* those hazards from entering the tree.
+//! bit-identical determinism, and the threaded serving fleet
+//! (`FleetDriver`) raises the stakes: one stray `HashMap` iteration or
+//! entropy-seeded RNG silently breaks the "byte-identical at any thread
+//! count" invariant that the differential suites can only catch after
+//! the fact. This crate is the layer that *prevents* those hazards from
+//! entering the tree.
 //!
 //! It is deliberately humble machinery, layered: a hand-rolled comment/
 //! string/raw-string-aware scanner ([`lexer`]) masks every non-code byte;

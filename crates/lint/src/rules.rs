@@ -7,8 +7,8 @@
 //!   whose iteration order feeds event order, wall-clock reads, entropy-
 //!   seeded RNG, NaN-lossy comparators, environment-dependent behaviour.
 //! * **Concurrency-readiness (C1–C2)** — ground rules for the threaded
-//!   `ServiceDriver` work: ad-hoc `std` threading primitives are banned in
-//!   the simulation core (threading belongs to the driver's deterministic
+//!   serving fleet: ad-hoc `std` threading primitives are banned in the
+//!   simulation core (threading belongs to the driver's deterministic
 //!   merge layer, through the vendored crossbeam), and the panic surface —
 //!   `.unwrap()`/`.expect()`, `panic!`-family macros, slice indexing — is
 //!   ratcheted downward per crate (typed `SimError` is the checkpoint/

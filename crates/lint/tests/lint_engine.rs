@@ -190,7 +190,10 @@ fn ratchet_gates_on_increase_only() {
 
 #[test]
 fn ratchet_file_roundtrips_and_missing_file_is_empty() {
-    let dir = std::env::temp_dir().join(format!("taskdrop-lint-ratchet-{}", std::process::id()));
+    // Not `taskdrop-lint-ratchet-*`: `synth_tree("ratchet", ..)` in a
+    // concurrently running test deletes that directory.
+    let dir =
+        std::env::temp_dir().join(format!("taskdrop-lint-ratchet-file-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ratchet.json");
 

@@ -38,7 +38,7 @@ pub struct SpanRecord {
 /// Per-shard numbers inside an [`EpochRecord`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardEpoch {
-    /// Shard name.
+    /// The shard's name.
     pub shard: String,
     /// Offers waiting in the ingress queue at epoch end.
     pub backlog: u64,
@@ -63,7 +63,7 @@ pub struct ShardEpoch {
     pub stolen_out: u64,
 }
 
-/// `record: "epoch"` — one `ServiceDriver` epoch across the fleet.
+/// `record: "epoch"` — one `FleetDriver` epoch across every shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// Always `"epoch"`.
@@ -81,7 +81,7 @@ pub struct EpochRecord {
 pub struct CheckpointRecord {
     /// Always `"checkpoint"`.
     pub record: String,
-    /// Shard name.
+    /// The shard's name.
     pub shard: String,
     /// Clock the checkpoint was taken at.
     pub t: Tick,
@@ -94,7 +94,7 @@ pub struct CheckpointRecord {
 pub struct KillRestoreRecord {
     /// Always `"kill_restore"`.
     pub record: String,
-    /// Shard name.
+    /// The shard's name.
     pub shard: String,
     /// Checkpoint tick the shard was revived from.
     pub revived_at: Tick,

@@ -1,17 +1,17 @@
 //! The flight recorder: a bounded ring buffer of recent engine events.
 //!
-//! Attach a [`FlightRecorder`] clone to a core like any other observer;
-//! it keeps the last `capacity` [`SimEvent`]s. Its contents serialize
-//! into a [`FlightSnapshot`] so a shard checkpoint can carry them — after
-//! a kill/restore the buffer resumes from the checkpointed contents and,
+//! A [`FlightRecorder`] keeps the last `capacity` [`SimEvent`]s of one
+//! shard. It is plain owned data (no shared handle, so the shard owning
+//! it stays `Send`): the serving fleet feeds it at the epoch barrier, in
+//! the same pass that feeds telemetry. Its contents serialize into a
+//! [`FlightSnapshot`] so a shard checkpoint can carry them — after a
+//! kill/restore the buffer resumes from the checkpointed contents and,
 //! the replay being deterministic, ends up byte-identical to an
 //! undisturbed run, while the pre-kill contents survive as a post-mortem.
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
-use taskdrop_sim::{SimEvent, SimObserver};
+use taskdrop_sim::SimEvent;
 
 /// Serialized flight-recorder contents (a [`FlightRecorder::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -22,21 +22,12 @@ pub struct FlightSnapshot {
     pub events: Vec<SimEvent>,
 }
 
-#[derive(Debug)]
-struct FlightInner {
-    capacity: usize,
-    events: VecDeque<SimEvent>,
-}
-
-/// A cheaply-cloneable handle to one bounded event ring.
-///
-/// All clones share the same buffer (the same single-threaded
-/// `Rc<RefCell<…>>` pattern as `DagTap`): attach one clone to the core,
-/// keep another to inspect or snapshot. Strictly read-only with respect
-/// to the engine — recording changes no outcome.
+/// One bounded event ring. Strictly read-only with respect to the
+/// engine — recording changes no outcome.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    inner: Rc<RefCell<FlightInner>>,
+    capacity: usize,
+    events: VecDeque<SimEvent>,
 }
 
 impl FlightRecorder {
@@ -48,74 +39,60 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a flight recorder needs capacity for at least one event");
-        FlightRecorder {
-            inner: Rc::new(RefCell::new(FlightInner {
-                capacity,
-                events: VecDeque::with_capacity(capacity),
-            })),
-        }
+        FlightRecorder { capacity, events: VecDeque::with_capacity(capacity) }
     }
 
     /// The ring capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
+        self.capacity
     }
 
     /// Events currently held (at most [`FlightRecorder::capacity`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
+        self.events.len()
     }
 
     /// Whether nothing has been recorded (or everything was cleared).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().events.is_empty()
+        self.events.is_empty()
     }
 
     /// The recorded events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<SimEvent> {
-        self.inner.borrow().events.iter().copied().collect()
+        self.events.iter().copied().collect()
     }
 
     /// Records one event, evicting the oldest at capacity.
-    pub fn record(&self, ev: &SimEvent) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
+    pub fn record(&mut self, ev: &SimEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
         }
-        inner.events.push_back(*ev);
+        self.events.push_back(*ev);
     }
 
     /// Serializable copy of the current contents.
     #[must_use]
     pub fn snapshot(&self) -> FlightSnapshot {
-        let inner = self.inner.borrow();
-        FlightSnapshot { capacity: inner.capacity, events: inner.events.iter().copied().collect() }
+        FlightSnapshot { capacity: self.capacity, events: self.events() }
     }
 
     /// Replaces the buffer (and capacity) with a snapshot's contents —
     /// the restore half of checkpointing.
-    pub fn restore(&self, snapshot: &FlightSnapshot) {
-        let mut inner = self.inner.borrow_mut();
-        inner.capacity = snapshot.capacity.max(1);
-        inner.events = snapshot.events.iter().copied().collect();
-        while inner.events.len() > inner.capacity {
-            inner.events.pop_front();
+    pub fn restore(&mut self, snapshot: &FlightSnapshot) {
+        self.capacity = snapshot.capacity.max(1);
+        self.events = snapshot.events.iter().copied().collect();
+        while self.events.len() > self.capacity {
+            self.events.pop_front();
         }
     }
 
     /// Drops all recorded events, keeping the capacity.
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
-    }
-}
-
-impl SimObserver for FlightRecorder {
-    fn on_event(&mut self, ev: &SimEvent) {
-        self.record(ev);
+    pub fn clear(&mut self) {
+        self.events.clear();
     }
 }
 
@@ -130,7 +107,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_only_the_most_recent_events() {
-        let rec = FlightRecorder::new(3);
+        let mut rec = FlightRecorder::new(3);
         for t in 0..5 {
             rec.record(&round(t));
         }
@@ -139,16 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_buffer() {
-        let rec = FlightRecorder::new(2);
-        let mut attached = rec.clone();
-        attached.on_event(&round(1));
-        assert_eq!(rec.events(), vec![round(1)]);
-    }
-
-    #[test]
     fn snapshot_restore_roundtrips() {
-        let rec = FlightRecorder::new(4);
+        let mut rec = FlightRecorder::new(4);
         rec.record(&round(1));
         rec.record(&round(2));
         let snap = rec.snapshot();
@@ -161,7 +130,7 @@ mod tests {
 
     #[test]
     fn snapshot_survives_serde() {
-        let rec = FlightRecorder::new(2);
+        let mut rec = FlightRecorder::new(2);
         rec.record(&round(7));
         let json = serde_json::to_string(&rec.snapshot()).expect("serializable");
         let back: FlightSnapshot = serde_json::from_str(&json).expect("parses");

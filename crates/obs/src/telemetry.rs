@@ -203,7 +203,7 @@ impl Telemetry {
     /// Enables automatic sampling: the registry is flattened into the
     /// time series at the first mapping round on or after each multiple
     /// of `every` virtual ticks. (Callers can always [`Telemetry::sample`]
-    /// manually, e.g. on `ServiceDriver` epoch boundaries.)
+    /// manually, e.g. on fleet epoch boundaries.)
     ///
     /// # Panics
     ///
@@ -317,7 +317,7 @@ impl Telemetry {
         }
     }
 
-    /// Emits one `ServiceDriver` epoch record: per-shard backlog gauges
+    /// Emits one fleet epoch record: per-shard backlog gauges
     /// and cumulative admission counters, the `epoch` JSONL line, and a
     /// time-series sample at the epoch boundary.
     pub fn record_epoch(&self, epoch: &EpochRecord) {

@@ -1,34 +1,47 @@
-//! The parallel shard fleet: epoch-parallel serving with deterministic
-//! epoch-barrier merges and cross-shard work stealing.
+//! The serving driver: many shards, one virtual clock, epoch-parallel
+//! advance with deterministic epoch-barrier merges and optional
+//! cross-shard work stealing.
 //!
-//! [`FleetDriver`] is the multi-core sibling of
-//! [`ServiceDriver`](crate::ServiceDriver). Each epoch runs in two
-//! strictly separated phases:
+//! [`FleetDriver`] multiplexes independent [`FleetShard`]s — one per
+//! tenant or cluster — against a shared virtual clock, in fixed *epochs*.
+//! Each epoch runs in two strictly separated phases:
 //!
 //! 1. **Parallel phase.** The shard vector is partitioned into contiguous
 //!    chunks, one per worker, and each worker advances its shards to the
 //!    epoch boundary on a crossbeam scoped thread. Shards share *nothing*
-//!    mutable — each owns its core, traffic source, and admission
-//!    controller — so the partition only decides *who* computes a shard's
-//!    epoch, never *what* it computes.
+//!    mutable — each owns its core, traffic source, admission controller
+//!    and flight recorder — so the partition only decides *who* computes
+//!    a shard's epoch, never *what* it computes. With one worker the pool
+//!    is skipped and the shards advance in index order on the calling
+//!    thread.
 //! 2. **Barrier phase.** Back on the calling thread, shards are merged in
 //!    shard-index order: steal decisions are planned from the merged
 //!    backlog snapshot and executed, buffered engine events are drained
-//!    into telemetry, the epoch record is emitted, and periodic
-//!    checkpoints are taken.
+//!    into each shard's flight recorder and into telemetry, the epoch
+//!    record is emitted, and periodic checkpoints are taken.
+//!
+//! With a checkpoint interval configured, the driver snapshots every shard
+//! periodically, and [`FleetDriver::kill_and_restore`] can discard a
+//! shard's live state mid-flight and revive it from its last checkpoint.
+//! The revived shard is *caught back up* by replaying the recorded epoch
+//! boundaries (and the migrations executed at them), and because every
+//! layer is deterministic (keyed RNG draws, serialized cursors,
+//! epoch-granular admission), the replay reproduces the killed shard's
+//! state exactly.
 //!
 //! **Determinism claim.** Every byte of output — [`TrialResult`]s, shard
 //! checkpoints, telemetry JSONL — is identical at 1, 2, 4, or 8 workers
 //! (pinned by `tests/fleet_determinism.rs`). The argument: the parallel
 //! phase is embarrassingly parallel over owned state, so each shard's
 //! trajectory is a pure function of its inputs; every cross-shard
-//! interaction (stealing) and every observation (telemetry, checkpoints)
-//! happens in the single-threaded barrier in shard-index order; and steal
-//! plans are computed by [`plan_steals`] — a pure function of the merged
-//! epoch snapshot with exact integer tie-breaking — never from thread
-//! timing. Buffering events in per-shard [`EventRelay`] hubs and draining
-//! them at the barrier makes event *observation* order canonical even
-//! though event *production* order across shards is not.
+//! interaction (stealing) and every observation (flight recorder,
+//! telemetry, checkpoints) happens in the single-threaded barrier in
+//! shard-index order; and steal plans are computed by [`plan_steals`] — a
+//! pure function of the merged epoch snapshot with exact integer
+//! tie-breaking — never from thread timing. Buffering events in per-shard
+//! [`EventRelay`] hubs and draining them at the barrier makes event
+//! *observation* order canonical even though event *production* order
+//! across shards is not.
 //!
 //! Work stealing is the serving-layer twist on the paper's thesis: rather
 //! than letting a saturated shard turn work away (or pre-drop it) while a
@@ -37,21 +50,19 @@
 //! dropping. The TLA-style fleet invariants (no task duplicated, no task
 //! lost, saturated shards make progress) are pinned as proptest
 //! properties in `tests/steal_props.rs`.
+//!
+//! [`EventRelay`]: taskdrop_sim::EventRelay
+//! [`TrialResult`]: taskdrop_sim::TrialResult
 
-use crate::admission::{AdmissionController, BackpressurePolicy, QueueTails};
-use crate::shard::{advance_shard_to, ShardCheckpoint};
+use crate::shard::FleetShard;
 use crate::steal::{plan_steals, ShardLoad, StealPolicy};
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use taskdrop_core::DropPolicy;
-use taskdrop_obs::{EpochRecord, ShardEpoch, Telemetry};
+use taskdrop_obs::{EpochRecord, Telemetry};
 use taskdrop_pmf::Tick;
-use taskdrop_sched::MappingHeuristic;
-use taskdrop_sim::{
-    EventRelay, MigrationKind, SimConfig, SimCore, SimError, SimEvent, StepOutcome, TrialResult,
-};
-use taskdrop_workload::{OfferedTask, Scenario, TrafficSource};
+use taskdrop_sim::SimError;
+use taskdrop_workload::OfferedTask;
 
 /// One executed cross-shard migration: `offers` moved from shard `from`
 /// to shard `to` at an epoch barrier. Recorded in the fleet's replay log
@@ -75,240 +86,6 @@ struct EpochEntry {
     transfers: Vec<Transfer>,
 }
 
-/// One tenant/cluster inside a [`FleetDriver`]: the same ingress pipeline
-/// as [`Shard`](crate::Shard) — traffic source → admission controller →
-/// open-world core — but built on a [`SimCore`] whose observer hub is an
-/// [`EventRelay`], which buffers engine events instead of delivering them
-/// to boxed callbacks. That makes the whole shard `Send` (asserted by
-/// this module's tests), so a worker thread can own it for the parallel
-/// phase; the driver drains the buffer at the single-threaded barrier.
-///
-/// Checkpoints reuse [`ShardCheckpoint`] (with no flight recorder), so a
-/// fleet shard's snapshot revives equally well in a serial
-/// [`Shard`](crate::Shard) and vice versa.
-pub struct FleetShard<'a> {
-    name: String,
-    scenario: &'a Scenario,
-    mapper: &'a dyn MappingHeuristic,
-    dropper: &'a dyn DropPolicy,
-    core: SimCore<'a, EventRelay>,
-    source: TrafficSource,
-    admission: AdmissionController,
-    last_checkpoint: Option<ShardCheckpoint>,
-}
-
-impl<'a> FleetShard<'a> {
-    /// Assembles a fleet shard around a fresh open-world core.
-    ///
-    /// # Errors
-    ///
-    /// Any configuration error from [`SimCore::open_in`].
-    #[allow(clippy::too_many_arguments)] // one borrow per collaborating piece
-    pub fn new(
-        name: impl Into<String>,
-        scenario: &'a Scenario,
-        mapper: &'a dyn MappingHeuristic,
-        dropper: &'a dyn DropPolicy,
-        config: SimConfig,
-        exec_seed: u64,
-        source: TrafficSource,
-        admission: AdmissionController,
-    ) -> Result<Self, SimError> {
-        let core = SimCore::<EventRelay>::open_in(scenario, mapper, dropper, config, exec_seed)?;
-        Ok(FleetShard {
-            name: name.into(),
-            scenario,
-            mapper,
-            dropper,
-            core,
-            source,
-            admission,
-            last_checkpoint: None,
-        })
-    }
-
-    /// The shard's display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The underlying core (read-only).
-    #[must_use]
-    pub fn core(&self) -> &SimCore<'a, EventRelay> {
-        &self.core
-    }
-
-    /// The admission controller (read-only).
-    #[must_use]
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// The traffic source (read-only).
-    #[must_use]
-    pub fn source(&self) -> &TrafficSource {
-        &self.source
-    }
-
-    /// The most recent checkpoint, if one was taken.
-    #[must_use]
-    pub fn last_checkpoint(&self) -> Option<&ShardCheckpoint> {
-        self.last_checkpoint.as_ref()
-    }
-
-    /// Whether the shard has nothing left to do.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.source.is_exhausted() && self.admission.queued() == 0 && self.core.is_drained()
-    }
-
-    /// The shard's final [`TrialResult`] once drained.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NotDrained`] while tasks are still in flight.
-    pub fn result(&self) -> Result<TrialResult, SimError> {
-        self.core.result()
-    }
-
-    /// Advances the shard's pipeline to `until` (the per-worker body of
-    /// the parallel phase). Two ingress schedules:
-    ///
-    /// * **Immediate** (`deferred == false`, stealing off) — identical to
-    ///   [`Shard::advance_to`]: the epoch's arrivals are offered *and*
-    ///   injected within the same epoch, so the fleet retraces a serial
-    ///   [`ServiceDriver`](crate::ServiceDriver) exactly.
-    /// * **Deferred** (`deferred == true`, stealing on) — the backlog
-    ///   queued at the previous barrier (including offers migrated in) is
-    ///   injected first, then this epoch's arrivals are offered but left
-    ///   *queued*, so they are still present — and migratable — when the
-    ///   barrier snapshots the fleet. Dispatch is batched at epoch
-    ///   granularity; an offer waits at most one epoch (and is dropped as
-    ///   `Expired` at injection if its deadline lapsed meanwhile).
-    ///
-    /// # Errors
-    ///
-    /// Any error from the admission drain.
-    ///
-    /// [`Shard::advance_to`]: crate::Shard::advance_to
-    fn advance_core(&mut self, until: Tick, deferred: bool) -> Result<StepOutcome, SimError> {
-        if !deferred {
-            return advance_shard_to(&mut self.source, &mut self.admission, &mut self.core, until);
-        }
-        self.admission.drain_due(&mut self.core, until)?;
-        let mut tails: Option<QueueTails> = None;
-        while self.source.peek().is_some_and(|next| next.arrival <= until) {
-            let Some(task) = self.source.pop() else { break };
-            if tails.is_none()
-                && matches!(self.admission.policy(), BackpressurePolicy::PreDrop { .. })
-            {
-                tails = Some(QueueTails::capture(&mut self.core));
-            }
-            match &mut tails {
-                Some(t) => self.admission.offer_with(task, &mut self.core, t),
-                None => self.admission.offer(task, &mut self.core),
-            };
-        }
-        Ok(self.core.run_until(until))
-    }
-
-    /// Releases the newest `count` queued offers to migrate to shard
-    /// `peer`, emitting one `Donated` event per offer at barrier time
-    /// `now`.
-    fn donate(&mut self, count: usize, peer: usize, now: Tick) -> Vec<OfferedTask> {
-        let offers = self.admission.release_for_steal(count);
-        self.emit_migrations(&offers, MigrationKind::Donated, peer, now);
-        offers
-    }
-
-    /// Merges migrated offers into the ingress queue, emitting one
-    /// `Received` event per offer at barrier time `now`.
-    fn receive(&mut self, offers: &[OfferedTask], peer: usize, now: Tick) {
-        self.admission.accept_stolen(offers);
-        self.emit_migrations(offers, MigrationKind::Received, peer, now);
-    }
-
-    fn emit_migrations(
-        &mut self,
-        offers: &[OfferedTask],
-        kind: MigrationKind,
-        peer: usize,
-        now: Tick,
-    ) {
-        let peer = u32::try_from(peer).unwrap_or(u32::MAX);
-        for offer in offers {
-            self.core.notify_observers(&SimEvent::TaskMigrated {
-                type_id: offer.type_id,
-                arrival: offer.arrival,
-                deadline: offer.deadline,
-                now,
-                kind,
-                peer,
-            });
-        }
-    }
-
-    /// Cumulative serving numbers for telemetry epoch records.
-    fn epoch_snapshot(&self) -> ShardEpoch {
-        let stats = self.admission.stats();
-        ShardEpoch {
-            shard: self.name.clone(),
-            backlog: self.admission.queued() as u64,
-            offered: stats.offered,
-            admitted: stats.admitted,
-            turned_away: stats.turned_away(),
-            total_tasks: self.core.total_tasks() as u64,
-            resolved_tasks: self.core.resolved_tasks() as u64,
-            stolen_in: stats.stolen_in,
-            stolen_out: stats.stolen_out,
-        }
-    }
-
-    /// Snapshots the complete shard state and remembers it as the
-    /// restore point.
-    pub fn take_checkpoint(&mut self, taken_at: Tick) -> &ShardCheckpoint {
-        let cp = ShardCheckpoint {
-            taken_at,
-            core: self.core.snapshot(),
-            source: self.source.clone(),
-            admission: self.admission.clone(),
-            flight: None,
-        };
-        self.last_checkpoint.insert(cp)
-    }
-
-    /// Discards the live state and rebuilds the shard from `checkpoint`
-    /// (which must match the shard's scenario and policies). The pending
-    /// event-relay buffer is discarded with the state it described.
-    ///
-    /// # Errors
-    ///
-    /// Any validation error from [`SimCore::restore_in`]; on error the
-    /// live state is unchanged.
-    pub fn restore_from(&mut self, checkpoint: &ShardCheckpoint) -> Result<(), SimError> {
-        self.core =
-            SimCore::restore_in(self.scenario, self.mapper, self.dropper, &checkpoint.core)?;
-        self.source = checkpoint.source.clone();
-        self.admission = checkpoint.admission.clone();
-        self.last_checkpoint = Some(checkpoint.clone());
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for FleetShard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetShard")
-            .field("name", &self.name)
-            .field("scenario", &self.scenario.name)
-            .field("now", &self.core.now())
-            .field("total_tasks", &self.core.total_tasks())
-            .field("resolved_tasks", &self.core.resolved_tasks())
-            .field("ingress_queued", &self.admission.queued())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Worker-pool default: one worker per available core.
 fn default_workers() -> usize {
     // lint:allow(thread-primitives): sizes the crossbeam worker pool only; fleet output is worker-count-invariant (pinned by tests/fleet_determinism.rs)
@@ -324,12 +101,19 @@ pub struct FleetDriver<'a> {
     workers: usize,
     checkpoint_every: Option<Tick>,
     next_checkpoint: Tick,
+    /// Whether any checkpoint sweep has happened yet; until one has, the
+    /// replay log below would be useless (restore has nothing to start
+    /// from) and is not kept, so a never-checkpointing fleet does not
+    /// accumulate boundaries forever.
     has_checkpoint: bool,
     /// Replayable epoch boundaries (tick + executed transfers) still
-    /// needed for catch-up; swept to the oldest live checkpoint after
-    /// every epoch, mirroring `ServiceDriver`'s retention contract.
+    /// needed for catch-up, oldest first — bounded by the retention
+    /// contract of `sweep_epoch_log`, which runs after every epoch.
     epoch_log: Vec<EpochEntry>,
     stealing: Option<StealPolicy>,
+    /// Telemetry pipeline for shard events, epoch records, checkpoint
+    /// cost, and kill/restore records. `None` (the default) is the
+    /// zero-cost disabled path: no records, no serialization.
     telemetry: Option<Telemetry>,
 }
 
@@ -374,14 +158,12 @@ impl<'a> FleetDriver<'a> {
         self
     }
 
-    /// Enables periodic checkpoints, as
-    /// [`ServiceDriver::with_checkpoint_every`].
+    /// Enables periodic checkpoints: after each epoch that reaches or
+    /// passes the next multiple of `interval`, every shard is snapshotted.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
-    ///
-    /// [`ServiceDriver::with_checkpoint_every`]: crate::ServiceDriver::with_checkpoint_every
     #[must_use]
     pub fn with_checkpoint_every(mut self, interval: Tick) -> Self {
         assert!(interval > 0, "checkpoint interval must be positive");
@@ -411,11 +193,13 @@ impl<'a> FleetDriver<'a> {
         self
     }
 
-    /// Wires a [`Telemetry`] pipeline into the fleet's barrier: buffered
-    /// engine events are fed per shard (in shard-index order) via
-    /// [`Telemetry::scope_event`], plus the same epoch / checkpoint /
-    /// kill-restore records a [`ServiceDriver`](crate::ServiceDriver)
-    /// emits.
+    /// Wires a [`Telemetry`] pipeline into the fleet's barrier: every
+    /// shard's buffered engine events are fed under the shard's name as
+    /// scope (in shard-index order) via [`Telemetry::scope_event`], plus
+    /// one `epoch` record (with per-shard backlog and admission totals)
+    /// and a time-series sample per [`FleetDriver::advance`], a
+    /// `checkpoint` record with the serialized byte cost per shard per
+    /// sweep, and a `kill_restore` record per revival.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = Some(telemetry.clone());
@@ -440,7 +224,8 @@ impl<'a> FleetDriver<'a> {
         &self.shards
     }
 
-    /// Mutable access to one shard (e.g. to take a manual checkpoint).
+    /// Mutable access to one shard (e.g. to take a manual checkpoint or
+    /// enable its flight recorder).
     pub fn shard_mut(&mut self, index: usize) -> Option<&mut FleetShard<'a>> {
         self.shards.get_mut(index)
     }
@@ -453,9 +238,9 @@ impl<'a> FleetDriver<'a> {
 
     /// Runs one epoch: the parallel phase advances every shard to
     /// `clock + delta` across the worker pool, then the barrier phase
-    /// merges in shard-index order — steals, telemetry drain, epoch
-    /// record, replay-log upkeep, periodic checkpoints. Returns the new
-    /// clock.
+    /// merges in shard-index order — steals, event drain into flight
+    /// recorders and telemetry, epoch record, replay-log upkeep, periodic
+    /// checkpoints. Returns the new clock.
     ///
     /// # Errors
     ///
@@ -477,7 +262,10 @@ impl<'a> FleetDriver<'a> {
         // --- Barrier: everything below runs on the calling thread, in
         // shard-index order, regardless of worker count. ---
         let transfers = self.execute_steals(until);
-        self.drain_relays();
+        // Drained even on uninstrumented fleets, so relays stay bounded.
+        for shard in &mut self.shards {
+            shard.drain_events(self.telemetry.as_ref());
+        }
         if let Some(telemetry) = &self.telemetry {
             telemetry.record_epoch(&EpochRecord {
                 record: "epoch".to_string(),
@@ -511,7 +299,7 @@ impl<'a> FleetDriver<'a> {
         let workers = self.workers.min(self.shards.len()).max(1);
         if workers == 1 {
             for shard in &mut self.shards {
-                shard.advance_core(until, deferred)?;
+                shard.advance_to(until, deferred)?;
             }
             return Ok(());
         }
@@ -524,7 +312,7 @@ impl<'a> FleetDriver<'a> {
                 .map(|(worker, chunk)| {
                     scope.spawn(move |_| {
                         for (offset, shard) in chunk.iter_mut().enumerate() {
-                            if let Err(e) = shard.advance_core(until, deferred) {
+                            if let Err(e) = shard.advance_to(until, deferred) {
                                 return Some((worker * chunk_size + offset, e));
                             }
                         }
@@ -561,7 +349,8 @@ impl<'a> FleetDriver<'a> {
         let Some(policy) = self.stealing else { return Vec::new() };
         let mut groups: BTreeMap<(String, u64), Vec<usize>> = BTreeMap::new();
         for (index, shard) in self.shards.iter().enumerate() {
-            let key = (shard.scenario.name.clone(), shard.scenario.seed);
+            let scenario = shard.core().scenario();
+            let key = (scenario.name.clone(), scenario.seed);
             groups.entry(key).or_default().push(index);
         }
         let mut transfers = Vec::new();
@@ -573,8 +362,8 @@ impl<'a> FleetDriver<'a> {
                 .iter()
                 .filter_map(|&i| self.shards.get(i))
                 .map(|s| ShardLoad {
-                    queued: s.admission.queued(),
-                    capacity: s.admission.capacity(),
+                    queued: s.admission().queued(),
+                    capacity: s.admission().capacity(),
                 })
                 .collect();
             for decision in plan_steals(&policy, &loads) {
@@ -594,49 +383,41 @@ impl<'a> FleetDriver<'a> {
         transfers
     }
 
-    /// Empties every shard's event-relay buffer in shard-index order,
-    /// feeding telemetry when wired. Draining unconditionally keeps the
-    /// buffers from growing without bound on uninstrumented fleets.
-    fn drain_relays(&mut self) {
-        for shard in &mut self.shards {
-            let events = shard.core.hub_mut().take();
-            if let Some(telemetry) = &self.telemetry {
-                for ev in &events {
-                    telemetry.scope_event(&shard.name, ev);
-                }
-            }
-        }
-    }
-
-    /// Snapshots every shard at the current clock and trims the replay
-    /// log, as [`ServiceDriver::checkpoint_all`].
-    ///
-    /// [`ServiceDriver::checkpoint_all`]: crate::ServiceDriver::checkpoint_all
+    /// Snapshots every shard at the current clock and trims the replay log
+    /// (boundaries at or before a fresh checkpoint can never be needed
+    /// again).
     pub fn checkpoint_all(&mut self) {
         let clock = self.clock;
         for shard in &mut self.shards {
             let checkpoint = shard.take_checkpoint(clock);
+            // Measuring checkpoint cost means serializing it — only paid
+            // when telemetry is wired in, so the disabled path is free.
             let bytes = self
                 .telemetry
                 .as_ref()
                 .map(|_| serde_json::to_string(checkpoint).map_or(0, |json| json.len() as u64));
             if let (Some(telemetry), Some(bytes)) = (&self.telemetry, bytes) {
-                telemetry.record_checkpoint(&shard.name, clock, bytes);
+                telemetry.record_checkpoint(shard.name(), clock, bytes);
             }
         }
         self.has_checkpoint = true;
         self.epoch_log.retain(|e| e.until > clock);
     }
 
-    /// Trims the replay log to boundaries strictly after the oldest live
-    /// checkpoint — the same retention contract as
-    /// `ServiceDriver::sweep_epoch_log`.
+    /// Trims the replay log to what a restore could still need.
+    ///
+    /// **Retention contract:** a revived shard replays the boundaries
+    /// strictly after its own checkpoint tick, so any boundary at or
+    /// before the *oldest live checkpoint* across the fleet can never be
+    /// consulted again and is dropped. Run after every epoch, this bounds
+    /// the log even when periodic checkpointing is off and sweeps happen
+    /// only through manual per-shard [`FleetShard::take_checkpoint`]
+    /// calls: the log holds at most the boundaries since the most stale
+    /// shard's last checkpoint. A shard with *no* checkpoint pins nothing
+    /// (it cannot be restored at all — [`ServeError::NoCheckpoint`]).
     fn sweep_epoch_log(&mut self) {
-        let oldest_live = self
-            .shards
-            .iter()
-            .filter_map(|s| s.last_checkpoint.as_ref().map(|cp| cp.taken_at))
-            .min();
+        let oldest_live =
+            self.shards.iter().filter_map(|s| s.last_checkpoint().map(|cp| cp.taken_at)).min();
         if let Some(oldest) = oldest_live {
             self.epoch_log.retain(|e| e.until > oldest);
         }
@@ -652,8 +433,11 @@ impl<'a> FleetDriver<'a> {
     /// stealing included. Returns the checkpoint tick it was revived
     /// from.
     ///
-    /// Replayed events are re-fed to telemetry (at-least-once counter
-    /// semantics, as with the serial driver's re-attached counters).
+    /// Replayed events are re-fed to the flight recorder (revived from
+    /// the checkpoint, so it ends up exactly as it was before the kill)
+    /// and to telemetry (at-least-once counter semantics: replayed events
+    /// count again). The `kill_restore` record reports how many events
+    /// the post-mortem kept.
     ///
     /// # Errors
     ///
@@ -666,9 +450,9 @@ impl<'a> FleetDriver<'a> {
             return Err(ServeError::UnknownShard { index, shards });
         };
         let cp = shard
-            .last_checkpoint
-            .clone()
-            .ok_or_else(|| ServeError::NoCheckpoint { shard: shard.name.clone() })?;
+            .last_checkpoint()
+            .cloned()
+            .ok_or_else(|| ServeError::NoCheckpoint { shard: shard.name().to_string() })?;
         shard.restore_from(&cp)?;
         let revived_at = cp.taken_at;
         let deferred = self.stealing.is_some();
@@ -676,7 +460,7 @@ impl<'a> FleetDriver<'a> {
             if entry.until <= revived_at {
                 continue;
             }
-            shard.advance_core(entry.until, deferred)?;
+            shard.advance_to(entry.until, deferred)?;
             for transfer in &entry.transfers {
                 if transfer.from == index {
                     let offers = shard.donate(transfer.offers.len(), transfer.to, entry.until);
@@ -689,18 +473,17 @@ impl<'a> FleetDriver<'a> {
                 }
             }
         }
-        let events = shard.core.hub_mut().take();
+        shard.drain_events(self.telemetry.as_ref());
         if let Some(telemetry) = &self.telemetry {
-            for ev in &events {
-                telemetry.scope_event(&shard.name, ev);
-            }
-            telemetry.record_kill_restore(&shard.name, revived_at, self.clock, 0);
+            let post_mortem = shard.post_mortem().map_or(0, |snap| snap.events.len() as u64);
+            telemetry.record_kill_restore(shard.name(), revived_at, self.clock, post_mortem);
         }
         Ok(revived_at)
     }
 
     /// Advances in fixed `epoch`-sized steps until every shard is idle or
-    /// `max_epochs` have run, returning how many epochs ran.
+    /// `max_epochs` have run, returning how many epochs ran. Callers that
+    /// need a guarantee should check [`FleetDriver::is_idle`] after.
     ///
     /// # Errors
     ///
@@ -724,11 +507,13 @@ impl Default for FleetDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::BackpressurePolicy;
-    use crate::{ServiceDriver, Shard};
-    use taskdrop_core::ProactiveDropper;
+    use crate::admission::{AdmissionController, BackpressurePolicy};
+    use crate::ShardCheckpoint;
+    use taskdrop_core::{DropPolicy, ProactiveDropper, ReactiveOnly};
+    use taskdrop_obs::FlightRecorder;
     use taskdrop_sched::Pam;
-    use taskdrop_workload::{BurstySource, DiurnalSource};
+    use taskdrop_sim::{EventRelay, SimConfig, SimCore, TrialResult};
+    use taskdrop_workload::{BurstySource, DiurnalSource, Scenario, TrafficSource};
 
     fn assert_send<T: Send>() {}
 
@@ -750,25 +535,26 @@ mod tests {
         TrafficSource::Diurnal(DiurnalSource::new(33, 0.12, 0.9, 3_000, 450, 12, 180))
     }
 
+    fn bursty_shard<'a>(scenario: &'a Scenario, dropper: &'a dyn DropPolicy) -> FleetShard<'a> {
+        let admission =
+            AdmissionController::new(24, BackpressurePolicy::PreDrop { threshold: 0.2 });
+        FleetShard::new("bursty", scenario, &Pam, dropper, config(), 7, bursty(), admission)
+            .unwrap()
+    }
+
+    /// The two-shard fleet (bursty + diurnal, stealing off) most tests
+    /// drive.
     fn fleet_driver<'a>(
         scenario: &'a Scenario,
         dropper: &'a dyn DropPolicy,
         workers: usize,
+        checkpoint_every: Option<Tick>,
     ) -> FleetDriver<'a> {
-        let mut driver = FleetDriver::new().with_workers(workers).with_checkpoint_every(1_000);
-        driver.add_shard(
-            FleetShard::new(
-                "bursty",
-                scenario,
-                &Pam,
-                dropper,
-                config(),
-                7,
-                bursty(),
-                AdmissionController::new(24, BackpressurePolicy::PreDrop { threshold: 0.2 }),
-            )
-            .unwrap(),
-        );
+        let mut driver = FleetDriver::new().with_workers(workers);
+        if let Some(interval) = checkpoint_every {
+            driver = driver.with_checkpoint_every(interval);
+        }
+        driver.add_shard(bursty_shard(scenario, dropper));
         driver.add_shard(
             FleetShard::new(
                 "diurnal",
@@ -785,65 +571,20 @@ mod tests {
         driver
     }
 
-    /// The fleet (no stealing) retraces the serial `ServiceDriver` on the
-    /// same plan — results, admission stats, and telemetry JSONL all
-    /// byte-equal.
     #[test]
-    fn fleet_matches_the_serial_driver_without_stealing() {
+    fn fleet_serves_to_idle_and_conserves_every_shard() {
         let scenario = Scenario::specint(3);
         let dropper = ProactiveDropper::paper_default();
-
-        let serial_tel = Telemetry::new();
-        let mut serial =
-            ServiceDriver::new().with_checkpoint_every(1_000).with_telemetry(&serial_tel);
-        serial.add_shard(
-            Shard::new(
-                "bursty",
-                &scenario,
-                &Pam,
-                &dropper,
-                config(),
-                7,
-                bursty(),
-                AdmissionController::new(24, BackpressurePolicy::PreDrop { threshold: 0.2 }),
-            )
-            .unwrap(),
-        );
-        serial.add_shard(
-            Shard::new(
-                "diurnal",
-                &scenario,
-                &Pam,
-                &dropper,
-                config(),
-                8,
-                diurnal(),
-                AdmissionController::new(16, BackpressurePolicy::ShedOldest),
-            )
-            .unwrap(),
-        );
-        for i in 0..serial.shards().len() {
-            let telemetry = serial_tel.clone();
-            let shard = serial.shard_mut(i).unwrap();
-            shard.attach_telemetry(&telemetry);
+        let mut driver = fleet_driver(&scenario, &dropper, 1, None);
+        driver.run_until_idle(500, 200).unwrap();
+        assert!(driver.is_idle(), "fleet failed to drain within the epoch budget");
+        for shard in driver.shards() {
+            let result = shard.result().unwrap();
+            assert!(result.is_conserved(), "{} lost tasks", shard.name());
+            let stats = shard.admission().stats();
+            assert_eq!(stats.offered, stats.admitted + stats.turned_away());
+            assert_eq!(result.total_tasks as u64, stats.admitted);
         }
-        serial.run_until_idle(500, 200).unwrap();
-        assert!(serial.is_idle());
-
-        let fleet_tel = Telemetry::new();
-        let mut fleet = fleet_driver(&scenario, &dropper, 4).with_telemetry(&fleet_tel);
-        fleet.run_until_idle(500, 200).unwrap();
-        assert!(fleet.is_idle());
-
-        let serial_results: Vec<TrialResult> =
-            serial.shards().iter().map(|s| s.core().result().unwrap()).collect();
-        let fleet_results: Vec<TrialResult> =
-            fleet.shards().iter().map(|s| s.result().unwrap()).collect();
-        assert_eq!(fleet_results, serial_results);
-        for (a, b) in fleet.shards().iter().zip(serial.shards()) {
-            assert_eq!(a.admission().stats(), b.admission().stats());
-        }
-        assert_eq!(fleet_tel.jsonl(), serial_tel.jsonl());
     }
 
     #[test]
@@ -909,8 +650,126 @@ mod tests {
     fn zero_epoch_is_a_typed_error() {
         let scenario = Scenario::specint(3);
         let dropper = ProactiveDropper::paper_default();
-        let mut fleet = fleet_driver(&scenario, &dropper, 2);
+        let mut fleet = fleet_driver(&scenario, &dropper, 2, None);
         assert!(matches!(fleet.advance(0), Err(ServeError::InvalidEpoch { delta: 0 })));
+    }
+
+    #[test]
+    fn rejected_zero_epoch_leaves_the_clock_unchanged() {
+        let scenario = Scenario::specint(3);
+        let mut fleet = fleet_driver(&scenario, &ReactiveOnly, 1, None);
+        fleet.advance(300).unwrap();
+        assert!(matches!(fleet.advance(0), Err(ServeError::InvalidEpoch { delta: 0 })));
+        assert_eq!(fleet.clock(), 300, "a rejected epoch must not move the clock");
+    }
+
+    #[test]
+    fn kill_without_checkpoint_is_a_typed_error() {
+        let scenario = Scenario::specint(3);
+        let mut fleet = fleet_driver(&scenario, &ReactiveOnly, 1, None);
+        fleet.advance(300).unwrap();
+        assert!(matches!(fleet.kill_and_restore(0), Err(ServeError::NoCheckpoint { .. })));
+        assert!(matches!(
+            fleet.kill_and_restore(9),
+            Err(ServeError::UnknownShard { index: 9, shards: 2 })
+        ));
+    }
+
+    #[test]
+    fn replay_log_is_bounded_by_the_oldest_live_checkpoint() {
+        let scenario = Scenario::specint(3);
+        let dropper = ProactiveDropper::paper_default();
+        // No periodic checkpointing: retention is driven entirely by the
+        // per-epoch sweep against manually taken checkpoints.
+        let mut fleet = fleet_driver(&scenario, &dropper, 1, None);
+        fleet.advance(200).unwrap();
+        fleet.checkpoint_all();
+        for _ in 0..5 {
+            fleet.advance(200).unwrap();
+        }
+        // All five boundaries are after the only checkpoint (t=200): every
+        // one could still be needed for a replay, so all are retained.
+        assert_eq!(fleet.epoch_log.len(), 5);
+        // Fresh per-shard snapshots advance the oldest live checkpoint;
+        // the next epoch's sweep drops everything at or before it.
+        let clock = fleet.clock();
+        for index in 0..fleet.shards().len() {
+            fleet.shard_mut(index).unwrap().take_checkpoint(clock);
+        }
+        fleet.advance(200).unwrap();
+        assert_eq!(
+            fleet.epoch_log.len(),
+            1,
+            "boundaries at or below the oldest live checkpoint must be swept"
+        );
+        // A revive still works off the trimmed log.
+        fleet.kill_and_restore(0).unwrap();
+        fleet.run_until_idle(200, 400).unwrap();
+        assert!(fleet.is_idle());
+    }
+
+    #[test]
+    fn shard_checkpoint_survives_serde_and_revives_elsewhere() {
+        let scenario = Scenario::specint(3);
+        let dropper = ProactiveDropper::paper_default();
+        let mut fleet = fleet_driver(&scenario, &dropper, 1, None);
+        for _ in 0..4 {
+            fleet.advance(400).unwrap();
+        }
+        fleet.checkpoint_all();
+        let json = serde_json::to_string(fleet.shards()[0].last_checkpoint().unwrap()).unwrap();
+
+        // Finish the original fleet.
+        fleet.run_until_idle(400, 200).unwrap();
+        let expected = fleet.shards()[0].result().unwrap();
+
+        // Revive shard 0 from the serialized checkpoint in a *fresh*
+        // one-shard fleet, bring its clock to the checkpoint tick (an
+        // epoch the restored shard has already served, so it does
+        // nothing), and drive it alone to completion.
+        let cp: ShardCheckpoint = serde_json::from_str(&json).unwrap();
+        let mut revived = FleetDriver::new().with_workers(1);
+        revived.add_shard(bursty_shard(&scenario, &dropper));
+        revived.shard_mut(0).unwrap().restore_from(&cp).unwrap();
+        revived.advance(cp.taken_at).unwrap();
+        revived.run_until_idle(400, 200).unwrap();
+        assert!(revived.is_idle());
+        assert_eq!(revived.shards()[0].result().unwrap(), expected);
+    }
+
+    #[test]
+    fn flight_recorder_rides_in_the_checkpoint() {
+        let scenario = Scenario::specint(3);
+        let dropper = ProactiveDropper::paper_default();
+        let mut fleet = FleetDriver::new().with_workers(1);
+        fleet.add_shard(bursty_shard(&scenario, &dropper));
+        fleet.advance(400).unwrap();
+        fleet.checkpoint_all();
+        let shard = fleet.shard_mut(0).unwrap();
+        let bare = shard.last_checkpoint().unwrap().clone();
+        assert_eq!(bare.flight, None, "no recorder, nothing checkpointed");
+        shard.enable_flight_recorder(16);
+        for _ in 0..3 {
+            fleet.advance(400).unwrap();
+        }
+        fleet.checkpoint_all();
+        let recorded = fleet.shards()[0].flight_recorder().unwrap().snapshot();
+        assert_eq!(recorded.events.len(), 16, "the barrier fills the ring to capacity");
+        let cp = fleet.shards()[0].last_checkpoint().unwrap().clone();
+        assert_eq!(cp.flight.as_ref(), Some(&recorded));
+
+        // Revived elsewhere, a shard without a recorder gets it back.
+        let mut fresh = bursty_shard(&scenario, &dropper);
+        fresh.restore_from(&cp).unwrap();
+        assert_eq!(fresh.flight_recorder().map(FlightRecorder::snapshot), Some(recorded.clone()));
+        assert_eq!(fresh.post_mortem(), None, "a fresh shard destroys no timeline");
+
+        // Rewinding to a checkpoint from before the recorder clears the
+        // ring and keeps the destroyed contents as the post-mortem.
+        let shard = fleet.shard_mut(0).unwrap();
+        shard.restore_from(&bare).unwrap();
+        assert_eq!(shard.post_mortem(), Some(&recorded));
+        assert!(shard.flight_recorder().unwrap().is_empty());
     }
 
     #[test]

@@ -13,22 +13,25 @@
 //!   chance-of-success threshold (Eq 1 + Eq 2) at the front door. Every
 //!   refusal is counted ([`AdmissionStats`]) and streamed to observers as
 //!   [`SimEvent::AdmissionDropped`](taskdrop_sim::SimEvent::AdmissionDropped).
-//! * **Shards** ([`Shard`]) — one independent tenant/cluster each: a
+//! * **Shards** ([`FleetShard`]) — one independent tenant/cluster each: a
 //!   streaming [`TrafficSource`](taskdrop_workload::TrafficSource) feeding
-//!   the admission controller feeding an open-world core, with wholesale
-//!   [`ShardCheckpoint`]s (core snapshot + source cursor + admission
-//!   state) that serialize through serde.
-//! * **The driver** ([`ServiceDriver`]) — an epoch-based event loop
-//!   multiplexing many shards against one virtual clock, taking periodic
-//!   checkpoints, and able to [`kill_and_restore`] a shard mid-flight: the
+//!   the admission controller feeding an open-world core, with an optional
+//!   flight recorder and wholesale [`ShardCheckpoint`]s (core snapshot +
+//!   source cursor + admission state + recorder) that serialize through
+//!   serde.
+//! * **The driver** ([`FleetDriver`]) — an epoch-based event loop
+//!   multiplexing many shards against one virtual clock: shards advance
+//!   in parallel, then merge at a deterministic single-threaded barrier
+//!   (optional cross-shard work stealing, event drain, periodic
+//!   checkpoints). It can [`kill_and_restore`] a shard mid-flight: the
 //!   revived shard replays the recorded epoch boundaries and — because
 //!   every layer is deterministic — rejoins the fleet byte-identical to
-//!   the state that was destroyed.
+//!   the state that was destroyed, at any worker count.
 //!
 //! ```
 //! use taskdrop_core::ProactiveDropper;
 //! use taskdrop_sched::Pam;
-//! use taskdrop_serve::{AdmissionController, BackpressurePolicy, ServiceDriver, Shard};
+//! use taskdrop_serve::{AdmissionController, BackpressurePolicy, FleetDriver, FleetShard};
 //! use taskdrop_sim::SimConfig;
 //! use taskdrop_workload::{BurstySource, Scenario, TrafficSource};
 //!
@@ -38,24 +41,24 @@
 //! let source = TrafficSource::Bursty(BurstySource::new(9, 0.4, 0.0, 300, 700, 400, 12, 60));
 //! let admission = AdmissionController::new(16, BackpressurePolicy::PreDrop { threshold: 0.2 });
 //!
-//! let mut driver = ServiceDriver::new().with_checkpoint_every(1_000);
+//! let mut driver = FleetDriver::new().with_workers(1).with_checkpoint_every(1_000);
 //! driver.add_shard(
-//!     Shard::new("tenant-a", &scenario, &Pam, &dropper, config, 7, source, admission).unwrap(),
+//!     FleetShard::new("tenant-a", &scenario, &Pam, &dropper, config, 7, source, admission)
+//!         .unwrap(),
 //! );
 //! driver.run_until_idle(500, 100).unwrap();
 //! assert!(driver.is_idle());
-//! let result = driver.shards()[0].core().result().unwrap();
+//! let result = driver.shards()[0].result().unwrap();
 //! assert!(result.is_conserved());
 //! ```
 //!
-//! [`kill_and_restore`]: ServiceDriver::kill_and_restore
+//! [`kill_and_restore`]: FleetDriver::kill_and_restore
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
 mod admission;
-mod driver;
 mod fleet;
 mod shard;
 mod steal;
@@ -64,9 +67,8 @@ pub use admission::{
     best_chance_of_success, AdmissionController, AdmissionOutcome, AdmissionStats,
     BackpressurePolicy, QueueTails,
 };
-pub use driver::ServiceDriver;
-pub use fleet::{FleetDriver, FleetShard, Transfer};
-pub use shard::{Shard, ShardCheckpoint};
+pub use fleet::{FleetDriver, Transfer};
+pub use shard::{FleetShard, ShardCheckpoint};
 pub use steal::{plan_steals, ShardLoad, StealDecision, StealPolicy};
 
 use taskdrop_sim::SimError;

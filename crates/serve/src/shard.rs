@@ -8,56 +8,20 @@ use taskdrop_obs::{FlightRecorder, FlightSnapshot, ShardEpoch, Telemetry};
 use taskdrop_pmf::Tick;
 use taskdrop_sched::MappingHeuristic;
 use taskdrop_sim::{
-    Checkpoint, ObserverHub, SimConfig, SimCore, SimError, SimObserver, StepOutcome,
+    Checkpoint, EventRelay, MigrationKind, SimConfig, SimCore, SimError, SimEvent, StepOutcome,
+    TrialResult,
 };
-use taskdrop_workload::{Scenario, TrafficSource};
-
-/// Advances one shard's slice of virtual time to `until`: offers every
-/// source arrival due by then to the admission controller, injects the
-/// admitted ones, and runs the core. Admission decisions for the whole
-/// epoch are made against the queue state at its start — the granularity a
-/// real front-end batches at — so under a pre-drop policy the machine
-/// queue tails are captured once per epoch and shared across the offer
-/// batch (identical decisions, far fewer chain convolutions).
-///
-/// Generic over the core's [`ObserverHub`] so both [`Shard`] (boxed
-/// observers, single-threaded) and the fleet's relay-hubbed shards
-/// ([`crate::FleetShard`]) share the exact same ingress pipeline — which
-/// is what makes the fleet's per-shard trajectories identical to a serial
-/// [`crate::ServiceDriver`] run of the same plan.
-///
-/// # Errors
-///
-/// Any error from [`AdmissionController::drain_due`].
-pub(crate) fn advance_shard_to<H: ObserverHub>(
-    source: &mut TrafficSource,
-    admission: &mut AdmissionController,
-    core: &mut SimCore<'_, H>,
-    until: Tick,
-) -> Result<StepOutcome, SimError> {
-    let mut tails: Option<QueueTails> = None;
-    while source.peek().is_some_and(|next| next.arrival <= until) {
-        let Some(task) = source.pop() else { break };
-        if tails.is_none() && matches!(admission.policy(), BackpressurePolicy::PreDrop { .. }) {
-            tails = Some(QueueTails::capture(core));
-        }
-        match &mut tails {
-            Some(t) => admission.offer_with(task, core, t),
-            None => admission.offer(task, core),
-        };
-    }
-    admission.drain_due(core, until)?;
-    Ok(core.run_until(until))
-}
+use taskdrop_workload::{OfferedTask, Scenario, TrafficSource};
 
 /// Everything needed to rebuild a shard mid-flight: the core's
 /// [`Checkpoint`] plus the serving-side state the core knows nothing about
-/// — the traffic source's cursor and the admission controller (queued
-/// offers and counters). Serde-serializable as a whole, so a shard can be
-/// persisted, shipped, and revived elsewhere against the same scenario.
+/// — the traffic source's cursor, the admission controller (queued
+/// offers and counters) and the flight recorder. Serde-serializable as a
+/// whole, so a shard can be persisted, shipped, and revived elsewhere
+/// against the same scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
-    /// Driver clock at which the checkpoint was taken.
+    /// Fleet clock at which the checkpoint was taken.
     pub taken_at: Tick,
     /// The engine state.
     pub core: Checkpoint,
@@ -65,47 +29,52 @@ pub struct ShardCheckpoint {
     pub source: TrafficSource,
     /// The admission controller (policy, queued offers, accounting).
     pub admission: AdmissionController,
-    /// The flight recorder's contents at checkpoint time, if one was
-    /// attached (absent in checkpoints from older builds — `default`
+    /// The flight recorder's contents at checkpoint time, if the shard
+    /// has one (absent in checkpoints from older builds — `default`
     /// keeps them loading).
     #[serde(default)]
     pub flight: Option<FlightSnapshot>,
 }
 
-/// One independent tenant/cluster in a [`ServiceDriver`]: an open-world
-/// [`SimCore`] plus its ingress pipeline.
+/// One tenant/cluster inside a [`FleetDriver`](crate::FleetDriver): an
+/// open-world [`SimCore`] plus its ingress pipeline and an optional
+/// flight recorder.
+///
+/// The core's observer hub is an [`EventRelay`], which buffers engine
+/// events instead of delivering them to boxed callbacks, and everything
+/// else the shard owns is plain serializable state. That makes the whole
+/// shard `Send` (asserted by the fleet's tests), so a worker thread can
+/// own it for the parallel phase, and it makes
+/// [`FleetShard::take_checkpoint`] / [`FleetShard::restore_from`] total.
+/// The driver drains the relay at the single-threaded epoch barrier,
+/// into the flight recorder and telemetry.
 ///
 /// The shard borrows its scenario and policies (the same borrows a bare
-/// `SimCore` takes); everything it *owns* is serializable state, which is
-/// what makes [`Shard::take_checkpoint`] / [`Shard::restore_last`] total.
-///
-/// [`ServiceDriver`]: crate::ServiceDriver
-pub struct Shard<'a> {
+/// `SimCore` takes).
+pub struct FleetShard<'a> {
     name: String,
     scenario: &'a Scenario,
     mapper: &'a dyn MappingHeuristic,
     dropper: &'a dyn DropPolicy,
-    core: SimCore<'a>,
+    core: SimCore<'a, EventRelay>,
     source: TrafficSource,
     admission: AdmissionController,
     last_checkpoint: Option<ShardCheckpoint>,
-    /// Bounded ring of recent engine events; checkpointed and revived
-    /// with the shard ([`Shard::enable_flight_recorder`]).
+    /// Bounded ring of recent engine events, fed at the barrier and
+    /// checkpointed and revived with the shard
+    /// ([`FleetShard::enable_flight_recorder`]).
     flight: Option<FlightRecorder>,
     /// The pre-kill flight-recorder contents, kept across the most
-    /// recent [`Shard::restore_from`] as the crash post-mortem.
+    /// recent [`FleetShard::restore_from`] as the crash post-mortem.
     post_mortem: Option<FlightSnapshot>,
-    /// Telemetry pipeline to re-attach after restores
-    /// ([`Shard::attach_telemetry`]).
-    telemetry: Option<Telemetry>,
 }
 
-impl<'a> Shard<'a> {
-    /// Assembles a shard around a fresh open-world core.
+impl<'a> FleetShard<'a> {
+    /// Assembles a fleet shard around a fresh open-world core.
     ///
     /// # Errors
     ///
-    /// Any configuration error from [`SimCore::open`].
+    /// Any configuration error from [`SimCore::open_in`].
     #[allow(clippy::too_many_arguments)] // one borrow per collaborating piece
     pub fn new(
         name: impl Into<String>,
@@ -117,8 +86,8 @@ impl<'a> Shard<'a> {
         source: TrafficSource,
         admission: AdmissionController,
     ) -> Result<Self, SimError> {
-        let core = SimCore::open(scenario, mapper, dropper, config, exec_seed)?;
-        Ok(Shard {
+        let core = SimCore::<EventRelay>::open_in(scenario, mapper, dropper, config, exec_seed)?;
+        Ok(FleetShard {
             name: name.into(),
             scenario,
             mapper,
@@ -129,7 +98,6 @@ impl<'a> Shard<'a> {
             last_checkpoint: None,
             flight: None,
             post_mortem: None,
-            telemetry: None,
         })
     }
 
@@ -141,12 +109,11 @@ impl<'a> Shard<'a> {
 
     /// The underlying core (read-only).
     #[must_use]
-    pub fn core(&self) -> &SimCore<'a> {
+    pub fn core(&self) -> &SimCore<'a, EventRelay> {
         &self.core
     }
 
-    /// The admission controller (read-only; offers flow in via
-    /// [`Shard::advance_to`]).
+    /// The admission controller (read-only).
     #[must_use]
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
@@ -164,62 +131,157 @@ impl<'a> Shard<'a> {
         self.last_checkpoint.as_ref()
     }
 
-    /// Attaches a streaming observer to the core. Observers are **not**
-    /// part of checkpoints — re-attach after a restore.
-    pub fn attach(&mut self, observer: impl SimObserver + 'a) {
-        self.core.attach(observer);
+    /// Whether the shard has nothing left to do: the source is exhausted,
+    /// the ingress queue is empty, and every admitted task has a fate.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.source.is_exhausted() && self.admission.queued() == 0 && self.core.is_drained()
     }
 
-    /// Attaches a bounded [`FlightRecorder`] of the most recent `capacity`
-    /// engine events and returns a handle to it. Unlike plain observers
-    /// the recorder is managed: its contents ride in every
-    /// [`ShardCheckpoint`], and [`Shard::restore_from`] revives it to the
-    /// checkpointed contents (keeping the pre-kill buffer aside as
-    /// [`Shard::post_mortem`]) so a deterministic replay reproduces the
-    /// undisturbed buffer exactly.
+    /// The shard's final [`TrialResult`] once drained.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NotDrained`] while tasks are still in flight.
+    pub fn result(&self) -> Result<TrialResult, SimError> {
+        self.core.result()
+    }
+
+    /// Gives the shard a bounded [`FlightRecorder`] of its most recent
+    /// `capacity` engine events. The recorder is shard state: the fleet
+    /// barrier feeds it, its contents ride in every [`ShardCheckpoint`],
+    /// and [`FleetShard::restore_from`] revives it to the checkpointed
+    /// contents (keeping the pre-kill buffer aside as
+    /// [`FleetShard::post_mortem`]) so a deterministic replay reproduces
+    /// the undisturbed buffer exactly.
     ///
     /// # Panics
     ///
-    /// Panics if a recorder is already attached, or `capacity` is zero.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) -> FlightRecorder {
+    /// Panics if the shard already has a recorder, or `capacity` is zero.
+    pub fn enable_flight_recorder(&mut self, capacity: usize) {
         assert!(self.flight.is_none(), "shard {} already has a flight recorder", self.name);
-        let recorder = FlightRecorder::new(capacity);
-        self.core.attach(recorder.clone());
-        self.flight = Some(recorder.clone());
-        recorder
+        self.flight = Some(FlightRecorder::new(capacity));
     }
 
-    /// The attached flight recorder, if any.
+    /// The shard's flight recorder, if it has one.
     #[must_use]
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.flight.as_ref()
     }
 
     /// The flight-recorder contents captured from the timeline the most
-    /// recent [`Shard::restore_from`] destroyed — the crash post-mortem.
+    /// recent [`FleetShard::restore_from`] destroyed — the crash
+    /// post-mortem.
     #[must_use]
     pub fn post_mortem(&self) -> Option<&FlightSnapshot> {
         self.post_mortem.as_ref()
     }
 
-    /// Wires a [`Telemetry`] pipeline into the core under this shard's
-    /// name as scope (counters, spans, histograms — no rollup, since a
-    /// restore's catch-up replay re-counts events at-least-once, which an
-    /// exactly-once fate rollup cannot tolerate). Managed like the flight
-    /// recorder: re-attached automatically after every restore.
+    /// Advances the shard's pipeline to `until` (the per-worker body of
+    /// the parallel phase). Admission decisions for the whole epoch are
+    /// made against the queue state at its start — the granularity a real
+    /// front-end batches at — so under a pre-drop policy the machine
+    /// queue tails are captured once per epoch and shared across the
+    /// offer batch (identical decisions, far fewer chain convolutions).
+    /// Two ingress orders:
     ///
-    /// # Panics
+    /// * **Immediate** (`deferred == false`, stealing off) — offer the
+    ///   epoch's arrivals, inject every due offer, run the core: arrivals
+    ///   are offered *and* injected within the same epoch.
+    /// * **Deferred** (`deferred == true`, stealing on) — inject the
+    ///   backlog queued at the previous barrier (including offers
+    ///   migrated in) first, then offer this epoch's arrivals but leave
+    ///   them *queued*, so they are still present — and migratable — when
+    ///   the barrier snapshots the fleet. Dispatch is batched at epoch
+    ///   granularity; an offer waits at most one epoch (and is dropped as
+    ///   `Expired` at injection if its deadline lapsed meanwhile).
     ///
-    /// Panics if telemetry is already attached.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        assert!(self.telemetry.is_none(), "shard {} already has telemetry", self.name);
-        telemetry.attach_counters(&mut self.core, &self.name);
-        self.telemetry = Some(telemetry.clone());
+    /// # Errors
+    ///
+    /// Any error from [`AdmissionController::drain_due`].
+    pub(crate) fn advance_to(
+        &mut self,
+        until: Tick,
+        deferred: bool,
+    ) -> Result<StepOutcome, SimError> {
+        if deferred {
+            self.admission.drain_due(&mut self.core, until)?;
+        }
+        let mut tails: Option<QueueTails> = None;
+        while self.source.peek().is_some_and(|next| next.arrival <= until) {
+            let Some(task) = self.source.pop() else { break };
+            if tails.is_none()
+                && matches!(self.admission.policy(), BackpressurePolicy::PreDrop { .. })
+            {
+                tails = Some(QueueTails::capture(&mut self.core));
+            }
+            match &mut tails {
+                Some(t) => self.admission.offer_with(task, &mut self.core, t),
+                None => self.admission.offer(task, &mut self.core),
+            };
+        }
+        if !deferred {
+            self.admission.drain_due(&mut self.core, until)?;
+        }
+        Ok(self.core.run_until(until))
+    }
+
+    /// Releases the newest `count` queued offers to migrate to shard
+    /// `peer`, emitting one `Donated` event per offer at barrier time
+    /// `now`.
+    pub(crate) fn donate(&mut self, count: usize, peer: usize, now: Tick) -> Vec<OfferedTask> {
+        let offers = self.admission.release_for_steal(count);
+        self.emit_migrations(&offers, MigrationKind::Donated, peer, now);
+        offers
+    }
+
+    /// Merges migrated offers into the ingress queue, emitting one
+    /// `Received` event per offer at barrier time `now`.
+    pub(crate) fn receive(&mut self, offers: &[OfferedTask], peer: usize, now: Tick) {
+        self.admission.accept_stolen(offers);
+        self.emit_migrations(offers, MigrationKind::Received, peer, now);
+    }
+
+    fn emit_migrations(
+        &mut self,
+        offers: &[OfferedTask],
+        kind: MigrationKind,
+        peer: usize,
+        now: Tick,
+    ) {
+        let peer = u32::try_from(peer).unwrap_or(u32::MAX);
+        for offer in offers {
+            self.core.notify_observers(&SimEvent::TaskMigrated {
+                type_id: offer.type_id,
+                arrival: offer.arrival,
+                deadline: offer.deadline,
+                now,
+                kind,
+                peer,
+            });
+        }
+    }
+
+    /// Empties the core's event relay, in production order, into the
+    /// flight recorder and — when wired — `telemetry` under this shard's
+    /// name as scope. Called only from the single-threaded barrier, so
+    /// observation order is canonical at any worker count.
+    pub(crate) fn drain_events(&mut self, telemetry: Option<&Telemetry>) {
+        let events = self.core.hub_mut().take();
+        if let Some(recorder) = &mut self.flight {
+            for ev in &events {
+                recorder.record(ev);
+            }
+        }
+        if let Some(telemetry) = telemetry {
+            for ev in &events {
+                telemetry.scope_event(&self.name, ev);
+            }
+        }
     }
 
     /// Cumulative serving numbers for telemetry epoch records.
-    #[must_use]
-    pub fn epoch_snapshot(&self) -> ShardEpoch {
+    pub(crate) fn epoch_snapshot(&self) -> ShardEpoch {
         let stats = self.admission.stats();
         ShardEpoch {
             shard: self.name.clone(),
@@ -234,24 +296,8 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Advances the shard's slice of virtual time to `until`: offers every
-    /// source arrival due by then to the admission controller, injects the
-    /// admitted ones, and runs the core. Admission decisions for the whole
-    /// epoch are made against the queue state at its start — the
-    /// granularity a real front-end batches at — so under a pre-drop
-    /// policy the machine queue tails are captured once per epoch and
-    /// shared across the offer batch (identical decisions, far fewer chain
-    /// convolutions).
-    ///
-    /// # Errors
-    ///
-    /// Any error from [`AdmissionController::drain_due`].
-    pub fn advance_to(&mut self, until: Tick) -> Result<StepOutcome, SimError> {
-        advance_shard_to(&mut self.source, &mut self.admission, &mut self.core, until)
-    }
-
-    /// Snapshots the complete shard state (core + source + admission) and
-    /// remembers it as the restore point.
+    /// Snapshots the complete shard state (core, source, admission,
+    /// flight recorder) and remembers it as the restore point.
     pub fn take_checkpoint(&mut self, taken_at: Tick) -> &ShardCheckpoint {
         let cp = ShardCheckpoint {
             taken_at,
@@ -264,75 +310,42 @@ impl<'a> Shard<'a> {
     }
 
     /// Discards the live state and rebuilds the shard from `checkpoint`
-    /// (scenario and policies are the shard's own borrows — the checkpoint
-    /// must match them). Plain observers ([`Shard::attach`]) are dropped;
-    /// the *managed* ones are revived: a flight recorder is reset to the
-    /// checkpointed contents (the pre-kill buffer surviving as
-    /// [`Shard::post_mortem`]) and telemetry counters are re-attached.
-    /// `checkpoint` becomes the shard's restore point: the previous
-    /// `last_checkpoint` belonged to the timeline just discarded, so a
-    /// later [`Shard::restore_last`] must not revive it.
+    /// (scenario and policies are the shard's own borrows — the
+    /// checkpoint must match them). The pending event-relay buffer is
+    /// discarded with the state it described. A flight recorder is reset
+    /// to the checkpointed contents, its pre-kill buffer surviving as
+    /// [`FleetShard::post_mortem`]; a checkpoint that carries one
+    /// recreates it on a shard without one, so revival elsewhere is
+    /// faithful. `checkpoint` becomes the shard's restore point: the
+    /// previous one belonged to the timeline just discarded.
     ///
     /// # Errors
     ///
-    /// Any validation error from [`SimCore::restore`]; on error the live
-    /// state and restore point are unchanged.
+    /// Any validation error from [`SimCore::restore_in`]; on error the
+    /// live state and restore point are unchanged.
     pub fn restore_from(&mut self, checkpoint: &ShardCheckpoint) -> Result<(), SimError> {
-        self.core = SimCore::restore(self.scenario, self.mapper, self.dropper, &checkpoint.core)?;
+        self.core =
+            SimCore::restore_in(self.scenario, self.mapper, self.dropper, &checkpoint.core)?;
         self.source = checkpoint.source.clone();
         self.admission = checkpoint.admission.clone();
         self.last_checkpoint = Some(checkpoint.clone());
         if let Some(recorder) = &self.flight {
             self.post_mortem = Some(recorder.snapshot());
         }
-        // Revive the recorder from the checkpoint: a shard that had one
-        // keeps it (reset or cleared), and a checkpoint that carries one
-        // recreates it on a fresh shard, so revival elsewhere is faithful.
-        if self.flight.is_none() {
-            if let Some(snapshot) = &checkpoint.flight {
-                self.flight = Some(FlightRecorder::new(snapshot.capacity.max(1)));
-            }
-        }
-        if let Some(recorder) = &self.flight {
-            match &checkpoint.flight {
-                Some(snapshot) => recorder.restore(snapshot),
-                None => recorder.clear(),
-            }
-            self.core.attach(recorder.clone());
-        }
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.attach_counters(&mut self.core, &self.name);
+        if let Some(snapshot) = &checkpoint.flight {
+            self.flight
+                .get_or_insert_with(|| FlightRecorder::new(snapshot.capacity.max(1)))
+                .restore(snapshot);
+        } else if let Some(recorder) = &mut self.flight {
+            recorder.clear();
         }
         Ok(())
     }
-
-    /// Kills the live state and rewinds to the last
-    /// [`Shard::take_checkpoint`], returning the tick it was taken at.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::ServeError::NoCheckpoint`] if none was ever taken; any
-    /// [`SimError`] from [`Shard::restore_from`].
-    pub fn restore_last(&mut self) -> Result<Tick, crate::ServeError> {
-        let cp = self
-            .last_checkpoint
-            .clone()
-            .ok_or_else(|| crate::ServeError::NoCheckpoint { shard: self.name.clone() })?;
-        self.restore_from(&cp)?;
-        Ok(cp.taken_at)
-    }
-
-    /// Whether the shard has nothing left to do: the source is exhausted,
-    /// the ingress queue is empty, and every admitted task has a fate.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.source.is_exhausted() && self.admission.queued() == 0 && self.core.is_drained()
-    }
 }
 
-impl std::fmt::Debug for Shard<'_> {
+impl std::fmt::Debug for FleetShard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
+        f.debug_struct("FleetShard")
             .field("name", &self.name)
             .field("scenario", &self.scenario.name)
             .field("now", &self.core.now())

@@ -1,7 +1,7 @@
 //! Checkpointed multi-shard serving with live load shedding.
 //!
 //! This drives the engine the way the paper's mechanism is meant to be
-//! deployed: as a *service*. A [`ServiceDriver`] multiplexes two tenant
+//! deployed: as a *service*. A [`FleetDriver`] multiplexes two tenant
 //! shards against one virtual clock:
 //!
 //! * `flash-crowd` — a Markov-modulated **bursty** source behind a bounded
@@ -12,19 +12,19 @@
 //! * `steady-web` — a **diurnal** sinusoidal source behind a shed-oldest
 //!   ingress queue.
 //!
-//! The driver checkpoints every shard periodically. Mid-run, this example
-//! *kills* the bursty shard — discarding its entire live state — and
-//! revives it from the last checkpoint; the driver replays the missed
-//! epochs and the shard rejoins the fleet byte-identical to the state that
-//! was destroyed (verified against an undisturbed control fleet at the
-//! end).
+//! The driver checkpoints every shard periodically and feeds every
+//! shard's engine events to a [`Telemetry`] pipeline, whose counters this
+//! example reads live. Mid-run, it *kills* the bursty shard — discarding
+//! its entire live state — and revives it from the last checkpoint; the
+//! driver replays the missed epochs and the shard rejoins the fleet
+//! byte-identical to the state that was destroyed (verified against an
+//! undisturbed control fleet at the end).
 //!
 //! ```sh
 //! cargo run --release --example service_loop            # full demo scale
 //! cargo run --release --example service_loop -- --quick  # seconds-scale smoke
 //! ```
 
-use std::cell::RefCell;
 use taskdrop::prelude::*;
 
 /// Scale-dependent knobs. `--quick` is a separately tuned small preset
@@ -69,7 +69,7 @@ fn fleet<'a>(
     p: &Preset,
     scenario: &'a Scenario,
     dropper: &'a taskdrop::core::ProactiveDropper,
-) -> ServiceDriver<'a> {
+) -> FleetDriver<'a> {
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     // A flash crowd at ~6x the cluster's effective service rate, with
     // silences short enough that the next burst lands on a still-loaded
@@ -93,9 +93,9 @@ fn fleet<'a>(
         12,
         p.diurnal_total,
     ));
-    let mut driver = ServiceDriver::new().with_checkpoint_every(p.checkpoint_every);
+    let mut driver = FleetDriver::new().with_checkpoint_every(p.checkpoint_every);
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "flash-crowd",
             scenario,
             &taskdrop::sched::Pam,
@@ -111,7 +111,7 @@ fn fleet<'a>(
         .expect("valid shard config"),
     );
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "steady-web",
             scenario,
             &taskdrop::sched::Pam,
@@ -136,14 +136,9 @@ fn main() {
         scenario.name, p.epoch, p.checkpoint_every
     );
 
-    // ---- the live fleet, with an observer on the bursty shard ------------
-    let live_predrops = RefCell::new(0u64);
-    let mut driver = fleet(&p, &scenario, &dropper);
-    driver.shard_mut(0).expect("shard 0 exists").attach(|ev: &SimEvent| {
-        if let SimEvent::AdmissionDropped { kind: AdmissionDropKind::PreDropped, .. } = *ev {
-            *live_predrops.borrow_mut() += 1;
-        }
-    });
+    // ---- the live fleet, with telemetry counting every shard's events ----
+    let tel = Telemetry::new();
+    let mut driver = fleet(&p, &scenario, &dropper).with_telemetry(&tel);
 
     // Serve 9 epochs, narrating the pressure building up.
     for round in 1..=9u64 {
@@ -165,10 +160,9 @@ fn main() {
             }
         }
     }
-    println!(
-        "\nobserver streamed {} AdmissionDropped/PreDropped events live so far",
-        live_predrops.borrow()
-    );
+    let live_predrops = tel
+        .counter("admission_dropped_total", &[("scope", "flash-crowd"), ("kind", "pre_dropped")]);
+    println!("\ntelemetry counted {live_predrops} pre-drops on `flash-crowd` live so far");
 
     // ---- kill the bursty shard mid-flight and revive it ------------------
     let before = format!("{:?}", driver.shards()[0]);
@@ -192,8 +186,8 @@ fn main() {
 
     println!("final per-shard outcomes (disturbed fleet == undisturbed control):");
     for (shard, control_shard) in driver.shards().iter().zip(control.shards()) {
-        let result = shard.core().result().expect("idle implies drained");
-        let control_result = control_shard.core().result().expect("drained");
+        let result = shard.result().expect("idle implies drained");
+        let control_result = control_shard.result().expect("drained");
         assert_eq!(result, control_result, "kill/restore must be invisible in the final metrics");
         assert_eq!(shard.admission().stats(), control_shard.admission().stats());
         let stats = shard.admission().stats();

@@ -86,9 +86,9 @@ fn main() {
     ));
     let serve_config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     let mut driver =
-        ServiceDriver::new().with_checkpoint_every(checkpoint_every).with_telemetry(&tel);
+        FleetDriver::new().with_checkpoint_every(checkpoint_every).with_telemetry(&tel);
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "flash-crowd",
             &scenario,
             &taskdrop::sched::Pam,
@@ -101,7 +101,7 @@ fn main() {
         .expect("valid shard config"),
     );
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "steady-web",
             &scenario,
             &taskdrop::sched::Pam,
@@ -113,10 +113,7 @@ fn main() {
         )
         .expect("valid shard config"),
     );
-    let shard0 = driver.shard_mut(0).expect("shard 0 exists");
-    shard0.enable_flight_recorder(48);
-    shard0.attach_telemetry(&tel);
-    driver.shard_mut(1).expect("shard 1 exists").attach_telemetry(&tel);
+    driver.shard_mut(0).expect("shard 0 exists").enable_flight_recorder(48);
 
     for _ in 0..7 {
         driver.advance(epoch).expect("fleet epoch");

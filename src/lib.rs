@@ -143,7 +143,7 @@ pub mod prelude {
     pub use taskdrop_sched::{Edf, Fcfs, HeuristicKind, MappingHeuristic, MinMin, Msd, Pam, Sjf};
     pub use taskdrop_serve::{
         AdmissionController, AdmissionStats, BackpressurePolicy, FleetDriver, FleetShard,
-        ServeError, ServiceDriver, Shard, ShardCheckpoint, StealPolicy,
+        ServeError, ShardCheckpoint, StealPolicy,
     };
     pub use taskdrop_sim::{
         AdmissionDropKind, Checkpoint, DropKind, DropperKind, EventLog, ForfeitKind,

@@ -6,7 +6,7 @@
 //! fleet of shards (each with its own traffic source, admission policy and
 //! engine config), an epoch length, and a checkpoint cadence.
 //! [`ServicePlan::run`] owns the whole lifecycle — build the scenario and
-//! policies, assemble the [`ServiceDriver`], drive it to idle — and
+//! policies, assemble the [`FleetDriver`], drive it to idle — and
 //! returns a [`ServiceReport`] with per-shard trial results and admission
 //! accounting. Because the plan is serde-round-trippable, a JSON file
 //! fully describes a streaming scenario (see EXPERIMENTS.md).
@@ -45,7 +45,7 @@ use taskdrop_pmf::Tick;
 use taskdrop_sched::{HeuristicKind, MappingHeuristic};
 use taskdrop_serve::{
     AdmissionController, AdmissionStats, BackpressurePolicy, FleetDriver, FleetShard, ServeError,
-    ServiceDriver, Shard, StealPolicy,
+    StealPolicy,
 };
 use taskdrop_sim::{DropperKind, SimConfig, TrialResult};
 use taskdrop_workload::TrafficSource;
@@ -74,11 +74,11 @@ pub struct ShardPlan {
 
 /// Parallel-fleet execution options for a [`ServicePlan`].
 ///
-/// Absent (`parallel: None`), the plan runs on the serial
-/// [`ServiceDriver`]. Present, it runs on the epoch-parallel
-/// [`FleetDriver`] — same report either way when `stealing` is off,
-/// since the fleet's per-shard trajectories are byte-identical to the
-/// serial driver's (and identical at any worker count regardless).
+/// Every plan runs on the [`FleetDriver`]. Absent (`parallel: None`), it
+/// runs on one worker with stealing off. Present, the worker count is
+/// yours to pick and stealing can be enabled — the report is the same at
+/// any worker count, so with `stealing` off it equals the
+/// `parallel: None` report.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetPlan {
     /// Worker threads for the parallel phase; `None` picks one per
@@ -106,7 +106,8 @@ pub struct ServicePlan {
     /// Epoch budget for [`ServicePlan::run`].
     pub max_epochs: usize,
     /// Parallel-fleet options; `None` (the default, and what plans
-    /// serialized by older builds deserialize to) runs serially.
+    /// serialized by older builds deserialize to) runs on one worker with
+    /// stealing off.
     #[serde(default)]
     pub parallel: Option<FleetPlan>,
 }
@@ -152,50 +153,7 @@ impl ServicePlan {
         let droppers: Vec<Box<dyn DropPolicy>> =
             self.shards.iter().map(|s| s.dropper.build()).collect();
 
-        if let Some(fleet) = self.parallel {
-            return self.run_fleet(&scenario, &mappers, &droppers, fleet);
-        }
-
-        let mut driver = match self.checkpoint_every {
-            Some(interval) => ServiceDriver::new().with_checkpoint_every(interval),
-            None => ServiceDriver::new(),
-        };
-        for ((plan, mapper), dropper) in self.shards.iter().zip(&mappers).zip(&droppers) {
-            driver.add_shard(Shard::new(
-                plan.name.clone(),
-                &scenario,
-                mapper.as_ref(),
-                dropper.as_ref(),
-                plan.config,
-                plan.exec_seed,
-                plan.source.clone(),
-                AdmissionController::new(plan.ingress_capacity, plan.backpressure),
-            )?);
-        }
-        let epochs = driver.run_until_idle(self.epoch, self.max_epochs)?;
-        let idle = driver.is_idle();
-        let shards = driver
-            .shards()
-            .iter()
-            .map(|shard| {
-                Ok(ShardReport {
-                    name: shard.name().to_string(),
-                    result: shard.core().result()?,
-                    admission: shard.admission().stats(),
-                })
-            })
-            .collect::<Result<Vec<_>, ServeError>>()?;
-        Ok(ServiceReport { clock: driver.clock(), epochs, idle, shards })
-    }
-
-    /// The [`FleetDriver`] execution path of [`ServicePlan::run`].
-    fn run_fleet(
-        &self,
-        scenario: &taskdrop_workload::Scenario,
-        mappers: &[Box<dyn MappingHeuristic>],
-        droppers: &[Box<dyn DropPolicy>],
-        fleet: FleetPlan,
-    ) -> Result<ServiceReport, ServeError> {
+        let fleet = self.parallel.unwrap_or(FleetPlan { workers: Some(1), stealing: None });
         let mut driver = FleetDriver::new();
         if let Some(workers) = fleet.workers {
             driver = driver.with_workers(workers);
@@ -206,10 +164,10 @@ impl ServicePlan {
         if let Some(interval) = self.checkpoint_every {
             driver = driver.with_checkpoint_every(interval);
         }
-        for ((plan, mapper), dropper) in self.shards.iter().zip(mappers).zip(droppers) {
+        for ((plan, mapper), dropper) in self.shards.iter().zip(&mappers).zip(&droppers) {
             driver.add_shard(FleetShard::new(
                 plan.name.clone(),
-                scenario,
+                &scenario,
                 mapper.as_ref(),
                 dropper.as_ref(),
                 plan.config,
@@ -289,20 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plan_without_stealing_matches_the_serial_report() {
-        let serial = plan().run().unwrap();
-        for workers in [1, 4] {
-            let mut parallel = plan();
-            parallel.parallel = Some(FleetPlan { workers: Some(workers), stealing: None });
-            assert_eq!(
-                parallel.run().unwrap(),
-                serial,
-                "fleet at {workers} workers diverged from the serial driver"
-            );
-        }
-    }
-
-    #[test]
     fn stealing_plan_runs_to_idle_and_balances_the_ledger() {
         let mut p = plan();
         p.parallel = Some(FleetPlan {
@@ -324,7 +268,7 @@ mod tests {
             );
         }
         // A plan without the `parallel` field still deserializes (older
-        // plan files) and runs serially.
+        // plan files) and runs on one worker with stealing off.
         let legacy = r#"{"scenario":{"Specint":{"seed":11}},"shards":[],"epoch":500,"checkpoint_every":null,"max_epochs":1}"#;
         let p: ServicePlan = serde_json::from_str(legacy).unwrap();
         assert_eq!(p.parallel, None);

@@ -1,10 +1,14 @@
 //! The redesign's contract: a [`SimCore`] driven through its resumable
 //! stepping API produces results **byte-identical** to the legacy batch
 //! `Simulation::run()`, observers see a complete and conservative event
-//! stream, and online injection reproduces the closed-world run when fed
-//! the same tasks.
+//! stream, online injection reproduces the closed-world run when fed the
+//! same tasks, and the buffering `EventRelay` hub the serving fleet runs
+//! on observes exactly what the default boxed-observer hub delivers.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use taskdrop::prelude::*;
+use taskdrop::sim::EventRelay;
 use taskdrop_model::ApproxSpec;
 use taskdrop_sim::FailureSpec;
 
@@ -186,4 +190,42 @@ fn interleaved_injection_mid_run_still_conserves() {
     let result = core.run_to_completion();
     assert_eq!(result.total_tasks, 200);
     assert!(result.is_conserved());
+}
+
+/// The property the serving fleet's observation path rests on: a core on
+/// an [`EventRelay`] hub, drained after every `step()`, yields exactly the
+/// event sequence — step by step — that an [`EventLog`] attached to the
+/// default hub sees, so feeding the drained buffer to the flight recorder
+/// and telemetry at the epoch barrier observes what live observers would.
+#[test]
+fn relay_drained_per_step_matches_an_attached_event_log() {
+    let scenario = scenario();
+    for (name, config) in configs() {
+        let w = workload(&scenario, 250, 2_200, 19);
+        let dropper = dropper_for(name);
+        let log = Rc::new(RefCell::new(EventLog::new()));
+        let handle = Rc::clone(&log);
+        let mut boxed = SimCore::open(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
+        boxed.attach(move |ev: &SimEvent| handle.borrow_mut().on_event(ev));
+        let mut relay =
+            SimCore::<EventRelay>::open_in(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
+        for t in &w.tasks {
+            boxed.inject(t.type_id, t.arrival, t.deadline).unwrap();
+            relay.inject(t.type_id, t.arrival, t.deadline).unwrap();
+        }
+        let mut seen = 0;
+        loop {
+            let outcome = boxed.step();
+            assert_eq!(relay.step(), outcome, "config {name}: relay core diverged");
+            let drained = relay.hub_mut().take();
+            let log = log.borrow();
+            assert_eq!(drained, &log.events[seen..], "config {name}: step ending at {outcome:?}");
+            seen = log.events.len();
+            if outcome.is_drained() {
+                break;
+            }
+        }
+        assert!(seen > 0, "config {name}: no events observed");
+        assert_eq!(boxed.result().unwrap(), relay.result().unwrap(), "config {name}");
+    }
 }

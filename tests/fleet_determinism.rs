@@ -112,8 +112,7 @@ fn steal_policy() -> StealPolicy {
     StealPolicy { saturation: 0.5, headroom: 0.9, max_per_epoch: 6 }
 }
 
-/// Without stealing, the fleet's immediate ingress schedule retraces the
-/// serial driver — and every worker count retraces the 1-worker run byte
+/// Without stealing, every worker count retraces the 1-worker run byte
 /// for byte.
 #[test]
 fn fleet_output_is_worker_count_invariant() {
@@ -121,6 +120,24 @@ fn fleet_output_is_worker_count_invariant() {
     for workers in [2, 4, 8] {
         let run = run_fleet(workers, None, &[]);
         assert_eq!(run, baseline, "fleet diverged at {workers} workers");
+    }
+}
+
+/// Stealing off, two mid-run kill/restores: every worker count retraces
+/// the 1-worker run, and the kills are invisible in everything but the
+/// telemetry stream (which adds the `kill_restore` records and re-counts
+/// replayed events) — results, ledgers and final checkpoints equal an
+/// undisturbed run's.
+#[test]
+fn kill_restore_without_stealing_is_worker_count_invariant() {
+    let baseline = run_fleet(1, None, &[0, 1]);
+    let undisturbed = run_fleet(1, None, &[]);
+    assert_eq!(baseline.results, undisturbed.results, "kill/restore changed the results");
+    assert_eq!(baseline.stats, undisturbed.stats, "kill/restore changed the ledgers");
+    assert_eq!(baseline.checkpoints, undisturbed.checkpoints, "kill/restore changed the state");
+    for workers in [2, 4, 8] {
+        let run = run_fleet(workers, None, &[0, 1]);
+        assert_eq!(run, baseline, "kill/restore fleet diverged at {workers} workers");
     }
 }
 

@@ -117,16 +117,13 @@ fn rollup_equals_engine_result_at_the_bench_seed() {
     assert_eq!(value.result, engine);
 }
 
-fn recorder_fleet<'a>(
-    scenario: &'a Scenario,
-    dropper: &'a ProactiveDropper,
-) -> (ServiceDriver<'a>, FlightRecorder) {
+fn recorder_fleet<'a>(scenario: &'a Scenario, dropper: &'a ProactiveDropper) -> FleetDriver<'a> {
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     let bursty = TrafficSource::Bursty(BurstySource::new(21, 0.5, 0.0, 400, 900, 350, 12, 220));
     let diurnal = TrafficSource::Diurnal(DiurnalSource::new(33, 0.12, 0.9, 3_000, 450, 12, 180));
-    let mut driver = ServiceDriver::new().with_checkpoint_every(1_000);
+    let mut driver = FleetDriver::new().with_workers(1).with_checkpoint_every(1_000);
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "bursty",
             scenario,
             &Pam,
@@ -139,7 +136,7 @@ fn recorder_fleet<'a>(
         .expect("valid shard config"),
     );
     driver.add_shard(
-        Shard::new(
+        FleetShard::new(
             "diurnal",
             scenario,
             &Pam,
@@ -151,8 +148,13 @@ fn recorder_fleet<'a>(
         )
         .expect("valid shard config"),
     );
-    let recorder = driver.shard_mut(0).expect("shard 0").enable_flight_recorder(32);
-    (driver, recorder)
+    driver.shard_mut(0).expect("shard 0").enable_flight_recorder(32);
+    driver
+}
+
+/// The flight recorder of shard 0, snapshotted.
+fn recorded(driver: &FleetDriver<'_>) -> FlightSnapshot {
+    driver.shards()[0].flight_recorder().expect("recorder enabled").snapshot()
 }
 
 #[test]
@@ -160,14 +162,14 @@ fn flight_recorder_is_rebuilt_exactly_by_kill_and_restore() {
     let scenario = Scenario::specint(3);
     let dropper = ProactiveDropper::paper_default();
 
-    let (mut disturbed, disturbed_rec) = recorder_fleet(&scenario, &dropper);
-    let (mut control, control_rec) = recorder_fleet(&scenario, &dropper);
+    let mut disturbed = recorder_fleet(&scenario, &dropper);
+    let mut control = recorder_fleet(&scenario, &dropper);
 
     for _ in 0..4 {
         disturbed.advance(500).expect("epoch");
         control.advance(500).expect("epoch");
     }
-    let pre_kill = disturbed_rec.snapshot();
+    let pre_kill = recorded(&disturbed);
     assert!(!pre_kill.events.is_empty(), "recorder must have captured the live timeline");
 
     disturbed.kill_and_restore(0).expect("checkpoint exists");
@@ -179,21 +181,19 @@ fn flight_recorder_is_rebuilt_exactly_by_kill_and_restore() {
     // ...and the replayed shard's *live* recorder converges to the control's
     // exact contents: replay is deterministic, so the ring the restored
     // shard carries forward is byte-identical to one that never died.
-    let restored_rec =
-        disturbed.shards()[0].flight_recorder().expect("restore re-creates the recorder").clone();
-    assert_eq!(restored_rec.snapshot(), control_rec.snapshot());
+    assert_eq!(recorded(&disturbed), recorded(&control));
 
     disturbed.run_until_idle(500, 200).expect("drain");
     control.run_until_idle(500, 200).expect("control drain");
     assert!(disturbed.is_idle() && control.is_idle());
     assert_eq!(
-        restored_rec.snapshot(),
-        control_rec.snapshot(),
+        recorded(&disturbed),
+        recorded(&control),
         "drained recorders must match event for event"
     );
     let results: Vec<TrialResult> =
-        disturbed.shards().iter().map(|s| s.core().result().expect("drained")).collect();
+        disturbed.shards().iter().map(|s| s.result().expect("drained")).collect();
     let control_results: Vec<TrialResult> =
-        control.shards().iter().map(|s| s.core().result().expect("drained")).collect();
+        control.shards().iter().map(|s| s.result().expect("drained")).collect();
     assert_eq!(results, control_results, "kill/restore must be invisible in the final metrics");
 }
