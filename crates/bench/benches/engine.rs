@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use std::time::Duration;
 use taskdrop_core::{DropPolicy, ProactiveDropper, ReactiveOnly};
 use taskdrop_sched::{MappingHeuristic, MinMin, Pam};
-use taskdrop_sim::{SimConfig, Simulation};
+use taskdrop_sim::{SimConfig, SimCore};
 use taskdrop_workload::{OversubscriptionLevel, Scenario, Workload};
 
 fn bench_engine(c: &mut Criterion) {
@@ -27,15 +27,16 @@ fn bench_engine(c: &mut Criterion) {
     for (name, mapper, dropper) in &combos {
         group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
             b.iter(|| {
-                let sim = Simulation::new(
+                let mut core = SimCore::new(
                     &scenario,
                     &workload,
                     mapper.as_ref(),
                     dropper.as_ref(),
                     config,
                     1,
-                );
-                black_box(sim.run())
+                )
+                .expect("valid bench trial");
+                black_box(core.run_to_completion().expect("bench trial drains"))
             });
         });
     }

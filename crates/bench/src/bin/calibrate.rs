@@ -12,10 +12,10 @@
 
 use std::time::Instant;
 use taskdrop_sched::HeuristicKind;
-use taskdrop_sim::{DropperKind, RunSpec, SimConfig, TrialRunner};
+use taskdrop_sim::{DropperKind, RunSpec, SimConfig, SimError, TrialRunner};
 use taskdrop_workload::{OversubscriptionLevel, Scenario};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let factor: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0.15);
     let window: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(108_000);
@@ -40,7 +40,7 @@ fn main() {
             };
             let start = Instant::now();
             let report =
-                TrialRunner { trials: 2, master_seed: 1, threads: 2 }.run(&scenario, &spec);
+                TrialRunner { trials: 2, master_seed: 1, threads: 2 }.run(&scenario, &spec)?;
             let dt = start.elapsed();
             let react = report
                 .reactive_drop_fraction()
@@ -49,10 +49,11 @@ fn main() {
                 "gamma={gamma:.1} level={:>3} tasks={:>6} robustness={} reactive-share={} wall={:.2?}/2trials",
                 level.label,
                 level.tasks,
-                report.robustness().expect("at least one trial"),
+                report.robustness()?,
                 react,
                 dt
             );
         }
     }
+    Ok(())
 }

@@ -3,12 +3,13 @@
 //! analysis ("only around 7 % of the task droppings happen reactively").
 
 use taskdrop_bench::{figures, parse_scale, render_markdown, write_outputs};
+use taskdrop_sim::SimError;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = parse_scale(&args);
     eprintln!("fig08 (dropping variants) — scale {}", scale.name());
-    let (rows, reports) = figures::fig08(scale);
+    let (rows, reports) = figures::fig08(scale)?;
     println!("\n## Figure 8 — optimal vs heuristic vs threshold dropping (PAM)\n");
     println!("{}", render_markdown("level \\ robustness (%)", &rows));
 
@@ -26,4 +27,5 @@ fn main() {
     }
     let dir = write_outputs("fig08", scale.name(), &rows);
     eprintln!("results written under {}", dir.display());
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! composes with `jq`-style pipelines.
 
 use taskdrop_sched::HeuristicKind;
-use taskdrop_sim::{DropperKind, RunSpec, SimConfig, TrialRunner};
+use taskdrop_sim::{DropperKind, RunSpec, SimConfig, SimError, TrialRunner};
 use taskdrop_workload::{OversubscriptionLevel, Scenario, SPECINT_WINDOW};
 
 fn template() -> RunSpec {
@@ -23,7 +23,7 @@ fn template() -> RunSpec {
     }
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut spec_path: Option<String> = None;
     let mut scenario_name = "specint".to_string();
@@ -42,7 +42,7 @@ fn main() {
     let Some(path) = spec_path else {
         eprintln!("no spec file given; template follows (save, edit, re-run):");
         println!("{}", serde_json::to_string_pretty(&template()).expect("template"));
-        return;
+        return Ok(());
     };
     let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let spec: RunSpec =
@@ -55,13 +55,14 @@ fn main() {
         other => panic!("unknown scenario {other}; expected specint|transcode|homogeneous"),
     };
 
-    let report = TrialRunner::new(trials, seed).run(&scenario, &spec);
+    let report = TrialRunner::new(trials, seed).run(&scenario, &spec)?;
     eprintln!(
         "{} @ {}: robustness {} | cost/robustness {:.4}",
         report.label(),
         report.level,
-        report.robustness().expect("at least one trial"),
-        report.cost_per_robustness().expect("at least one trial").mean,
+        report.robustness()?,
+        report.cost_per_robustness()?.mean,
     );
     println!("{}", serde_json::to_string_pretty(&report).expect("report"));
+    Ok(())
 }

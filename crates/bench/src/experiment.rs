@@ -1,7 +1,7 @@
 //! Shared experiment-grid runner.
 
 use serde::{Deserialize, Serialize};
-use taskdrop_sim::{RunSpec, SimReport, TrialRunner};
+use taskdrop_sim::{RunSpec, SimError, SimReport, TrialRunner};
 use taskdrop_workload::Scenario;
 
 /// Execution scale of an experiment run.
@@ -81,17 +81,6 @@ pub struct ResultRow {
     pub trials: usize,
 }
 
-/// An experiment: an id, a metric name, and a grid of runs.
-#[derive(Debug)]
-pub struct Experiment {
-    /// Identifier, e.g. `"fig08"`.
-    pub id: &'static str,
-    /// One-line description printed above the table.
-    pub title: &'static str,
-    /// Y-axis metric label, e.g. `"Tasks completed on time (%)"`.
-    pub metric: &'static str,
-}
-
 /// Which scalar a run contributes to its row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
@@ -102,31 +91,31 @@ pub enum Metric {
     CostPerRobustness,
 }
 
-impl Experiment {
-    /// Runs one grid cell and converts it to a [`ResultRow`].
-    #[must_use]
-    pub fn run_cell(
-        scenario: &Scenario,
-        spec: &RunSpec,
-        scale: Scale,
-        series: String,
-        x: String,
-        metric: Metric,
-        master_seed: u64,
-    ) -> (ResultRow, SimReport) {
-        let runner = TrialRunner::new(scale.trials(), master_seed);
-        let report = runner.run(scenario, spec);
-        let summary = match metric {
-            Metric::Robustness => report.robustness().expect("runner produced trials"),
-            Metric::CostPerRobustness => {
-                let mut s = report.cost_per_robustness().expect("runner produced trials");
-                s.mean *= 100.0;
-                s.ci95 *= 100.0;
-                s
-            }
-        };
-        (ResultRow { series, x, mean: summary.mean, ci95: summary.ci95, trials: summary.n }, report)
-    }
+/// Runs one grid cell and converts it to a [`ResultRow`].
+///
+/// # Errors
+///
+/// Any [`SimError`] from [`TrialRunner::run`].
+pub fn run_cell(
+    scenario: &Scenario,
+    spec: &RunSpec,
+    scale: Scale,
+    series: String,
+    x: String,
+    metric: Metric,
+    master_seed: u64,
+) -> Result<(ResultRow, SimReport), SimError> {
+    let report = TrialRunner::new(scale.trials(), master_seed).run(scenario, spec)?;
+    let summary = match metric {
+        Metric::Robustness => report.robustness()?,
+        Metric::CostPerRobustness => {
+            let mut s = report.cost_per_robustness()?;
+            s.mean *= 100.0;
+            s.ci95 *= 100.0;
+            s
+        }
+    };
+    Ok((ResultRow { series, x, mean: summary.mean, ci95: summary.ci95, trials: summary.n }, report))
 }
 
 #[cfg(test)]

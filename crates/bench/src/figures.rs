@@ -1,8 +1,9 @@
 //! Grid definitions for every figure of the paper's evaluation section.
 //!
 //! Each `figNN` function runs the corresponding experiment grid at the given
-//! [`Scale`] and returns the result rows; the `fig*` binaries are thin mains
-//! around these, and the integration tests smoke-run them at `Scale::Quick`.
+//! [`Scale`] and returns the result rows, or the first cell's [`SimError`];
+//! the `fig*` binaries are thin mains around these, and the integration
+//! tests smoke-run them at `Scale::Quick`.
 //!
 //! Fixed experiment-wide choices (recorded in EXPERIMENTS.md):
 //!
@@ -14,9 +15,9 @@
 //!   *same* workload trials and the same realised execution times, making
 //!   comparisons paired like the paper's.
 
-use crate::experiment::{Experiment, Metric, ResultRow, Scale};
+use crate::experiment::{run_cell, Metric, ResultRow, Scale};
 use taskdrop_sched::HeuristicKind;
-use taskdrop_sim::{DropperKind, RunSpec, SimConfig, SimReport};
+use taskdrop_sim::{DropperKind, RunSpec, SimConfig, SimError, SimReport};
 use taskdrop_workload::{OversubscriptionLevel, Scenario, SPECINT_WINDOW, TRANSCODE_WINDOW};
 
 /// Scenario seed shared by all figures (one PET throughout, like the paper).
@@ -46,8 +47,7 @@ fn progress(figure: &str, series: &str, x: &str, row: &ResultRow) {
 
 /// Figure 5: robustness vs effective depth η ∈ 1..=5, PAM+Heuristic (β=1),
 /// three oversubscription levels.
-#[must_use]
-pub fn fig05(scale: Scale) -> Vec<ResultRow> {
+pub fn fig05(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::specint(SCENARIO_SEED);
     let mut rows = Vec::new();
     for level in specint_levels(scale) {
@@ -55,7 +55,7 @@ pub fn fig05(scale: Scale) -> Vec<ResultRow> {
             let dropper = DropperKind::Heuristic { beta: 1.0, eta };
             let series = format!("{} tasks", level.label);
             let x = format!("{eta}");
-            let (row, _) = Experiment::run_cell(
+            let (row, _) = run_cell(
                 &scenario,
                 &spec(level.clone(), HeuristicKind::Pam, dropper),
                 scale,
@@ -63,18 +63,17 @@ pub fn fig05(scale: Scale) -> Vec<ResultRow> {
                 x.clone(),
                 Metric::Robustness,
                 0x0505,
-            );
+            )?;
             progress("fig05", &series, &x, &row);
             rows.push(row);
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Figure 6: robustness vs robustness improvement factor β ∈ {1.0, …, 4.0}
 /// step 0.5, PAM+Heuristic (η=2), three levels.
-#[must_use]
-pub fn fig06(scale: Scale) -> Vec<ResultRow> {
+pub fn fig06(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::specint(SCENARIO_SEED);
     let mut rows = Vec::new();
     for level in specint_levels(scale) {
@@ -83,7 +82,7 @@ pub fn fig06(scale: Scale) -> Vec<ResultRow> {
             let dropper = DropperKind::Heuristic { beta, eta: 2 };
             let series = format!("{} tasks", level.label);
             let x = format!("{beta:.1}");
-            let (row, _) = Experiment::run_cell(
+            let (row, _) = run_cell(
                 &scenario,
                 &spec(level.clone(), HeuristicKind::Pam, dropper),
                 scale,
@@ -91,12 +90,12 @@ pub fn fig06(scale: Scale) -> Vec<ResultRow> {
                 x.clone(),
                 Metric::Robustness,
                 0x0606,
-            );
+            )?;
             progress("fig06", &series, &x, &row);
             rows.push(row);
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Figures 7a / 10 share this shape: mappers × {Heuristic, ReactDrop}.
@@ -107,14 +106,14 @@ fn mapping_grid(
     mappers: &[HeuristicKind],
     scale: Scale,
     master_seed: u64,
-) -> Vec<ResultRow> {
+) -> Result<Vec<ResultRow>, SimError> {
     let droppers = [DropperKind::heuristic_default(), DropperKind::ReactiveOnly];
     let mut rows = Vec::new();
     for &mapper in mappers {
         for dropper in droppers {
             let series = format!("{}+{}", mapper.name(), dropper.label());
             let x = mapper.name().to_string();
-            let (row, _) = Experiment::run_cell(
+            let (row, _) = run_cell(
                 scenario,
                 &spec(level.clone(), mapper, dropper),
                 scale,
@@ -122,18 +121,17 @@ fn mapping_grid(
                 x.clone(),
                 Metric::Robustness,
                 master_seed,
-            );
+            )?;
             progress(figure, &series, &x, &row);
             rows.push(row);
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Figure 7a: MSD/MM/PAM each with and without the proactive heuristic, on
 /// the heterogeneous scenario at the 30k level.
-#[must_use]
-pub fn fig07a(scale: Scale) -> Vec<ResultRow> {
+pub fn fig07a(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::specint(SCENARIO_SEED);
     let level = specint_levels(scale)[1].clone();
     mapping_grid(
@@ -148,8 +146,7 @@ pub fn fig07a(scale: Scale) -> Vec<ResultRow> {
 
 /// Figure 7b: FCFS/EDF/SJF/PAM with and without the proactive heuristic, on
 /// the homogeneous scenario at the 30k level.
-#[must_use]
-pub fn fig07b(scale: Scale) -> Vec<ResultRow> {
+pub fn fig07b(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::homogeneous(SCENARIO_SEED);
     let level = specint_levels(scale)[1].clone();
     mapping_grid(
@@ -165,8 +162,7 @@ pub fn fig07b(scale: Scale) -> Vec<ResultRow> {
 /// Figure 8: PAM with Optimal vs Heuristic vs Threshold dropping across the
 /// three levels. Also returns the reactive-drop share of PAM+Heuristic (the
 /// paper's §V-F "≈7 % of droppings are reactive" analysis) via the reports.
-#[must_use]
-pub fn fig08(scale: Scale) -> (Vec<ResultRow>, Vec<SimReport>) {
+pub fn fig08(scale: Scale) -> Result<(Vec<ResultRow>, Vec<SimReport>), SimError> {
     let scenario = Scenario::specint(SCENARIO_SEED);
     let droppers = [
         DropperKind::Optimal,
@@ -179,7 +175,7 @@ pub fn fig08(scale: Scale) -> (Vec<ResultRow>, Vec<SimReport>) {
         for dropper in droppers {
             let series = format!("PAM+{}", dropper.label());
             let x = level.label.clone();
-            let (row, report) = Experiment::run_cell(
+            let (row, report) = run_cell(
                 &scenario,
                 &spec(level.clone(), HeuristicKind::Pam, dropper),
                 scale,
@@ -187,19 +183,18 @@ pub fn fig08(scale: Scale) -> (Vec<ResultRow>, Vec<SimReport>) {
                 x.clone(),
                 Metric::Robustness,
                 0x0808,
-            );
+            )?;
             progress("fig08", &series, &x, &row);
             rows.push(row);
             reports.push(report);
         }
     }
-    (rows, reports)
+    Ok((rows, reports))
 }
 
 /// Figure 9: normalised cost (dollars per robustness point, ×100) for
 /// PAM+Threshold, PAM+Heuristic and MM+ReactDrop across the three levels.
-#[must_use]
-pub fn fig09(scale: Scale) -> Vec<ResultRow> {
+pub fn fig09(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::specint(SCENARIO_SEED);
     let combos = [
         (HeuristicKind::Pam, DropperKind::Threshold { base: BASE_THRESHOLD }),
@@ -211,7 +206,7 @@ pub fn fig09(scale: Scale) -> Vec<ResultRow> {
         for (mapper, dropper) in combos {
             let series = format!("{}+{}", mapper.name(), dropper.label());
             let x = level.label.clone();
-            let (row, _) = Experiment::run_cell(
+            let (row, _) = run_cell(
                 &scenario,
                 &spec(level.clone(), mapper, dropper),
                 scale,
@@ -219,19 +214,18 @@ pub fn fig09(scale: Scale) -> Vec<ResultRow> {
                 x.clone(),
                 Metric::CostPerRobustness,
                 0x0909,
-            );
+            )?;
             progress("fig09", &series, &x, &row);
             rows.push(row);
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Figure 10: the video-transcoding validation — MSD/MM/PAM with and
 /// without the proactive heuristic at the (moderately oversubscribed) 20k
 /// level.
-#[must_use]
-pub fn fig10(scale: Scale) -> Vec<ResultRow> {
+pub fn fig10(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
     let scenario = Scenario::transcode(SCENARIO_SEED);
     let level = OversubscriptionLevel::new("20k", 20_000, TRANSCODE_WINDOW).scaled(scale.factor());
     mapping_grid(

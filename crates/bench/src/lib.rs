@@ -25,5 +25,5 @@ pub mod experiment;
 pub mod figures;
 pub mod output;
 
-pub use experiment::{parse_scale, Experiment, Metric, ResultRow, Scale};
+pub use experiment::{parse_scale, run_cell, Metric, ResultRow, Scale};
 pub use output::{render_markdown, write_outputs};

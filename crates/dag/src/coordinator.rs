@@ -327,14 +327,7 @@ impl DagCoordinator {
     ///
     /// [`DagError::Sim`] if a release fails to inject.
     pub fn run_to_drain(&mut self, core: &mut SimCore<'_>, tap: &DagTap) -> Result<(), DagError> {
-        loop {
-            self.settle(core, tap)?;
-            if core.is_drained() || core.next_event_time().is_none() {
-                break;
-            }
-            core.step();
-        }
-        self.settle(core, tap)
+        self.advance(core, tap, Tick::MAX)
     }
 
     /// Serializes the coordinator together with the core's checkpoint.

@@ -2,13 +2,15 @@
 //!
 //! [`SimCore`] owns one trial's complete state — machines, queues, the event
 //! heap, and per-task fate accounting — and advances it one *mapping event*
-//! at a time via [`SimCore::step`]. This replaces the batch-only
-//! `Simulation::run()` entry point (now a thin wrapper) with a lifecycle
-//! that production-style drivers need:
+//! at a time via [`SimCore::step`]. It is the engine's only entry point; a
+//! batch trial and a production-style driver use the same lifecycle:
 //!
 //! * [`SimCore::step`] — process the next event timestamp (all simultaneous
 //!   events, then one mapping event), returning a [`StepOutcome`];
 //! * [`SimCore::run_until`] — step while events at or before a tick remain;
+//! * [`SimCore::run_to_completion`] — step until drained and return the
+//!   [`TrialResult`], or [`SimError::NotDrained`] if the events run out
+//!   first;
 //! * [`SimCore::inject`] — admit a task *after* construction (open-world
 //!   arrivals: the paper frames dropping as an online decision made at each
 //!   mapping event, so tasks need not be known up front);
@@ -17,14 +19,11 @@
 //! * [`SimObserver`]s attached with [`SimCore::attach`] — a streaming view
 //!   of every map/start/complete/drop/degrade/kill/failure/repair decision.
 //!
-//! Stepping a core to completion is **byte-identical** to the legacy batch
-//! run for the same inputs (enforced by `tests/core_equivalence.rs`):
-//! observers are strictly read-only and the event-processing order is
-//! exactly the old run loop's. One deliberate exception: a *zero-task*
-//! workload (impossible via `Workload::generate`, whose levels require at
-//! least one task) drains immediately at t = 0, whereas the pre-redesign
-//! loop would first process the earliest failure-timeline event if failure
-//! injection was configured.
+//! Manual stepping, time-sliced [`SimCore::run_until`] and
+//! [`SimCore::run_to_completion`] give byte-identical results for the same
+//! inputs, and observers are strictly read-only (both enforced by
+//! `tests/core_equivalence.rs`). A *zero-task* core drains immediately at
+//! t = 0 without processing any failure-timeline event.
 
 use crate::checkpoint::{
     Checkpoint, EventEntry, MachineCheckpoint, QueuedCheckpoint, RunningCheckpoint,
@@ -130,10 +129,11 @@ pub enum StepOutcome {
         /// Cumulative PET×tail cache work counters ([`SimCore::cache_stats`]).
         work: CacheStats,
     },
-    /// No events are scheduled but admitted tasks remain unresolved. Only
-    /// reachable on an [open](SimCore::open) core between injections; the
-    /// closed-world invariant (every unresolved task has a pending event)
-    /// makes it impossible after [`SimCore::new`].
+    /// No events are scheduled but admitted tasks remain unresolved: an
+    /// [open](SimCore::open) core between injections, or a restored
+    /// checkpoint that strands a task. The closed-world invariant (every
+    /// unresolved task has a pending event) makes it impossible after
+    /// [`SimCore::new`].
     Idle {
         /// Current simulation time (unchanged).
         now: Tick,
@@ -518,8 +518,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// completing or arrival of a task"). Returns where that leaves the
     /// trial. Once [`StepOutcome::Drained`], further calls are no-ops until
     /// new work is [injected](SimCore::inject); remaining failure-timeline
-    /// events have nothing left to disturb and stay unprocessed, matching
-    /// the legacy batch run.
+    /// events have nothing left to disturb and stay unprocessed.
     pub fn step(&mut self) -> StepOutcome {
         if self.fates.all_resolved() {
             return StepOutcome::Drained { now: self.now, work: self.cache_stats() };
@@ -560,28 +559,21 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         }
     }
 
-    /// Runs the trial to completion and returns its result — the resumable
-    /// equivalent of the legacy `Simulation::run()`.
+    /// Runs the trial until every admitted task has a fate and returns its
+    /// result: [`SimCore::run_until`] with no horizon, then
+    /// [`SimCore::result`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the event queue empties with unresolved tasks, which the
-    /// closed-world invariant makes unreachable for cores built by
-    /// [`SimCore::new`] (every unresolved task always has a pending event).
-    #[must_use]
-    pub fn run_to_completion(&mut self) -> TrialResult {
-        loop {
-            match self.step() {
-                StepOutcome::Advanced { .. } => {}
-                StepOutcome::Drained { .. } => break,
-                StepOutcome::Idle { .. } => {
-                    unreachable!("event queue exhausted with unresolved tasks")
-                }
-            }
-        }
+    /// [`SimError::NotDrained`] if the events run out while tasks remain
+    /// unresolved: an [open](SimCore::open) core waiting for injections,
+    /// or a restored [`Checkpoint`] that strands a task without an event.
+    pub fn run_to_completion(&mut self) -> Result<TrialResult, SimError> {
+        self.run_until(Tick::MAX);
+        let result = self.result()?;
         debug_assert!(self.batch.is_empty(), "batch tasks leaked past drain");
         debug_assert!(self.machines.iter().all(|m| m.running.is_none() && m.pending.is_empty()));
-        self.result().expect("drained above")
+        Ok(result)
     }
 
     /// The trial's final metrics.
@@ -1581,8 +1573,10 @@ fn queue_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskdrop_core::{ProactiveDropper, ReactiveOnly};
-    use taskdrop_sched::Pam;
+    use crate::config::FailureSpec;
+    use taskdrop_core::{ApproxDropper, ProactiveDropper, ReactiveOnly};
+    use taskdrop_model::ApproxSpec;
+    use taskdrop_sched::{Fcfs, MinMin, Pam};
     use taskdrop_workload::OversubscriptionLevel;
 
     fn scenario() -> Scenario {
@@ -1596,6 +1590,20 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig { exclude_boundary: 0, ..SimConfig::default() }
+    }
+
+    /// One closed-world trial, run to completion.
+    fn run(
+        scenario: &Scenario,
+        workload: &Workload,
+        mapper: &dyn MappingHeuristic,
+        dropper: &dyn DropPolicy,
+        config: SimConfig,
+        exec_seed: u64,
+    ) -> TrialResult {
+        SimCore::new(scenario, workload, mapper, dropper, config, exec_seed)
+            .and_then(|mut core| core.run_to_completion())
+            .unwrap()
     }
 
     #[test]
@@ -1646,7 +1654,7 @@ mod tests {
         assert!(core.next_event_time().is_some_and(|t| t > 1_000));
         let mid = core.state();
         assert!(mid.resolved_tasks < mid.total_tasks);
-        let r = core.run_to_completion();
+        let r = core.run_to_completion().unwrap();
         assert!(r.is_conserved());
     }
 
@@ -1680,7 +1688,7 @@ mod tests {
             ids.push(id);
         }
         assert_eq!(core.total_tasks(), 40);
-        let r = core.run_to_completion();
+        let r = core.run_to_completion().unwrap();
         assert!(r.is_conserved());
         assert_eq!(r.total_tasks, 40);
         for id in ids {
@@ -1716,7 +1724,7 @@ mod tests {
         let w = workload(&s, 150, 1_800);
         let dropper = ProactiveDropper::paper_default();
         let mut reference = SimCore::new(&s, &w, &Pam, &dropper, cfg(), 9).unwrap();
-        let expected = reference.run_to_completion();
+        let expected = reference.run_to_completion().unwrap();
 
         let mut interrupted = SimCore::new(&s, &w, &Pam, &dropper, cfg(), 9).unwrap();
         for _ in 0..40 {
@@ -1725,10 +1733,10 @@ mod tests {
         let cp = interrupted.snapshot();
         // Snapshotting is side-effect free: the interrupted core finishes
         // identically, and so does a core restored from the checkpoint.
-        assert_eq!(interrupted.run_to_completion(), expected);
+        assert_eq!(interrupted.run_to_completion().unwrap(), expected);
         let mut restored = SimCore::restore(&s, &Pam, &dropper, &cp).unwrap();
         assert_eq!(restored.now(), cp.now);
-        assert_eq!(restored.run_to_completion(), expected);
+        assert_eq!(restored.run_to_completion().unwrap(), expected);
     }
 
     #[test]
@@ -1738,12 +1746,16 @@ mod tests {
         let core = SimCore::new(&s, &w, &Pam, &ReactiveOnly, cfg(), 1).unwrap();
         let cp = core.snapshot();
 
-        let mut wrong_version = cp.clone();
-        wrong_version.version = 99;
-        assert_eq!(
-            SimCore::restore(&s, &Pam, &ReactiveOnly, &wrong_version).err(),
-            Some(SimError::CheckpointVersion { found: 99, supported: CHECKPOINT_VERSION })
-        );
+        // Versions other than the current one are rejected outright; there
+        // is no migration, not even from version 1.
+        for found in [1, 99] {
+            let mut wrong_version = cp.clone();
+            wrong_version.version = found;
+            assert_eq!(
+                SimCore::restore(&s, &Pam, &ReactiveOnly, &wrong_version).err(),
+                Some(SimError::CheckpointVersion { found, supported: CHECKPOINT_VERSION })
+            );
+        }
 
         let other = Scenario::specint(s.seed + 1);
         assert!(matches!(
@@ -1854,13 +1866,187 @@ mod tests {
         let s = scenario();
         let mut core = SimCore::open(&s, &Pam, &ReactiveOnly, cfg(), 1).unwrap();
         core.inject(TaskTypeId(0), 0, 500).unwrap();
-        let _ = core.run_to_completion();
+        let _ = core.run_to_completion().unwrap();
         assert!(core.is_drained());
         let now = core.now();
         core.inject(TaskTypeId(1), now + 50, now + 900).unwrap();
         assert!(!core.is_drained());
-        let r = core.run_to_completion();
+        let r = core.run_to_completion().unwrap();
         assert_eq!(r.total_tasks, 2);
         assert!(r.is_conserved());
+    }
+
+    #[test]
+    fn conservation_every_task_has_one_fate() {
+        let s = scenario();
+        let w = workload(&s, 400, 4_000);
+        let r = run(&s, &w, &MinMin, &ProactiveDropper::paper_default(), cfg(), 1);
+        assert_eq!(r.counted_tasks, 400);
+        assert!(r.is_conserved(), "{r:?}");
+    }
+
+    #[test]
+    fn underloaded_system_completes_everything() {
+        let s = scenario();
+        // 50 tasks over 100 s: ~0.5 tasks/s against ~64/s capacity.
+        let w = workload(&s, 50, 100_000);
+        let r = run(&s, &w, &MinMin, &ReactiveOnly, cfg(), 1);
+        assert!(
+            r.robustness_pct() > 95.0,
+            "underloaded robustness {:.1}% (fates: late {}, reactive {})",
+            r.robustness_pct(),
+            r.late,
+            r.dropped_reactive
+        );
+        assert_eq!(r.dropped_proactive, 0);
+    }
+
+    #[test]
+    fn oversubscription_degrades_robustness() {
+        let s = scenario();
+        let light = workload(&s, 300, 30_000);
+        let heavy = workload(&s, 1200, 10_000);
+        let robustness = |w: &Workload| run(&s, w, &Pam, &ReactiveOnly, cfg(), 1).robustness_pct();
+        assert!(robustness(&light) > robustness(&heavy) + 5.0);
+    }
+
+    #[test]
+    fn deterministic_under_seed() {
+        let s = scenario();
+        let w = workload(&s, 300, 3_000);
+        let dropper = ProactiveDropper::paper_default();
+        assert_eq!(run(&s, &w, &Pam, &dropper, cfg(), 9), run(&s, &w, &Pam, &dropper, cfg(), 9));
+    }
+
+    #[test]
+    fn exec_seed_changes_outcomes() {
+        let s = scenario();
+        let w = workload(&s, 500, 5_000);
+        assert_ne!(
+            run(&s, &w, &Pam, &ReactiveOnly, cfg(), 1),
+            run(&s, &w, &Pam, &ReactiveOnly, cfg(), 2)
+        );
+    }
+
+    #[test]
+    fn boundary_exclusion_shrinks_counted_window() {
+        let s = scenario();
+        let w = workload(&s, 400, 4_000);
+        let config = SimConfig { exclude_boundary: 100, ..SimConfig::default() };
+        let r = run(&s, &w, &MinMin, &ReactiveOnly, config, 1);
+        assert_eq!(r.total_tasks, 400);
+        assert_eq!(r.counted_tasks, 200);
+        assert!(r.is_conserved());
+    }
+
+    #[test]
+    fn queue_size_one_still_works() {
+        let s = scenario();
+        let w = workload(&s, 200, 4_000);
+        let config = SimConfig { queue_size: 1, ..cfg() };
+        assert!(run(&s, &w, &Fcfs, &ReactiveOnly, config, 1).is_conserved());
+    }
+
+    #[test]
+    fn proactive_dropper_records_proactive_fates() {
+        let s = scenario();
+        // Heavy oversubscription so dropping definitely engages.
+        let w = workload(&s, 1000, 8_000);
+        let r = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), cfg(), 1);
+        assert!(r.dropped_proactive > 0, "expected proactive drops: {r:?}");
+    }
+
+    #[test]
+    fn failure_injection_loses_tasks_and_conserves() {
+        let s = scenario();
+        let w = workload(&s, 400, 8_000);
+        let config = SimConfig { failures: Some(FailureSpec { mtbf: 2_000, mttr: 500 }), ..cfg() };
+        let r = run(&s, &w, &Pam, &ReactiveOnly, config, 1);
+        assert!(r.is_conserved(), "{r:?}");
+        assert!(r.lost_to_failure > 0, "flaky machines must lose some work: {r:?}");
+    }
+
+    #[test]
+    fn failures_reduce_robustness() {
+        let s = scenario();
+        let w = workload(&s, 400, 8_000);
+        let flaky = SimConfig { failures: Some(FailureSpec { mtbf: 1_500, mttr: 800 }), ..cfg() };
+        let a = run(&s, &w, &Pam, &ReactiveOnly, cfg(), 1);
+        let b = run(&s, &w, &Pam, &ReactiveOnly, flaky, 1);
+        assert!(
+            a.robustness_pct() > b.robustness_pct(),
+            "healthy {:.1}% vs flaky {:.1}%",
+            a.robustness_pct(),
+            b.robustness_pct()
+        );
+    }
+
+    #[test]
+    fn failure_injection_is_deterministic() {
+        let s = scenario();
+        let w = workload(&s, 300, 4_000);
+        let config = SimConfig { failures: Some(FailureSpec { mtbf: 3_000, mttr: 400 }), ..cfg() };
+        assert_eq!(
+            run(&s, &w, &Pam, &ReactiveOnly, config, 9),
+            run(&s, &w, &Pam, &ReactiveOnly, config, 9)
+        );
+    }
+
+    #[test]
+    fn near_infinite_mtbf_behaves_like_no_failures() {
+        let s = scenario();
+        let w = workload(&s, 300, 4_000);
+        let rare =
+            SimConfig { failures: Some(FailureSpec { mtbf: u64::MAX / 4, mttr: 100 }), ..cfg() };
+        let a = run(&s, &w, &Pam, &ReactiveOnly, cfg(), 1);
+        let b = run(&s, &w, &Pam, &ReactiveOnly, rare, 1);
+        assert_eq!(a.on_time, b.on_time);
+        assert_eq!(b.lost_to_failure, 0);
+    }
+
+    #[test]
+    fn busy_time_and_cost_accrue() {
+        let s = scenario();
+        let w = workload(&s, 200, 10_000);
+        let r = run(&s, &w, &MinMin, &ReactiveOnly, cfg(), 1);
+        assert!(r.busy_ticks.iter().sum::<u64>() > 0);
+        assert!(r.cost_dollars > 0.0);
+        assert!(r.makespan > 0);
+    }
+
+    #[test]
+    fn approx_mode_yields_partial_completions() {
+        let s = scenario();
+        let w = workload(&s, 800, 4_000);
+        let config = SimConfig { approx: Some(ApproxSpec::new(0.4, 0.6)), ..cfg() };
+        let r = run(&s, &w, &Pam, &ApproxDropper::paper_default(), config, 1);
+        assert!(r.is_conserved(), "{r:?}");
+        assert!(r.on_time_approx > 0, "degradation never engaged: {r:?}");
+        assert!(r.utility_pct() > r.robustness_pct());
+        assert!((r.approx_value - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn approx_dropper_without_spec_equals_heuristic() {
+        let s = scenario();
+        let w = workload(&s, 500, 3_000);
+        let a = run(&s, &w, &Pam, &ApproxDropper::paper_default(), cfg(), 1);
+        let h = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), cfg(), 1);
+        assert_eq!(a, h, "with approx disabled the two policies must coincide");
+    }
+
+    #[test]
+    fn approx_mode_improves_utility_over_plain_dropping() {
+        let s = scenario();
+        let w = workload(&s, 800, 4_000);
+        let approx_cfg = SimConfig { approx: Some(ApproxSpec::half_time()), ..cfg() };
+        let plain = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), cfg(), 1);
+        let approx = run(&s, &w, &Pam, &ApproxDropper::paper_default(), approx_cfg, 1);
+        assert!(
+            approx.utility_pct() + 2.0 > plain.utility_pct(),
+            "approx utility {:.1} should not trail plain dropping {:.1}",
+            approx.utility_pct(),
+            plain.utility_pct()
+        );
     }
 }

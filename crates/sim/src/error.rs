@@ -1,11 +1,9 @@
-//! Typed errors for simulation construction and inspection.
+//! Typed errors for simulation construction, running and inspection.
 //!
-//! The original API panicked on misuse (`SimConfig::validate`,
-//! `TrialRunner::run` with zero trials, `SimReport::robustness` on an empty
-//! report). Those panics are now [`SimError`] values surfaced through the
-//! `Result`-returning entry points ([`crate::SimCore::new`],
-//! [`crate::TrialRunner::try_run`], [`crate::SimReport::robustness`]); the
-//! legacy wrappers keep their panicking behaviour on top of these.
+//! Every fallible entry point returns a [`SimError`]: building a trial
+//! ([`crate::SimCore::new`], [`crate::SimCore::restore`]), running one
+//! ([`crate::SimCore::run_to_completion`], [`crate::TrialRunner::run`]) and
+//! aggregating ([`crate::SimReport::robustness`]).
 
 use taskdrop_pmf::Tick;
 

@@ -99,20 +99,6 @@ impl EventQueue {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
-    /// Number of outstanding events.
-    #[must_use]
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events remain.
-    #[must_use]
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Snapshot for checkpointing: every outstanding `(time, seq, event)`
     /// entry in pop order, plus the live sequence counter. Sorting makes the
     /// snapshot canonical — two queues with identical pending events and
@@ -189,11 +175,13 @@ mod tests {
     #[test]
     fn len_tracks_pushes() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         q.push(1, Event::Arrival(0));
         q.push(2, Event::Arrival(1));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(1));
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(2));
+        q.pop();
+        assert_eq!(q.peek_time(), None);
     }
 }

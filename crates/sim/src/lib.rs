@@ -24,9 +24,11 @@
 //!
 //! # The layering
 //!
-//! * [`SimCore`] is the resumable heart of the crate: an explicit-lifecycle
-//!   state machine with [`step`](SimCore::step) /
+//! * [`SimCore`] is the crate's only engine entry point: an
+//!   explicit-lifecycle state machine with [`step`](SimCore::step) /
 //!   [`run_until`](SimCore::run_until) /
+//!   [`run_to_completion`](SimCore::run_to_completion) (batch driving to a
+//!   [`TrialResult`]) /
 //!   [`inject`](SimCore::inject) (online, open-world task arrival) /
 //!   [`state`](SimCore::state) (read-only mid-trial inspection) /
 //!   [`snapshot`](SimCore::snapshot) + [`restore`](SimCore::restore)
@@ -34,17 +36,13 @@
 //!   an uninterrupted run), plus streaming [`SimObserver`]s that receive a
 //!   [`SimEvent`] for every map/start/complete/drop/degrade/kill/failure/
 //!   repair decision.
-//! * [`Simulation`] is the legacy closed-world wrapper: assemble, call
-//!   [`run`](Simulation::run), get a [`TrialResult`]. Byte-identical to
-//!   stepping a [`SimCore`] over the same inputs.
 //! * [`TrialRunner`] repeats trials with independent workload seeds in
 //!   parallel (crossbeam scoped threads) and aggregates mean ± 95 % CI — the
 //!   paper's 30-trial methodology. Everything is deterministic under the
 //!   master seed, regardless of thread count.
 //!
-//! Misuse (zero queue sizes, empty reports, injecting into the past, …)
-//! surfaces as a typed [`SimError`] from the `Result`-returning entry
-//! points; the legacy wrappers panic on the same conditions.
+//! Misuse (zero queue sizes, empty reports, injecting into the past, a
+//! checkpoint that cannot drain, …) surfaces as a typed [`SimError`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -53,7 +51,6 @@
 pub mod checkpoint;
 mod config;
 mod core;
-mod engine;
 mod error;
 mod event;
 mod metrics;
@@ -67,7 +64,6 @@ pub use checkpoint::{
 };
 pub use config::{DropperKind, FailureSpec, SimConfig};
 pub use core::{MachineState, QueuedState, RunningState, SimCore, SimState, StepOutcome};
-pub use engine::Simulation;
 pub use error::SimError;
 pub use event::Event;
 pub use metrics::{TaskFate, TrialResult};

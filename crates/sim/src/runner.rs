@@ -9,7 +9,7 @@
 //! vector, preserving trial order.
 
 use crate::config::{DropperKind, SimConfig};
-use crate::engine::Simulation;
+use crate::core::SimCore;
 use crate::error::SimError;
 use crate::metrics::TrialResult;
 use crate::report::SimReport;
@@ -62,17 +62,6 @@ impl TrialRunner {
         }
     }
 
-    /// Runs all trials of `spec` on `scenario` and aggregates a report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0` or the spec's config is invalid; see
-    /// [`TrialRunner::try_run`] for the `Result`-returning equivalent.
-    #[must_use]
-    pub fn run(&self, scenario: &Scenario, spec: &RunSpec) -> SimReport {
-        self.try_run(scenario, spec).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Checks the runner/spec combination without running anything — the
     /// single definition of "this experiment is well-formed", shared with
     /// `ExperimentBuilder::build` in the umbrella crate.
@@ -97,10 +86,12 @@ impl TrialRunner {
     ///
     /// # Errors
     ///
-    /// Any error from [`TrialRunner::validate`].
-    pub fn try_run(&self, scenario: &Scenario, spec: &RunSpec) -> Result<SimReport, SimError> {
+    /// Any error from [`TrialRunner::validate`], or the first trial's error
+    /// (in trial order) from [`SimCore::new`] or
+    /// [`SimCore::run_to_completion`].
+    pub fn run(&self, scenario: &Scenario, spec: &RunSpec) -> Result<SimReport, SimError> {
         self.validate(spec)?;
-        let results: Vec<Mutex<Option<TrialResult>>> =
+        let results: Vec<Mutex<Option<Result<TrialResult, SimError>>>> =
             (0..self.trials).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.worker_count().min(self.trials);
@@ -119,7 +110,7 @@ impl TrialRunner {
                         let exec_seed = derive_seed(self.master_seed, 2 * i as u64 + 1);
                         let workload =
                             Workload::generate(scenario, &spec.level, spec.gamma, workload_seed);
-                        let result = Simulation::new(
+                        let result = SimCore::new(
                             scenario,
                             &workload,
                             mapper.as_ref(),
@@ -127,7 +118,7 @@ impl TrialRunner {
                             spec.config,
                             exec_seed,
                         )
-                        .run();
+                        .and_then(|mut core| core.run_to_completion());
                         *results[i].lock() = Some(result);
                     }
                 });
@@ -143,7 +134,7 @@ impl TrialRunner {
             trials: results
                 .into_iter()
                 .map(|slot| slot.into_inner().expect("every trial index visited"))
-                .collect(),
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -165,7 +156,7 @@ mod tests {
     #[test]
     fn runs_requested_trials() {
         let scenario = Scenario::specint(7);
-        let report = TrialRunner::new(3, 1).run(&scenario, &spec(150, 2_000));
+        let report = TrialRunner::new(3, 1).run(&scenario, &spec(150, 2_000)).unwrap();
         assert_eq!(report.trials.len(), 3);
         assert!(report.trials.iter().all(TrialResult::is_conserved));
     }
@@ -174,8 +165,10 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let scenario = Scenario::specint(7);
         let s = spec(120, 1_500);
-        let serial = TrialRunner { trials: 4, master_seed: 5, threads: 1 }.run(&scenario, &s);
-        let parallel = TrialRunner { trials: 4, master_seed: 5, threads: 4 }.run(&scenario, &s);
+        let serial =
+            TrialRunner { trials: 4, master_seed: 5, threads: 1 }.run(&scenario, &s).unwrap();
+        let parallel =
+            TrialRunner { trials: 4, master_seed: 5, threads: 4 }.run(&scenario, &s).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -183,15 +176,15 @@ mod tests {
     fn different_master_seeds_differ() {
         let scenario = Scenario::specint(7);
         let s = spec(120, 1_500);
-        let a = TrialRunner { trials: 2, master_seed: 1, threads: 2 }.run(&scenario, &s);
-        let b = TrialRunner { trials: 2, master_seed: 2, threads: 2 }.run(&scenario, &s);
+        let a = TrialRunner { trials: 2, master_seed: 1, threads: 2 }.run(&scenario, &s).unwrap();
+        let b = TrialRunner { trials: 2, master_seed: 2, threads: 2 }.run(&scenario, &s).unwrap();
         assert_ne!(a, b);
     }
 
     #[test]
     fn zero_trials_is_a_typed_error() {
         let scenario = Scenario::specint(7);
-        let err = TrialRunner::new(0, 1).try_run(&scenario, &spec(50, 1_000)).err();
+        let err = TrialRunner::new(0, 1).run(&scenario, &spec(50, 1_000)).err();
         assert_eq!(err, Some(SimError::ZeroTrials));
     }
 
@@ -200,14 +193,14 @@ mod tests {
         let scenario = Scenario::specint(7);
         let mut s = spec(50, 1_000);
         s.gamma = f64::NAN;
-        let err = TrialRunner::new(1, 1).try_run(&scenario, &s).err();
+        let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
         assert_eq!(err, Some(SimError::InvalidGamma));
     }
 
     #[test]
     fn trials_are_distinct() {
         let scenario = Scenario::specint(7);
-        let report = TrialRunner::new(2, 9).run(&scenario, &spec(150, 2_000));
+        let report = TrialRunner::new(2, 9).run(&scenario, &spec(150, 2_000)).unwrap();
         assert_ne!(report.trials[0], report.trials[1]);
     }
 }

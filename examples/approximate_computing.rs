@@ -18,7 +18,7 @@ use taskdrop::core::ApproxDropper;
 use taskdrop::model::ApproxSpec;
 use taskdrop::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     let scenario = Scenario::specint(0xA5);
     let level = OversubscriptionLevel::new("approx", 3_000, 16_000).scaled(scale);
@@ -38,12 +38,12 @@ fn main() {
         dropper: DropperKind::heuristic_default(),
         config: taskdrop::demo::scaled_config(scale),
     };
-    let report = runner.run(&scenario, &plain);
+    let report = runner.run(&scenario, &plain)?;
     let utility: Vec<f64> = report.trials.iter().map(|t| t.utility_pct()).collect();
     println!(
         "{:<34} {:>14} {:>13.2}  {:>10}",
         "PAM + drop-only heuristic",
-        report.robustness().expect("trials"),
+        report.robustness()?,
         utility.iter().sum::<f64>() / utility.len() as f64,
         0
     );
@@ -58,13 +58,13 @@ fn main() {
             dropper: DropperKind::Approx { beta: 1.0, eta: 2 },
             config: SimConfig { approx: Some(spec), ..taskdrop::demo::scaled_config(scale) },
         };
-        let report = runner.run(&scenario, &run);
+        let report = runner.run(&scenario, &run)?;
         let utility: Vec<f64> = report.trials.iter().map(|t| t.utility_pct()).collect();
         let degraded: usize = report.trials.iter().map(|t| t.on_time_approx).sum();
         println!(
             "{:<34} {:>14} {:>13.2}  {:>10}",
             format!("PAM + degrade (t x{factor}, v {value})"),
-            report.robustness().expect("trials"),
+            report.robustness()?,
             utility.iter().sum::<f64>() / utility.len() as f64,
             degraded / report.trials.len(),
         );
@@ -83,4 +83,5 @@ fn main() {
 
     // Show the mechanism is autonomous: no threshold anywhere.
     let _policy = ApproxDropper::paper_default();
+    Ok(())
 }

@@ -80,7 +80,7 @@ impl DropPolicy for PanicThreshold {
     }
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     let scenario = Scenario::specint(0xA5);
     let level = OversubscriptionLevel::new("demo", 3_000, 16_000).scaled(scale);
@@ -105,8 +105,8 @@ fn main() {
         print!("{mname:<22}");
         for (_, dropper) in &droppers {
             let r =
-                Simulation::new(&scenario, &workload, mapper.as_ref(), dropper.as_ref(), config, 1)
-                    .run();
+                SimCore::new(&scenario, &workload, mapper.as_ref(), dropper.as_ref(), config, 1)?
+                    .run_to_completion()?;
             print!("{:>19.1}%", r.robustness_pct());
         }
         println!();
@@ -120,4 +120,5 @@ fn main() {
          types to their slowest machines wastes capacity no dropper can\n\
          recover: dropping forgives poor *ordering*, not poor *placement*.)"
     );
+    Ok(())
 }

@@ -29,7 +29,7 @@ struct Tally {
     printed: usize,
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     let scenario = Scenario::specint(42);
     let config = taskdrop::demo::scaled_config(scale);
@@ -50,8 +50,7 @@ fn main() {
     // are shown verbatim; the rest only move the tallies.
     const SHOWN: usize = 10;
     let tally = RefCell::new(Tally::default());
-    let mut core =
-        SimCore::open(&scenario, &Pam, &dropper, config, 1).expect("valid configuration");
+    let mut core = SimCore::open(&scenario, &Pam, &dropper, config, 1)?;
     core.attach(|ev: &SimEvent| {
         let mut t = tally.borrow_mut();
         match *ev {
@@ -103,8 +102,7 @@ fn main() {
         let horizon = window * slice / slices;
         while fed < total_tasks && arrivals[fed] <= horizon {
             let arrival = arrivals[fed];
-            core.inject(TaskTypeId(type_of(fed) as u16), arrival, arrival + slack)
-                .expect("arrivals are injected in order");
+            core.inject(TaskTypeId(type_of(fed) as u16), arrival, arrival + slack)?;
             fed += 1;
         }
         core.run_until(horizon);
@@ -121,12 +119,11 @@ fn main() {
     // stragglers too so the trial really carries every announced task.
     while fed < total_tasks {
         let arrival = arrivals[fed];
-        core.inject(TaskTypeId(type_of(fed) as u16), arrival, arrival + slack)
-            .expect("arrivals are injected in order");
+        core.inject(TaskTypeId(type_of(fed) as u16), arrival, arrival + slack)?;
         fed += 1;
     }
 
-    let result = core.run_to_completion();
+    let result = core.run_to_completion()?;
     let t = tally.borrow();
     println!("\ndrained at t={} after {} mapping events", result.makespan, result.mapping_events);
     println!(
@@ -143,7 +140,8 @@ fn main() {
         result.is_conserved()
     );
     println!(
-        "\nEvery number above was available *while the trial ran* — the batch\n\
-         Simulation::run() API only reveals the final line."
+        "\nEvery number above was available *while the trial ran* — a batch\n\
+         run_to_completion() call only reveals the final line."
     );
+    Ok(())
 }

@@ -8,7 +8,7 @@
 
 use taskdrop::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     // The paper's main scenario: 12 SPECint task types on 8 heterogeneous
     // machines. One seed builds the whole environment: the true Gamma
@@ -37,8 +37,10 @@ fn main() {
     let reactive = ReactiveOnly;
     let proactive = ProactiveDropper::paper_default(); // beta = 1, eta = 2
 
-    let baseline = Simulation::new(&scenario, &workload, &Pam, &reactive, config, 1).run();
-    let dropping = Simulation::new(&scenario, &workload, &Pam, &proactive, config, 1).run();
+    let baseline =
+        SimCore::new(&scenario, &workload, &Pam, &reactive, config, 1)?.run_to_completion()?;
+    let dropping =
+        SimCore::new(&scenario, &workload, &Pam, &proactive, config, 1)?.run_to_completion()?;
 
     for (name, r) in [("PAM + reactive only", &baseline), ("PAM + proactive dropping", &dropping)] {
         println!("{name}:");
@@ -57,4 +59,5 @@ fn main() {
 
     let gain = dropping.robustness_pct() - baseline.robustness_pct();
     println!("proactive dropping gained {gain:.1} robustness points on this workload");
+    Ok(())
 }

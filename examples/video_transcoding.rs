@@ -14,7 +14,7 @@
 
 use taskdrop::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scenario = Scenario::transcode(0xA5);
     println!("machines:");
     for m in &scenario.machines {
@@ -47,8 +47,8 @@ fn main() {
                 dropper,
                 config: taskdrop::demo::scaled_config(scale),
             };
-            let report = runner.run(&scenario, &spec);
-            cells.push(format!("{}", report.robustness().expect("trials")));
+            let report = runner.run(&scenario, &spec)?;
+            cells.push(format!("{}", report.robustness()?));
         }
         println!("| {} | {} | {} |", mapper.name(), cells[0], cells[1]);
     }
@@ -58,4 +58,5 @@ fn main() {
          choice of mapping heuristic stops mattering — dropping hopeless tasks\n\
          forgives poor mapping decisions."
     );
+    Ok(())
 }

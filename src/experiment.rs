@@ -122,7 +122,7 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`] from [`TrialRunner::try_run`].
+    /// Any [`SimError`] from [`TrialRunner::run`].
     pub fn run(&self) -> Result<SimReport, SimError> {
         self.run_on(&self.scenario.build())
     }
@@ -132,9 +132,9 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`] from [`TrialRunner::try_run`].
+    /// Any [`SimError`] from [`TrialRunner::run`].
     pub fn run_on(&self, scenario: &Scenario) -> Result<SimReport, SimError> {
-        self.runner().try_run(scenario, &self.run_spec())
+        self.runner().run(scenario, &self.run_spec())
     }
 }
 
@@ -322,7 +322,7 @@ impl ExperimentBuilder {
     /// # Errors
     ///
     /// Any error from [`ExperimentBuilder::build`] or
-    /// [`TrialRunner::try_run`].
+    /// [`TrialRunner::run`].
     pub fn run(self) -> Result<SimReport, SimError> {
         self.build()?.run()
     }

@@ -148,7 +148,7 @@ pub mod prelude {
     pub use taskdrop_sim::{
         AdmissionDropKind, Checkpoint, DropKind, DropperKind, EventLog, ForfeitKind,
         MetricsObserver, RunSpec, SimConfig, SimCore, SimError, SimEvent, SimObserver, SimReport,
-        SimState, Simulation, StepOutcome, TaskFate, TrialResult, TrialRunner,
+        SimState, StepOutcome, TaskFate, TrialResult, TrialRunner,
     };
     pub use taskdrop_workload::{
         BlueprintNode, BurstySource, DiurnalSource, GraphBlueprint, OfferedTask,

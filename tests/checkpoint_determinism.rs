@@ -29,7 +29,7 @@ fn interrupted_vs_straight(
 ) -> (TrialResult, TrialResult) {
     let mut straight = SimCore::new(scenario, workload, &Pam, dropper, config, exec_seed)
         .expect("valid straight core");
-    let expected = straight.run_to_completion();
+    let expected = straight.run_to_completion().expect("straight core drains");
 
     let mut first = SimCore::new(scenario, workload, &Pam, dropper, config, exec_seed)
         .expect("valid interrupted core");
@@ -43,7 +43,7 @@ fn interrupted_vs_straight(
     let checkpoint: Checkpoint = serde_json::from_str(&json).expect("parse checkpoint");
     let mut resumed =
         SimCore::restore(scenario, &Pam, dropper, &checkpoint).expect("restore checkpoint");
-    let resumed_result = resumed.run_to_completion();
+    let resumed_result = resumed.run_to_completion().expect("resumed core drains");
     (expected, resumed_result)
 }
 
@@ -106,12 +106,16 @@ fn a_checkpoint_restores_any_number_of_times() {
     let mut core = SimCore::new(&scenario, &workload, &Pam, &dropper, quick_config(), 4).unwrap();
     core.run_until(600);
     let checkpoint = core.snapshot();
-    let expected = core.run_to_completion();
+    let expected = core.run_to_completion().unwrap();
 
-    let first =
-        SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).unwrap().run_to_completion();
-    let second =
-        SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).unwrap().run_to_completion();
+    let first = SimCore::restore(&scenario, &Pam, &dropper, &checkpoint)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    let second = SimCore::restore(&scenario, &Pam, &dropper, &checkpoint)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
     assert_eq!(first, expected);
     assert_eq!(second, expected);
 }
@@ -146,18 +150,36 @@ fn open_world_checkpoints_carry_injected_tasks() {
     }
     core.run_until(250);
     let checkpoint = core.snapshot();
-    let expected = core.run_to_completion();
+    let expected = core.run_to_completion().unwrap();
 
     let mut resumed = SimCore::restore(&scenario, &Pam, &ReactiveOnly, &checkpoint).unwrap();
     assert_eq!(resumed.total_tasks(), 30);
-    assert_eq!(resumed.run_to_completion(), expected);
+    assert_eq!(resumed.run_to_completion().unwrap(), expected);
 
     // And the resumed core keeps accepting new work afterwards.
     let now = resumed.now();
     resumed.inject(taskdrop::model::TaskTypeId(0), now + 10, now + 500).unwrap();
-    let extended = resumed.run_to_completion();
+    let extended = resumed.run_to_completion().unwrap();
     assert_eq!(extended.total_tasks, 31);
     assert!(extended.is_conserved());
+}
+
+/// A checkpoint can satisfy every restore rule and still strand a task:
+/// here the only task has moved from its `Arrival` event into the batch
+/// queue and the event heap is empty, so no mapping event will ever place
+/// it. Running such a core to completion is a typed error, not a panic.
+#[test]
+fn a_restored_core_that_cannot_drain_reports_not_drained() {
+    let scenario = Scenario::specint(13);
+    let mut core = SimCore::open(&scenario, &Pam, &ReactiveOnly, quick_config(), 2).unwrap();
+    core.inject(taskdrop::model::TaskTypeId(0), 10, 700).unwrap();
+    let mut checkpoint = core.snapshot();
+    assert_eq!(checkpoint.events.len(), 1, "only the task's arrival is scheduled");
+    checkpoint.batch.push(checkpoint.tasks[0]);
+    checkpoint.events.clear();
+
+    let mut restored = SimCore::restore(&scenario, &Pam, &ReactiveOnly, &checkpoint).unwrap();
+    assert_eq!(restored.run_to_completion(), Err(SimError::NotDrained { resolved: 0, total: 1 }));
 }
 
 /// The persistent PET×tail cache (DESIGN.md §13) is *derived* state: a
@@ -189,7 +211,7 @@ fn warm_cache_snapshot_equals_cold_snapshot() {
     assert_eq!(warm_bytes, cold_bytes, "cache state leaked into the checkpoint");
 
     // Warm-cache continuation == cold-cache continuation, byte for byte.
-    assert_eq!(warm.run_to_completion(), cold.run_to_completion());
+    assert_eq!(warm.run_to_completion().unwrap(), cold.run_to_completion().unwrap());
 }
 
 /// The serialized `Checkpoint` v1 layout is frozen: exactly the seed

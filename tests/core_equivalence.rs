@@ -1,8 +1,8 @@
-//! The redesign's contract: a [`SimCore`] driven through its resumable
-//! stepping API produces results **byte-identical** to the legacy batch
-//! `Simulation::run()`, observers see a complete and conservative event
-//! stream, online injection reproduces the closed-world run when fed the
-//! same tasks, and the buffering `EventRelay` hub the serving fleet runs
+//! The engine's contract: a [`SimCore`] gives **byte-identical** results
+//! whether it is stepped by hand, driven in time slices or run to
+//! completion in one call; observers see a complete and conservative event
+//! stream; online injection reproduces the closed-world run when fed the
+//! same tasks; and the buffering `EventRelay` hub the serving fleet runs
 //! on observes exactly what the default boxed-observer hub delivers.
 
 use std::cell::RefCell;
@@ -59,38 +59,45 @@ fn dropper_for(config_name: &str) -> Box<dyn DropPolicy> {
     }
 }
 
-#[test]
-fn stepped_core_is_byte_identical_to_legacy_run_across_seeds() {
-    let scenario = scenario();
-    for seed in [1u64, 2, 9] {
-        let w = workload(&scenario, 250, 2_200, seed);
-        for (name, config) in configs() {
-            let dropper = dropper_for(name);
-            let legacy = Simulation::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).run();
-            let mut core =
-                SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).unwrap();
-            while let StepOutcome::Advanced { .. } = core.step() {}
-            let stepped = core.result().unwrap();
-            assert_eq!(legacy, stepped, "seed {seed}, config {name}");
-        }
-    }
+/// The closed-world run to completion every other test here compares with.
+fn closed_world_run(
+    scenario: &Scenario,
+    w: &Workload,
+    dropper: &dyn DropPolicy,
+    config: SimConfig,
+    seed: u64,
+) -> TrialResult {
+    SimCore::new(scenario, w, &Pam, dropper, config, seed).unwrap().run_to_completion().unwrap()
 }
 
 #[test]
 fn chunked_run_until_matches_one_shot_run() {
     let scenario = scenario();
-    let w = workload(&scenario, 300, 2_500, 5);
-    let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
-    let dropper = ProactiveDropper::paper_default();
-    let legacy = Simulation::new(&scenario, &w, &Pam, &dropper, config, 5).run();
+    for seed in [1u64, 2, 9] {
+        let w = workload(&scenario, 250, 2_200, seed);
+        for (name, config) in configs() {
+            let dropper = dropper_for(name);
+            let one_shot = closed_world_run(&scenario, &w, dropper.as_ref(), config, seed);
 
-    let mut core = SimCore::new(&scenario, &w, &Pam, &dropper, config, 5).unwrap();
-    // Drive in arbitrary-sized time slices, as a live driver would.
-    let mut t = 0;
-    while !core.run_until(t).is_drained() {
-        t += 137;
+            let mut stepped =
+                SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).unwrap();
+            while let StepOutcome::Advanced { .. } = stepped.step() {}
+            assert_eq!(stepped.result().unwrap(), one_shot, "step(): seed {seed}, config {name}");
+
+            // Drive in arbitrary-sized time slices, as a live driver would.
+            let mut chunked =
+                SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).unwrap();
+            let mut t = 0;
+            while !chunked.run_until(t).is_drained() {
+                t += 137;
+            }
+            assert_eq!(
+                chunked.result().unwrap(),
+                one_shot,
+                "run_until: seed {seed}, config {name}"
+            );
+        }
     }
-    assert_eq!(legacy, core.result().unwrap());
 }
 
 #[test]
@@ -108,7 +115,7 @@ fn event_stream_conserves_task_fates() {
                 event_fates.borrow_mut()[task.index()] = Some(fate);
             }
         });
-        let result = core.run_to_completion();
+        let result = core.run_to_completion().unwrap();
         assert!(result.is_conserved());
         // Every task resolved exactly once, with the engine's own fate.
         for id in 0..w.len() {
@@ -136,7 +143,7 @@ fn metrics_observer_reconstructs_the_trial_result_exactly() {
         let shared = std::rc::Rc::new(std::cell::RefCell::new(metrics));
         let handle = std::rc::Rc::clone(&shared);
         core.attach(move |ev: &SimEvent| handle.borrow_mut().on_event(ev));
-        let engine_result = core.run_to_completion();
+        let engine_result = core.run_to_completion().unwrap();
         let observed = shared.borrow().result().unwrap();
         assert_eq!(engine_result, observed, "config {name}: event stream lost information");
     }
@@ -148,11 +155,11 @@ fn observers_do_not_change_the_outcome() {
     let w = workload(&scenario, 200, 1_800, 11);
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     let dropper = ProactiveDropper::paper_default();
-    let bare = Simulation::new(&scenario, &w, &Pam, &dropper, config, 11).run();
+    let bare = closed_world_run(&scenario, &w, &dropper, config, 11);
     let mut core = SimCore::new(&scenario, &w, &Pam, &dropper, config, 11).unwrap();
     core.attach(EventLog::new());
     core.attach(|_: &SimEvent| {});
-    assert_eq!(bare, core.run_to_completion());
+    assert_eq!(bare, core.run_to_completion().unwrap());
 }
 
 #[test]
@@ -161,14 +168,14 @@ fn injecting_the_workload_online_matches_the_closed_world_run() {
     let w = workload(&scenario, 200, 1_800, 13);
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     let dropper = ProactiveDropper::paper_default();
-    let closed = Simulation::new(&scenario, &w, &Pam, &dropper, config, 13).run();
+    let closed = closed_world_run(&scenario, &w, &dropper, config, 13);
 
     let mut core = SimCore::open(&scenario, &Pam, &dropper, config, 13).unwrap();
     for t in &w.tasks {
         let id = core.inject(t.type_id, t.arrival, t.deadline).unwrap();
         assert_eq!(id, t.id, "open core must assign the same dense ids");
     }
-    assert_eq!(closed, core.run_to_completion());
+    assert_eq!(closed, core.run_to_completion().unwrap());
 }
 
 #[test]
@@ -187,7 +194,7 @@ fn interleaved_injection_mid_run_still_conserves() {
         next_arrival += 75;
         core.run_until(next_arrival);
     }
-    let result = core.run_to_completion();
+    let result = core.run_to_completion().unwrap();
     assert_eq!(result.total_tasks, 200);
     assert!(result.is_conserved());
 }

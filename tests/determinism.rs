@@ -79,15 +79,17 @@ fn trial_runner_reports_identical_across_thread_counts() {
         dropper: DropperKind::heuristic_default(),
         config: SimConfig { exclude_boundary: 10, ..SimConfig::default() },
     };
-    let reference = TrialRunner { trials: 5, master_seed: 0xD5, threads: 1 }.run(&scenario, &spec);
+    let reference =
+        TrialRunner { trials: 5, master_seed: 0xD5, threads: 1 }.run(&scenario, &spec).unwrap();
     for threads in [2, 3, 8] {
-        let parallel = TrialRunner { trials: 5, master_seed: 0xD5, threads }.run(&scenario, &spec);
+        let parallel =
+            TrialRunner { trials: 5, master_seed: 0xD5, threads }.run(&scenario, &spec).unwrap();
         assert_eq!(reference, parallel, "{threads} worker threads changed the report");
     }
     // And the JSON rendering (the artifact experiments persist) is stable too.
     let a = serde_json::to_string(&reference).unwrap();
     let b = serde_json::to_string(
-        &TrialRunner { trials: 5, master_seed: 0xD5, threads: 4 }.run(&scenario, &spec),
+        &TrialRunner { trials: 5, master_seed: 0xD5, threads: 4 }.run(&scenario, &spec).unwrap(),
     )
     .unwrap();
     assert_eq!(a, b);
@@ -106,8 +108,8 @@ fn trial_runner_is_pure_across_repeated_runs() {
         config: SimConfig { exclude_boundary: 10, ..SimConfig::default() },
     };
     let runner = TrialRunner::new(3, 99);
-    let first = runner.run(&scenario, &spec);
-    let second = runner.run(&scenario, &spec);
+    let first = runner.run(&scenario, &spec).unwrap();
+    let second = runner.run(&scenario, &spec).unwrap();
     assert_eq!(first, second);
 }
 

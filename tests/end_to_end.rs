@@ -11,6 +11,20 @@ fn workload(scenario: &Scenario, tasks: usize, window: u64) -> Workload {
     Workload::generate(scenario, &level, 1.0, 99)
 }
 
+fn run(
+    scenario: &Scenario,
+    w: &Workload,
+    mapper: &dyn MappingHeuristic,
+    dropper: &dyn DropPolicy,
+    config: SimConfig,
+    exec_seed: u64,
+) -> TrialResult {
+    SimCore::new(scenario, w, mapper, dropper, config, exec_seed)
+        .unwrap()
+        .run_to_completion()
+        .unwrap()
+}
+
 fn all_mappers() -> Vec<HeuristicKind> {
     HeuristicKind::ALL.to_vec()
 }
@@ -33,7 +47,7 @@ fn every_combination_conserves_tasks() {
         for dropper in all_droppers() {
             let m = mapper.build();
             let d = dropper.build();
-            let r = Simulation::new(&scenario, &w, m.as_ref(), d.as_ref(), config, 5).run();
+            let r = run(&scenario, &w, m.as_ref(), d.as_ref(), config, 5);
             assert!(r.is_conserved(), "{}+{}: fates do not sum: {r:?}", mapper.name(), d.name());
             let pct = r.robustness_pct();
             assert!((0.0..=100.0).contains(&pct), "{}: robustness {pct}", mapper.name());
@@ -48,7 +62,7 @@ fn reactive_only_never_drops_proactively() {
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     for mapper in all_mappers() {
         let m = mapper.build();
-        let r = Simulation::new(&scenario, &w, m.as_ref(), &ReactiveOnly, config, 5).run();
+        let r = run(&scenario, &w, m.as_ref(), &ReactiveOnly, config, 5);
         assert_eq!(r.dropped_proactive, 0, "{}", mapper.name());
     }
 }
@@ -62,8 +76,8 @@ fn combinations_are_deterministic() {
         for dropper in all_droppers() {
             let m = mapper.build();
             let d = dropper.build();
-            let a = Simulation::new(&scenario, &w, m.as_ref(), d.as_ref(), config, 5).run();
-            let b = Simulation::new(&scenario, &w, m.as_ref(), d.as_ref(), config, 5).run();
+            let a = run(&scenario, &w, m.as_ref(), d.as_ref(), config, 5);
+            let b = run(&scenario, &w, m.as_ref(), d.as_ref(), config, 5);
             assert_eq!(a, b, "{}+{}", mapper.name(), d.name());
         }
     }
@@ -76,8 +90,7 @@ fn underload_needs_no_dropping() {
     let scenario = scenario();
     let w = workload(&scenario, 100, 60_000);
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
-    let r =
-        Simulation::new(&scenario, &w, &Pam, &ProactiveDropper::paper_default(), config, 5).run();
+    let r = run(&scenario, &w, &Pam, &ProactiveDropper::paper_default(), config, 5);
     assert!(r.robustness_pct() > 95.0, "underloaded robustness {:.1}", r.robustness_pct());
     assert!(
         r.dropped_proactive < 5,
@@ -94,16 +107,8 @@ fn homogeneous_scenario_runs_all_ordering_heuristics() {
     let config = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     for mapper in [HeuristicKind::Fcfs, HeuristicKind::Edf, HeuristicKind::Sjf] {
         let m = mapper.build();
-        let with = Simulation::new(
-            &scenario,
-            &w,
-            m.as_ref(),
-            &ProactiveDropper::paper_default(),
-            config,
-            5,
-        )
-        .run();
-        let without = Simulation::new(&scenario, &w, m.as_ref(), &ReactiveOnly, config, 5).run();
+        let with = run(&scenario, &w, m.as_ref(), &ProactiveDropper::paper_default(), config, 5);
+        let without = run(&scenario, &w, m.as_ref(), &ReactiveOnly, config, 5);
         assert!(with.is_conserved() && without.is_conserved());
         // Oversubscribed homogeneous system: dropping should help (allow a
         // small tolerance for noise at this tiny scale).
@@ -126,8 +131,8 @@ fn kill_at_deadline_ablation_changes_behaviour() {
     let kill = SimConfig { exclude_boundary: 0, ..SimConfig::default() };
     let no_kill =
         SimConfig { exclude_boundary: 0, kill_running_at_deadline: false, ..SimConfig::default() };
-    let with_kill = Simulation::new(&scenario, &w, &Pam, &ReactiveOnly, kill, 5).run();
-    let without_kill = Simulation::new(&scenario, &w, &Pam, &ReactiveOnly, no_kill, 5).run();
+    let with_kill = run(&scenario, &w, &Pam, &ReactiveOnly, kill, 5);
+    let without_kill = run(&scenario, &w, &Pam, &ReactiveOnly, no_kill, 5);
     assert!(with_kill.is_conserved() && without_kill.is_conserved());
     assert_eq!(with_kill.late, 0, "kill-at-deadline forbids late completions");
     assert!(without_kill.late > 0, "ablation must allow late completions");

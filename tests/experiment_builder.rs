@@ -152,15 +152,17 @@ fn builder_run_matches_hand_wired_runner() {
         .build()
         .unwrap();
     let via_builder = spec.run().unwrap();
-    let hand_wired = TrialRunner::new(2, 42).run(
-        &scenario,
-        &RunSpec {
-            level,
-            gamma: GAMMA,
-            mapper: HeuristicKind::Pam,
-            dropper: DropperKind::heuristic_default(),
-            config: SimConfig { exclude_boundary: 10, ..SimConfig::default() },
-        },
-    );
+    let hand_wired = TrialRunner::new(2, 42)
+        .run(
+            &scenario,
+            &RunSpec {
+                level,
+                gamma: GAMMA,
+                mapper: HeuristicKind::Pam,
+                dropper: DropperKind::heuristic_default(),
+                config: SimConfig { exclude_boundary: 10, ..SimConfig::default() },
+            },
+        )
+        .unwrap();
     assert_eq!(via_builder, hand_wired);
 }

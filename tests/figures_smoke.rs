@@ -14,7 +14,7 @@ fn series_mean(rows: &[taskdrop_bench::ResultRow], series: &str, x: &str) -> f64
 
 #[test]
 fn fig07a_grid_has_expected_shape() {
-    let rows = figures::fig07a(Scale::Quick);
+    let rows = figures::fig07a(Scale::Quick).unwrap();
     assert_eq!(rows.len(), 6);
     for r in &rows {
         assert!((0.0..=100.0).contains(&r.mean), "{r:?}");
@@ -35,7 +35,7 @@ fn fig07a_grid_has_expected_shape() {
 
 #[test]
 fn fig08_grid_has_expected_shape() {
-    let (rows, reports) = figures::fig08(Scale::Quick);
+    let (rows, reports) = figures::fig08(Scale::Quick).unwrap();
     assert_eq!(rows.len(), 9);
     for level in ["20k", "30k", "40k"] {
         let optimal = series_mean(&rows, "PAM+Optimal", level);
@@ -58,7 +58,7 @@ fn fig08_grid_has_expected_shape() {
 
 #[test]
 fn fig05_effective_depth_rows_complete() {
-    let rows = figures::fig05(Scale::Quick);
+    let rows = figures::fig05(Scale::Quick).unwrap();
     // 3 levels x eta in 1..=5.
     assert_eq!(rows.len(), 15);
     let mut xs: Vec<&str> = rows.iter().map(|r| r.x.as_str()).collect();

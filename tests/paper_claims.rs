@@ -48,7 +48,7 @@ fn report(
             dropper,
             config: SimConfig { exclude_boundary: 20, ..SimConfig::default() },
         };
-        Arc::new(TrialRunner::new(TRIALS, SEED).try_run(scenario, &spec).expect("valid claim spec"))
+        Arc::new(TrialRunner::new(TRIALS, SEED).run(scenario, &spec).expect("valid claim spec"))
     }))
 }
 

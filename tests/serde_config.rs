@@ -48,7 +48,7 @@ fn report_serialises_with_trials() {
         dropper: DropperKind::ReactiveOnly,
         config: SimConfig { exclude_boundary: 10, ..SimConfig::default() },
     };
-    let report = TrialRunner::new(2, 5).run(&scenario, &spec);
+    let report = TrialRunner::new(2, 5).run(&scenario, &spec).unwrap();
     let json = serde_json::to_string(&report).unwrap();
     let back: SimReport = serde_json::from_str(&json).unwrap();
     assert_eq!(report, back);
