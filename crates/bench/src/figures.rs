@@ -2,8 +2,10 @@
 //!
 //! Each `figNN` function runs the corresponding experiment grid at the given
 //! [`Scale`] and returns the result rows, or the first cell's [`SimError`];
-//! the `fig*` binaries are thin mains around these, and the integration
-//! tests smoke-run them at `Scale::Quick`.
+//! the integration tests smoke-run them at `Scale::Quick`. Each
+//! `publish_figNN` runs the grid, prints its Markdown table on stdout and
+//! writes its CSV/JSON under `results/`: the `fig*` binaries and
+//! `all_figures` are thin mains around these.
 //!
 //! Fixed experiment-wide choices (recorded in EXPERIMENTS.md):
 //!
@@ -16,6 +18,7 @@
 //!   comparisons paired like the paper's.
 
 use crate::experiment::{run_cell, Metric, ResultRow, Scale};
+use crate::output::{render_markdown, write_outputs};
 use taskdrop_sched::HeuristicKind;
 use taskdrop_sim::{DropperKind, RunSpec, SimConfig, SimError, SimReport};
 use taskdrop_workload::{OversubscriptionLevel, Scenario, SPECINT_WINDOW, TRANSCODE_WINDOW};
@@ -43,6 +46,15 @@ fn progress(figure: &str, series: &str, x: &str, row: &ResultRow) {
         "[{figure}] {series} @ {x}: {:.2} ± {:.2} ({} trials)",
         row.mean, row.ci95, row.trials
     );
+}
+
+/// Prints a figure's heading and table on stdout and writes its rows as
+/// `results/<id>-<scale>.{csv,json}`.
+fn publish(id: &str, heading: &str, metric: &str, scale: Scale, rows: &[ResultRow]) {
+    println!("\n## {heading}\n");
+    println!("{}", render_markdown(metric, rows));
+    let dir = write_outputs(id, scale.name(), rows);
+    eprintln!("results written under {}", dir.display());
 }
 
 /// Figure 5: robustness vs effective depth η ∈ 1..=5, PAM+Heuristic (β=1),
@@ -236,4 +248,67 @@ pub fn fig10(scale: Scale) -> Result<Vec<ResultRow>, SimError> {
         scale,
         0x1010,
     )
+}
+
+/// Runs [`fig05`], prints its table and writes its results.
+pub fn publish_fig05(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 5 — impact of effective depth (η), PAM+Heuristic, β=1";
+    publish("fig05", heading, "η \\ robustness (%)", scale, &fig05(scale)?);
+    Ok(())
+}
+
+/// Runs [`fig06`], prints its table and writes its results.
+pub fn publish_fig06(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 6 — impact of robustness improvement factor (β), PAM+Heuristic, η=2";
+    publish("fig06", heading, "β \\ robustness (%)", scale, &fig06(scale)?);
+    Ok(())
+}
+
+/// Runs [`fig07a`], prints its table and writes its results.
+pub fn publish_fig07a(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 7a — MSD/MM/PAM ± proactive dropping (heterogeneous, 30k)";
+    publish("fig07a", heading, "mapper \\ robustness (%)", scale, &fig07a(scale)?);
+    Ok(())
+}
+
+/// Runs [`fig07b`], prints its table and writes its results.
+pub fn publish_fig07b(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 7b — FCFS/EDF/SJF/PAM ± proactive dropping (homogeneous, 30k)";
+    publish("fig07b", heading, "mapper \\ robustness (%)", scale, &fig07b(scale)?);
+    Ok(())
+}
+
+/// Runs [`fig08`], prints its table and the §V-F share of each run's drops
+/// that were reactive, and writes its results.
+pub fn publish_fig08(scale: Scale) -> Result<(), SimError> {
+    let (rows, reports) = fig08(scale)?;
+    let heading = "Figure 8 — optimal vs heuristic vs threshold dropping (PAM)";
+    publish("fig08", heading, "level \\ robustness (%)", scale, &rows);
+    println!("### §V-F drop breakdown (share of drops that were reactive)\n");
+    for report in &reports {
+        if let Some(share) = report.reactive_drop_fraction() {
+            println!(
+                "* {} @ {}: {:.1} % ± {:.1} % reactive",
+                report.label(),
+                report.level,
+                share.mean * 100.0,
+                share.ci95 * 100.0
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Runs [`fig09`], prints its table and writes its results.
+pub fn publish_fig09(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 9 — incurred cost / tasks completed on time (%)";
+    publish("fig09", heading, "level \\ cost per robustness pt (×100)", scale, &fig09(scale)?);
+    Ok(())
+}
+
+/// Runs [`fig10`], prints its table and writes its results.
+pub fn publish_fig10(scale: Scale) -> Result<(), SimError> {
+    let heading = "Figure 10 — MSD/MM/PAM ± proactive dropping (video transcoding, 20k)";
+    publish("fig10", heading, "mapper \\ robustness (%)", scale, &fig10(scale)?);
+    Ok(())
 }

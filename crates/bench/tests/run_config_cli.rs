@@ -1,0 +1,42 @@
+//! `run_config` rejects what it cannot run: a malformed command line exits
+//! with status 2 and a usage line instead of being read as a spec path, and
+//! an unreadable or invalid spec exits with status 1 instead of panicking.
+
+use std::process::{Command, Output};
+
+fn run_config(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run_config")).args(args).output().unwrap()
+}
+
+#[test]
+fn a_malformed_command_line_exits_2_with_usage() {
+    for args in [
+        ["spec.json", "--trial", "3"].as_slice(),
+        &["spec.json", "--bogus"],
+        &["spec.json", "second.json"],
+        &["spec.json", "--trials"],
+        &["spec.json", "--seed", "seven"],
+        &["spec.json", "--scenario", "mars"],
+    ] {
+        let out = run_config(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: run_config"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+#[test]
+fn an_unreadable_or_invalid_spec_exits_1() {
+    let missing = run_config(&["no-such-spec.json"]);
+    assert_eq!(missing.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read no-such-spec.json"));
+
+    let path = std::env::temp_dir()
+        .join(format!("taskdrop-run-config-invalid-{}.json", std::process::id()));
+    std::fs::write(&path, "{\"gamma\": 1.0}").unwrap();
+    let invalid = run_config(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(invalid.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&invalid.stderr).contains("invalid spec"));
+}

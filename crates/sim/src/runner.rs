@@ -62,17 +62,9 @@ impl TrialRunner {
         }
     }
 
-    /// Checks the runner/spec combination without running anything — the
-    /// single definition of "this experiment is well-formed", shared with
-    /// `ExperimentBuilder::build` in the umbrella crate.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ZeroTrials`] if the runner was configured with zero
-    /// trials, [`SimError::InvalidGamma`] for a non-finite or negative
-    /// slack coefficient, or any configuration error from
-    /// [`SimConfig::validate`].
-    pub fn validate(&self, spec: &RunSpec) -> Result<(), SimError> {
+    /// Checks the runner/spec combination before any trial runs; the
+    /// errors are listed on [`TrialRunner::run`].
+    fn validate(&self, spec: &RunSpec) -> Result<(), SimError> {
         if self.trials == 0 {
             return Err(SimError::ZeroTrials);
         }
@@ -86,9 +78,11 @@ impl TrialRunner {
     ///
     /// # Errors
     ///
-    /// Any error from [`TrialRunner::validate`], or the first trial's error
-    /// (in trial order) from [`SimCore::new`] or
-    /// [`SimCore::run_to_completion`].
+    /// [`SimError::ZeroTrials`] for a runner with zero trials,
+    /// [`SimError::InvalidGamma`] for a non-finite or negative slack
+    /// coefficient, or any configuration error from [`SimConfig::validate`],
+    /// all before any trial runs; otherwise the first trial's error (in
+    /// trial order) from [`SimCore::new`] or [`SimCore::run_to_completion`].
     pub fn run(&self, scenario: &Scenario, spec: &RunSpec) -> Result<SimReport, SimError> {
         self.validate(spec)?;
         let results: Vec<Mutex<Option<Result<TrialResult, SimError>>>> =
@@ -195,6 +189,15 @@ mod tests {
         s.gamma = f64::NAN;
         let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
         assert_eq!(err, Some(SimError::InvalidGamma));
+    }
+
+    #[test]
+    fn zero_queue_size_is_a_typed_error() {
+        let scenario = Scenario::specint(7);
+        let mut s = spec(50, 1_000);
+        s.config.queue_size = 0;
+        let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
+        assert_eq!(err, Some(SimError::ZeroQueueSize));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use taskdrop::prelude::*;
 use taskdrop::sim::FailureSpec;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     let scenario = Scenario::specint(0xA5);
     let level = OversubscriptionLevel::new("flaky", 3_000, 16_000).scaled(scale);
@@ -32,25 +32,22 @@ fn main() {
     ];
     for (failures, label) in cases {
         let avail = failures.map_or(1.0, |f| f.availability());
-        // One chainable entry point instead of hand-wiring RunSpec + runner.
         let run = |dropper| {
-            ExperimentBuilder::specint(0xA5)
-                .at_level(level.clone())
-                .gamma(1.0)
-                .mapper(HeuristicKind::Pam)
-                .dropper(dropper)
-                .config(SimConfig { failures, ..taskdrop::demo::scaled_config(scale) })
-                .trials(runner.trials)
-                .master_seed(runner.master_seed)
-                .build()
-                .expect("valid experiment")
-                .run_on(&scenario)
-                .expect("valid experiment")
+            runner.run(
+                &scenario,
+                &RunSpec {
+                    level: level.clone(),
+                    gamma: 1.0,
+                    mapper: HeuristicKind::Pam,
+                    dropper,
+                    config: SimConfig { failures, ..taskdrop::demo::scaled_config(scale) },
+                },
+            )
         };
-        let with = run(DropperKind::heuristic_default());
-        let without = run(DropperKind::ReactiveOnly);
+        let with = run(DropperKind::heuristic_default())?;
+        let without = run(DropperKind::ReactiveOnly)?;
         let lost: usize = with.trials.iter().map(|t| t.lost_to_failure).sum();
-        let (w, wo) = (with.robustness().expect("trials"), without.robustness().expect("trials"));
+        let (w, wo) = (with.robustness()?, without.robustness()?);
         println!(
             "{label:>14} {:>7.1}% {:>15.1} ±{:>4.1} {:>15.1} ±{:>4.1} {:>6.1}  ({} tasks lost mid-run)",
             avail * 100.0,
@@ -69,4 +66,5 @@ fn main() {
          mechanism's advantage persists, because it reasons about *relative*\n\
          chances along each queue, not absolute guarantees."
     );
+    Ok(())
 }

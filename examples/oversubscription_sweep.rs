@@ -12,7 +12,7 @@
 
 use taskdrop::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let scale = taskdrop::demo::scale_from_args();
     let scenario = Scenario::specint(0xA5);
     let runner = TrialRunner::new(taskdrop::demo::quick_trials(3, scale), 77);
@@ -31,25 +31,22 @@ fn main() {
         for mult in multipliers {
             let window = (base_window as f64 / mult) as u64;
             let level = OversubscriptionLevel::new("sweep", base_tasks, window).scaled(scale);
-            // The fluent facade replaces the hand-built RunSpec + runner.
             let run = |dropper| {
-                ExperimentBuilder::specint(0xA5)
-                    .at_level(level.clone())
-                    .gamma(gamma)
-                    .mapper(HeuristicKind::Pam)
-                    .dropper(dropper)
-                    .config(taskdrop::demo::scaled_config(scale))
-                    .trials(runner.trials)
-                    .master_seed(runner.master_seed)
-                    .build()
-                    .expect("valid experiment")
-                    .run_on(&scenario)
-                    .expect("valid experiment")
+                runner
+                    .run(
+                        &scenario,
+                        &RunSpec {
+                            level: level.clone(),
+                            gamma,
+                            mapper: HeuristicKind::Pam,
+                            dropper,
+                            config: taskdrop::demo::scaled_config(scale),
+                        },
+                    )?
                     .robustness()
-                    .expect("trials")
             };
-            let with = run(DropperKind::heuristic_default());
-            let without = run(DropperKind::ReactiveOnly);
+            let with = run(DropperKind::heuristic_default())?;
+            let without = run(DropperKind::ReactiveOnly)?;
             println!(
                 "{:>9.1}x {:>12.0} {:>15.1} ±{:>4.1} {:>15.1} ±{:>4.1} {:>7.1}",
                 mult,
@@ -68,4 +65,5 @@ fn main() {
          dropping); past it, the gain grows with the overload — uncertainty in\n\
          arrivals is exactly where the mechanism earns its keep (paper §V-F)."
     );
+    Ok(())
 }

@@ -14,14 +14,18 @@
 //!   arrivals, histograms, summary statistics.
 //! * [`model`] — tasks, machines, PET matrix, machine-queue completion-time
 //!   chains, instantaneous robustness.
-//! * [`sched`] — mapping heuristics: MinMin, MSD, PAM, FCFS, EDF, SJF.
+//! * [`sched`] — mapping heuristics: MinMin, MaxMin, MSD, Sufferage, PAM,
+//!   FCFS, EDF, SJF.
 //! * [`core`] — the paper's contribution: proactive dropping heuristic,
-//!   optimal subset dropping, threshold baseline.
+//!   optimal subset dropping, threshold baseline, and the
+//!   approximate-computing dropper that degrades instead of dropping.
 //! * [`workload`] — SPECint-like and video-transcoding scenario generators.
 //! * [`sim`] — discrete-event simulator: the resumable
 //!   [`SimCore`](taskdrop_sim::SimCore) stepping API with online task
-//!   injection and streaming observers, metrics, cost model and a parallel
-//!   multi-trial runner.
+//!   injection and streaming observers, metrics, cost model, and the
+//!   parallel multi-trial runner ([`RunSpec`](taskdrop_sim::RunSpec) +
+//!   [`TrialRunner`](taskdrop_sim::TrialRunner)), the one entry point for
+//!   batch experiments.
 //! * [`serve`] — the online serving layer: admission-controlled injection
 //!   with pluggable backpressure, multi-shard driving on a shared virtual
 //!   clock, and serializable shard checkpoints with mid-flight
@@ -35,18 +39,13 @@
 //!   [`DagCoordinator`](taskdrop_dag::DagCoordinator) releasing nodes as
 //!   predecessors deliver, cascade forfeiture with conserved accounting,
 //!   subtree chance pruning and serverless function-chain merging.
-//! * [`experiment`] — the fluent
-//!   [`ExperimentBuilder`](experiment::ExperimentBuilder) facade: one
-//!   chainable, serialisable entry point for scenario + workload + policies
-//!   + trial plan.
-//! * [`service`] — the serving counterpart: a serialisable
-//!   [`ServicePlan`](service::ServicePlan) naming a whole shard fleet, run
-//!   to an idle [`ServiceReport`](service::ServiceReport) in one call.
+//! * [`service`] — a serialisable [`ServicePlan`](service::ServicePlan)
+//!   naming a whole shard fleet, run to an idle
+//!   [`ServiceReport`](service::ServiceReport) in one call.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod experiment;
 pub mod service;
 
 pub use taskdrop_core as core;
@@ -120,8 +119,9 @@ pub mod demo {
 
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
-    pub use crate::experiment::{ExperimentBuilder, ExperimentSpec, ScenarioSpec};
-    pub use crate::service::{FleetPlan, ServicePlan, ServiceReport, ShardPlan, ShardReport};
+    pub use crate::service::{
+        FleetPlan, ScenarioSpec, ServicePlan, ServiceReport, ShardPlan, ShardReport,
+    };
     pub use taskdrop_core::{
         ApproxDropper, DropDecision, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly,
         ThresholdDropper,

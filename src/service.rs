@@ -1,10 +1,10 @@
-//! One serialisable entry point for a whole serving session — the
-//! streaming counterpart of [`crate::experiment`].
+//! One serialisable entry point for a whole serving session.
 //!
-//! An [`ExperimentSpec`](crate::experiment::ExperimentSpec) names a closed
-//! batch experiment; a [`ServicePlan`] names an *open* one: a scenario, a
-//! fleet of shards (each with its own traffic source, admission policy and
-//! engine config), an epoch length, and a checkpoint cadence.
+//! A closed batch experiment is a [`RunSpec`](taskdrop_sim::RunSpec)
+//! repeated by a [`TrialRunner`](taskdrop_sim::TrialRunner); a
+//! [`ServicePlan`] names an *open* one: a scenario, a fleet of shards (each
+//! with its own traffic source, admission policy and engine config), an
+//! epoch length, and a checkpoint cadence.
 //! [`ServicePlan::run`] owns the whole lifecycle — build the scenario and
 //! policies, assemble the [`FleetDriver`], drive it to idle — and
 //! returns a [`ServiceReport`] with per-shard trial results and admission
@@ -38,7 +38,6 @@
 //! assert!(report.shards[0].result.is_conserved());
 //! ```
 
-use crate::experiment::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 use taskdrop_core::DropPolicy;
 use taskdrop_pmf::Tick;
@@ -48,7 +47,43 @@ use taskdrop_serve::{
     StealPolicy,
 };
 use taskdrop_sim::{DropperKind, SimConfig, TrialResult};
-use taskdrop_workload::TrafficSource;
+use taskdrop_workload::{Scenario, TrafficSource};
+
+/// A scenario named by generator + seed, so plan files stay
+/// self-contained and reproducible (the generators are deterministic).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ScenarioSpec {
+    /// The paper's main set-up: 12 SPECint task types × 8 heterogeneous
+    /// machines ([`Scenario::specint`]).
+    Specint {
+        /// Scenario seed (truth model + learned PET).
+        seed: u64,
+    },
+    /// The validation set-up: 4 transcoding task types × 4 VM types, two
+    /// machines each ([`Scenario::transcode`]).
+    Transcode {
+        /// Scenario seed.
+        seed: u64,
+    },
+    /// The homogeneous control: 8 identical machines
+    /// ([`Scenario::homogeneous`]).
+    Homogeneous {
+        /// Scenario seed.
+        seed: u64,
+    },
+}
+
+impl ScenarioSpec {
+    /// Builds the scenario this spec names.
+    #[must_use]
+    pub fn build(&self) -> Scenario {
+        match *self {
+            ScenarioSpec::Specint { seed } => Scenario::specint(seed),
+            ScenarioSpec::Transcode { seed } => Scenario::transcode(seed),
+            ScenarioSpec::Homogeneous { seed } => Scenario::homogeneous(seed),
+        }
+    }
+}
 
 /// One shard of a [`ServicePlan`]: policies + engine config + traffic
 /// source + admission control.
@@ -233,6 +268,13 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn scenario_specs_build_their_generators() {
+        assert_eq!(ScenarioSpec::Specint { seed: 3 }.build().name, "specint");
+        assert_eq!(ScenarioSpec::Transcode { seed: 3 }.build().name, "transcode");
+        assert_eq!(ScenarioSpec::Homogeneous { seed: 3 }.build().name, "homogeneous");
     }
 
     #[test]

@@ -257,3 +257,66 @@ fn checkpoint_v1_field_set_is_frozen() {
         assert!(!json.contains(forbidden), "derived state {forbidden} leaked into checkpoint v1");
     }
 }
+
+/// `fixtures/shard_checkpoint_v1.json` was written by a build whose
+/// `CHECKPOINT_VERSION` was 1: a SPECint shard (scenario seed 11, PAM,
+/// the paper-default heuristic dropper, execution seed 7, a bursty source
+/// of 12 offers behind a 4-slot pre-drop ingress queue, a 4-event flight
+/// recorder) advanced through two 100-tick epochs and checkpointed at
+/// tick 200. Today's types still parse those bytes, defaulting the fields
+/// added since, but restore refuses the old version (DESIGN.md §9), and a
+/// refused restore leaves the shard's live state and restore point as
+/// they were.
+#[test]
+fn a_version_1_shard_checkpoint_parses_but_is_refused() {
+    let v1: ShardCheckpoint =
+        serde_json::from_str(include_str!("fixtures/shard_checkpoint_v1.json")).unwrap();
+    assert_eq!(v1.core.version, 1);
+    assert_eq!((v1.core.scenario_name.as_str(), v1.core.scenario_seed), ("specint", 11));
+    let stats = v1.admission.stats();
+    assert_eq!((stats.stolen_in, stats.stolen_out), (0, 0));
+    assert_eq!(stats.offered, stats.admitted + stats.turned_away());
+    let refused = SimError::CheckpointVersion { found: 1, supported: 2 };
+    assert_eq!(taskdrop::sim::CHECKPOINT_VERSION, 2);
+
+    let scenario = Scenario::specint(11);
+    let dropper = ProactiveDropper::paper_default();
+    assert_eq!(SimCore::restore(&scenario, &Pam, &dropper, &v1.core).err(), Some(refused.clone()));
+
+    let mut fleet = FleetDriver::new().with_checkpoint_every(100);
+    let mut shard = FleetShard::new(
+        "v2",
+        &scenario,
+        &Pam,
+        &dropper,
+        quick_config(),
+        7,
+        TrafficSource::Bursty(BurstySource::new(9, 0.05, 0.0, 300, 700, 400, 12, 12)),
+        AdmissionController::new(4, BackpressurePolicy::PreDrop { threshold: 0.2 }),
+    )
+    .unwrap();
+    shard.enable_flight_recorder(4);
+    fleet.add_shard(shard);
+    fleet.advance(200).unwrap();
+    let shard = fleet.shard_mut(0).unwrap();
+    let restore_point = shard.last_checkpoint().cloned();
+    assert!(restore_point.is_some(), "the live shard has a restore point");
+    let live = (
+        shard.core().snapshot(),
+        shard.source().clone(),
+        shard.admission().clone(),
+        shard.flight_recorder().map(FlightRecorder::snapshot),
+    );
+
+    assert_eq!(shard.restore_from(&v1), Err(refused));
+    assert_eq!(shard.last_checkpoint().cloned(), restore_point);
+    assert_eq!(
+        (
+            shard.core().snapshot(),
+            shard.source().clone(),
+            shard.admission().clone(),
+            shard.flight_recorder().map(FlightRecorder::snapshot),
+        ),
+        live
+    );
+}
