@@ -17,8 +17,9 @@
 //! cuts subtrees that provably cannot beat the incumbent: the chance of any
 //! position is at most its chance when *everything* droppable ahead of it is
 //! dropped, which is precomputed once per queue. With pruning the search is
-//! exact — identical decisions, fewer convolutions — as verified by tests
-//! and ablated in the benchmarks.
+//! exact — identical decisions, fewer convolutions — as the test
+//! `pruned_and_unpruned_agree` and the property `pruning_is_exact` check
+//! against the unpruned search.
 
 use crate::{DropDecision, DropPolicy};
 use taskdrop_model::ctx::PolicyCtx;
@@ -44,7 +45,8 @@ impl OptimalDropper {
         OptimalDropper { max_droppable: 24, prune: true }
     }
 
-    /// Plain enumeration without bound pruning (for ablation).
+    /// Plain enumeration without bound pruning: the reference the pruned
+    /// search is tested against.
     #[must_use]
     pub fn without_pruning() -> Self {
         OptimalDropper { max_droppable: 24, prune: false }

@@ -34,8 +34,8 @@ use crate::queue::{ChainEvaluator, LazyChain};
 use taskdrop_pmf::{Compaction, Pmf};
 
 /// Monotone cache hit/miss counters, deterministic for a given trial
-/// (surfaced through `StepOutcome` work counters and `BENCH_core.json`;
-/// CI fails on any drift at the fixed bench seed).
+/// (surfaced through `StepOutcome` work counters; `BENCH_counters.json`
+/// pins them exactly for each benchmark workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queue-tail lookups answered from the cache.

@@ -4,7 +4,8 @@
 //! `|N2|` impulses can yield up to `|N1|·|N2|` impulses, so completion-time
 //! PMFs grow along a machine queue. The paper's simulator keeps this in check
 //! through histogram discretisation; we make the policy explicit and
-//! configurable, and ablate it in `taskdrop-bench/benches/compaction.rs`.
+//! configurable. The test `compaction_error_falls_as_the_cap_grows` in
+//! `crates/model/src/queue.rs` pins what each cap costs in accuracy.
 //!
 //! Compaction merges nearby impulses into their mass-weighted mean tick:
 //! total mass is preserved *exactly* (same summation order), and the mean

@@ -51,7 +51,7 @@ pub use chain::ChainScratch;
 pub use compact::Compaction;
 pub use deadline::{chance_of_success, deadline_convolve, deadline_convolve_into};
 pub use error::PmfError;
-pub use ops::{conv_budget, convolve_dense_forced, convolve_sparse_forced, DENSE_SPAN_LIMIT};
+pub use ops::{convolve_dense_forced, convolve_sparse_forced, DENSE_SPAN_LIMIT};
 pub use pmf::{Impulse, Pmf, MASS_EPSILON};
 
 /// Discrete simulation time, in ticks (1 tick = 1 ms in the simulator).

@@ -12,26 +12,6 @@ use crate::Tick;
 /// chain kernel ([`crate::ChainScratch`]), so both paths stay bit-identical.
 pub const DENSE_SPAN_LIMIT: u64 = 1 << 16;
 
-/// Number of elementary operations a convolution of two PMFs with `a_len`
-/// and `b_len` impulses and result support span `span` performs (factor *B*
-/// of the paper's Section IV-F complexity analysis). Exposed for benchmarks.
-///
-/// The dense path does `a_len * b_len` multiply-accumulates **plus** a
-/// `span`-cell zero-and-sweep of the accumulator; the sparse path does the
-/// products and then sorts them (the `log` factor is not counted — budgets
-/// are lower bounds on elementary touches, not cycle predictions). Pass the
-/// result span `hi - lo + 1`; spans above [`DENSE_SPAN_LIMIT`] select the
-/// sparse path. Saturates instead of overflowing.
-#[must_use]
-pub fn conv_budget(a_len: usize, b_len: usize, span: u64) -> u64 {
-    let products = (a_len as u64).saturating_mul(b_len as u64);
-    if span <= DENSE_SPAN_LIMIT {
-        products.saturating_add(span)
-    } else {
-        products
-    }
-}
-
 /// Capacity hint for buffers holding up to `a * b` raw products: saturating
 /// (a 32-bit host must not overflow `usize`) and capped so a pathological
 /// impulse-count product cannot trigger a giant up-front allocation — the
@@ -365,16 +345,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.support_min(), Some(3));
         assert!(close(c.total_mass(), 1.0));
-    }
-
-    #[test]
-    fn conv_budget_counts_span_scan_on_the_dense_path() {
-        // Dense: products plus the zero-and-sweep of the span buffer.
-        assert_eq!(conv_budget(8, 16, 400), 128 + 400);
-        // Sparse (span above the limit): products only.
-        assert_eq!(conv_budget(8, 16, DENSE_SPAN_LIMIT + 1), 128);
-        // Saturates instead of overflowing.
-        assert_eq!(conv_budget(usize::MAX, usize::MAX, u64::MAX), u64::MAX);
     }
 
     #[test]

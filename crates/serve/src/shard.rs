@@ -321,9 +321,17 @@ impl<'a> FleetShard<'a> {
     ///
     /// # Errors
     ///
-    /// Any validation error from [`SimCore::restore_in`]; on error the
-    /// live state and restore point are unchanged.
+    /// [`SimError::CheckpointMismatch`] with field `"source"` if the
+    /// checkpointed traffic source breaks a condition of its constructor
+    /// ([`TrafficSource::validate`]), or any validation error from
+    /// [`SimCore::restore_in`]; on error the live state and restore point
+    /// are unchanged.
     pub fn restore_from(&mut self, checkpoint: &ShardCheckpoint) -> Result<(), SimError> {
+        checkpoint.source.validate().map_err(|problem| SimError::CheckpointMismatch {
+            field: "source",
+            expected: "a source its constructor accepts".to_string(),
+            found: format!("one that breaks \"{problem}\""),
+        })?;
         self.core =
             SimCore::restore_in(self.scenario, self.mapper, self.dropper, &checkpoint.core)?;
         self.source = checkpoint.source.clone();

@@ -677,8 +677,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 
     /// Cumulative hit/miss counters of the persistent PET×tail cache —
     /// deterministic for a given trial, surfaced per step through
-    /// [`StepOutcome`] and recorded in `BENCH_core.json` (CI fails on any
-    /// drift at the fixed bench seed).
+    /// [`StepOutcome`] and pinned exactly by `BENCH_counters.json` and
+    /// `tests/telemetry_determinism.rs`.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.ctx.cache_stats()

@@ -43,6 +43,17 @@ pub struct OfferedTask {
     pub deadline: Tick,
 }
 
+/// The conditions every generated source puts on the offers it makes.
+fn check_offers(slack: Tick, task_types: u16) -> Result<(), &'static str> {
+    if slack == 0 {
+        return Err("slack must be positive");
+    }
+    if task_types == 0 {
+        return Err("need at least one task type");
+    }
+    Ok(())
+}
+
 /// Draws an integer inter-arrival gap (>= 1 tick) from Exp(`rate`).
 fn exp_gap(rng: &mut taskdrop_stats::Rng64, rate: f64) -> Tick {
     let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1] so ln is finite
@@ -92,11 +103,6 @@ impl DiurnalSource {
         task_types: u16,
         total: u64,
     ) -> Self {
-        assert!(base_rate.is_finite() && base_rate > 0.0, "base rate must be > 0");
-        assert!((0.0..=1.0).contains(&amplitude), "amplitude must be in [0, 1]");
-        assert!(period > 0, "period must be positive");
-        assert!(slack > 0, "slack must be positive");
-        assert!(task_types > 0, "need at least one task type");
         let mut source = DiurnalSource {
             seed,
             base_rate,
@@ -109,8 +115,23 @@ impl DiurnalSource {
             now: 0,
             upcoming: None,
         };
+        assert_eq!(source.check(), Ok(()), "invalid diurnal source");
         source.upcoming = source.generate_next();
         source
+    }
+
+    /// The conditions [`DiurnalSource::new`] documents.
+    fn check(&self) -> Result<(), &'static str> {
+        if !(self.base_rate.is_finite() && self.base_rate > 0.0) {
+            return Err("base rate must be finite and > 0");
+        }
+        if !(0.0..=1.0).contains(&self.amplitude) {
+            return Err("amplitude must be in [0, 1]");
+        }
+        if self.period == 0 {
+            return Err("period must be positive");
+        }
+        check_offers(self.slack, self.task_types)
     }
 
     fn generate_next(&mut self) -> Option<OfferedTask> {
@@ -182,11 +203,6 @@ impl BurstySource {
         task_types: u16,
         total: u64,
     ) -> Self {
-        assert!(rate_on.is_finite() && rate_on > 0.0, "on-rate must be > 0");
-        assert!(rate_off.is_finite() && rate_off >= 0.0, "off-rate must be >= 0");
-        assert!(mean_on > 0 && mean_off > 0, "phase dwell means must be positive");
-        assert!(slack > 0, "slack must be positive");
-        assert!(task_types > 0, "need at least one task type");
         let mut source = BurstySource {
             seed,
             rate_on,
@@ -203,9 +219,24 @@ impl BurstySource {
             phase_end: 0,
             upcoming: None,
         };
+        assert_eq!(source.check(), Ok(()), "invalid bursty source");
         source.toggle_phase(); // enter the first on-phase with a drawn dwell
         source.upcoming = source.generate_next();
         source
+    }
+
+    /// The conditions [`BurstySource::new`] documents.
+    fn check(&self) -> Result<(), &'static str> {
+        if !(self.rate_on.is_finite() && self.rate_on > 0.0) {
+            return Err("on-rate must be finite and > 0");
+        }
+        if !(self.rate_off.is_finite() && self.rate_off >= 0.0) {
+            return Err("off-rate must be finite and >= 0");
+        }
+        if self.mean_on == 0 || self.mean_off == 0 {
+            return Err("phase dwell means must be positive");
+        }
+        check_offers(self.slack, self.task_types)
     }
 
     /// Flips on↔off and draws the new phase's dwell time. Gap draws use
@@ -280,22 +311,29 @@ impl TraceSource {
     /// backwards).
     #[must_use]
     pub fn new(entries: Vec<OfferedTask>, loop_period: Option<Tick>, total: u64) -> Self {
-        assert!(!entries.is_empty(), "trace needs at least one entry");
-        for pair in entries.windows(2) {
-            assert!(pair[0].arrival <= pair[1].arrival, "trace must be sorted by arrival");
-        }
-        for e in &entries {
-            assert!(e.deadline > e.arrival, "trace entry deadline must exceed its arrival");
-        }
-        let last = entries.last().expect("nonempty").arrival;
-        if let Some(p) = loop_period {
-            assert!(p > last, "loop period must exceed the last trace arrival");
-        }
         let remaining = if loop_period.is_some() { total } else { total.min(entries.len() as u64) };
         let mut source =
             TraceSource { entries, loop_period, remaining, index: 0, offset: 0, upcoming: None };
+        assert_eq!(source.check(), Ok(()), "invalid trace source");
         source.upcoming = source.generate_next();
         source
+    }
+
+    /// The conditions [`TraceSource::new`] documents.
+    fn check(&self) -> Result<(), &'static str> {
+        let Some(last) = self.entries.last() else {
+            return Err("trace needs at least one entry");
+        };
+        if !self.entries.is_sorted_by_key(|e| e.arrival) {
+            return Err("trace must be sorted by arrival");
+        }
+        if self.entries.iter().any(|e| e.deadline <= e.arrival) {
+            return Err("trace entry deadline must exceed its arrival");
+        }
+        if self.loop_period.is_some_and(|p| p <= last.arrival) {
+            return Err("loop period must exceed the last trace arrival");
+        }
+        Ok(())
     }
 
     fn generate_next(&mut self) -> Option<OfferedTask> {
@@ -333,6 +371,23 @@ pub enum TrafficSource {
 }
 
 impl TrafficSource {
+    /// Checks the conditions the source's constructor asserts, returning
+    /// the first one it breaks. A source that only came from its
+    /// constructor always passes; one deserialized from a checkpoint or a
+    /// plan may not, and generating from it could divide by zero or never
+    /// terminate.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in the words of the constructor's panic.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match self {
+            TrafficSource::Diurnal(s) => s.check(),
+            TrafficSource::Bursty(s) => s.check(),
+            TrafficSource::Trace(s) => s.check(),
+        }
+    }
+
     /// The next offer without consuming it, or `None` when exhausted.
     #[must_use]
     pub fn peek(&self) -> Option<OfferedTask> {

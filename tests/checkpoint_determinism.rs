@@ -320,3 +320,54 @@ fn a_version_1_shard_checkpoint_parses_but_is_refused() {
         live
     );
 }
+
+/// A checkpoint is untrusted input, and its traffic source skipped the
+/// constructor's checks when it was parsed. A diurnal source with a zero
+/// period (the next offer divides by it) and an empty trace (the next
+/// offer indexes it modulo its length) are refused with a typed error
+/// before any field of the live shard is replaced.
+#[test]
+fn a_shard_checkpoint_with_a_broken_source_is_refused() {
+    let scenario = Scenario::specint(3);
+    let dropper = ProactiveDropper::paper_default();
+    let mut fleet = FleetDriver::new().with_checkpoint_every(100);
+    let shard = FleetShard::new(
+        "diurnal",
+        &scenario,
+        &Pam,
+        &dropper,
+        quick_config(),
+        7,
+        TrafficSource::Diurnal(DiurnalSource::new(33, 0.12, 0.9, 3_000, 450, 12, 180)),
+        AdmissionController::new(16, BackpressurePolicy::ShedOldest),
+    )
+    .unwrap();
+    fleet.add_shard(shard);
+    fleet.advance(200).unwrap();
+    let shard = fleet.shard_mut(0).unwrap();
+    let restore_point =
+        shard.last_checkpoint().cloned().expect("the live shard has a restore point");
+    let live = (shard.core().snapshot(), shard.source().clone(), shard.admission().clone());
+
+    let source = serde_json::to_string(&restore_point.source).unwrap();
+    assert_eq!(source.matches("\"period\":3000").count(), 1, "{source}");
+    let zero_period = source.replace("\"period\":3000", "\"period\":0");
+    let empty_trace = r#"{"Trace":{"entries":[],"loop_period":null,"remaining":3,
+        "index":0,"offset":0,"upcoming":null}}"#;
+    for broken in [zero_period.as_str(), empty_trace] {
+        let mut checkpoint = restore_point.clone();
+        checkpoint.source = serde_json::from_str(broken).expect("the broken source parses");
+        assert!(checkpoint.source.validate().is_err());
+        assert!(matches!(
+            shard.restore_from(&checkpoint),
+            Err(SimError::CheckpointMismatch { field: "source", .. })
+        ));
+        assert_eq!(shard.last_checkpoint(), Some(&restore_point));
+        assert_eq!(
+            (shard.core().snapshot(), shard.source().clone(), shard.admission().clone()),
+            live
+        );
+    }
+    // The shard is unharmed: it keeps serving from its own source.
+    fleet.advance(200).unwrap();
+}

@@ -10,9 +10,10 @@
 //!    included) and identical final [`TrialResult`]s: observers are
 //!    strictly read-only.
 //! 3. **Rollup equivalence** — the stream-reconstructed `TrialResult`
-//!    equals the engine's own at the fixed bench seed (the same
-//!    configuration `BENCH_core.json` pins), so the exporter can never
-//!    drift from the accounting CI already guards.
+//!    equals the engine's own at the fixed seed, whose mapping events,
+//!    makespan, robustness and cache counters the bare run pins to
+//!    committed values, so the exporter can never drift from accounting
+//!    that is itself checked.
 //!
 //! Plus the serving-layer guarantee: flight-recorder contents are rebuilt
 //! exactly by `kill_and_restore`'s deterministic replay, while the
@@ -20,7 +21,10 @@
 
 use taskdrop::prelude::*;
 
-fn bench_core<'a>(
+/// The fixed-seed trial: SPECint `0xA5`, 600 tasks over 3 240 ticks (about
+/// twice the cluster's capacity), PAM and the paper-default dropper, exec
+/// seed `0xBE`.
+fn fixed_seed_core<'a>(
     scenario: &'a Scenario,
     workload: &'a Workload,
     dropper: &'a ProactiveDropper,
@@ -36,7 +40,7 @@ fn instrumented_bench_run(
     workload: &Workload,
     dropper: &ProactiveDropper,
 ) -> (Telemetry, TrialResult) {
-    let mut core = bench_core(scenario, workload, dropper);
+    let mut core = fixed_seed_core(scenario, workload, dropper);
     let tel = Telemetry::new().with_sample_every(400);
     tel.attach(&mut core, "bench");
     let mut steps = 0u64;
@@ -76,8 +80,8 @@ fn telemetry_attachment_is_observationally_free() {
     let workload = Workload::generate(&scenario, &level, 1.0, 0xBE);
     let dropper = ProactiveDropper::paper_default();
 
-    let mut bare = bench_core(&scenario, &workload, &dropper);
-    let mut instrumented = bench_core(&scenario, &workload, &dropper);
+    let mut bare = fixed_seed_core(&scenario, &workload, &dropper);
+    let mut instrumented = fixed_seed_core(&scenario, &workload, &dropper);
     let tel = Telemetry::new().with_sample_every(400);
     tel.attach(&mut instrumented, "bench");
 
@@ -91,8 +95,19 @@ fn telemetry_attachment_is_observationally_free() {
             break;
         }
     }
-    assert_eq!(bare.result().expect("drained"), instrumented.result().expect("drained"));
+    let result = bare.result().expect("drained");
+    assert_eq!(result, instrumented.result().expect("drained"));
     assert_eq!(bare.cache_stats(), instrumented.cache_stats());
+
+    // The bare run's work and outcome at this seed are pinned: a change
+    // here means the engine changed behaviour, not that telemetry did.
+    assert_eq!(result.mapping_events, 861);
+    assert_eq!(result.makespan, 3_617);
+    assert_eq!(result.robustness_pct(), 53.666666666666664);
+    assert_eq!(
+        bare.cache_stats(),
+        CacheStats { tail_hits: 1_860, tail_misses: 2_087, conv_hits: 569, conv_misses: 4_196 }
+    );
 }
 
 #[test]
