@@ -33,7 +33,7 @@ use taskdrop_obs::{DagRecord, Telemetry};
 use taskdrop_pmf::Tick;
 use taskdrop_sched::MappingHeuristic;
 use taskdrop_serve::{AdmissionController, QueueTails};
-use taskdrop_sim::{Checkpoint, ForfeitKind, SimCore, SimEvent, TaskFate};
+use taskdrop_sim::{Checkpoint, ForfeitKind, SimCore, SimError, SimEvent, TaskFate};
 use taskdrop_workload::{OfferedTask, Scenario};
 
 /// Whether whole subtrees are shed at release time.
@@ -565,7 +565,9 @@ impl DagCheckpoint {
     ///
     /// # Errors
     ///
-    /// Any [`SimError`](taskdrop_sim::SimError) from
+    /// [`SimError::CheckpointMismatch`] with field `"admission"` if the
+    /// coordinator's admission controller fails
+    /// [`AdmissionController::validate`], or any [`SimError`] from
     /// [`SimCore::restore`] (version or structural mismatch).
     pub fn restore<'a>(
         &self,
@@ -573,6 +575,13 @@ impl DagCheckpoint {
         mapper: &'a dyn MappingHeuristic,
         dropper: &'a dyn DropPolicy,
     ) -> Result<(SimCore<'a>, DagCoordinator), DagError> {
+        if let Some(problem) = self.coordinator.admission().and_then(|a| a.validate().err()) {
+            return Err(DagError::Sim(SimError::CheckpointMismatch {
+                field: "admission",
+                expected: "admission state its constructor accepts".to_string(),
+                found: format!("one that breaks \"{problem}\""),
+            }));
+        }
         let core = SimCore::restore(scenario, mapper, dropper, &self.core)?;
         Ok((core, self.coordinator.clone()))
     }

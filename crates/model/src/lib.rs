@@ -10,7 +10,9 @@
 //! * the machine-queue **completion-time chain** ([`queue`]) that applies the
 //!   paper's Equation (1) along a queue, computes each task's chance of
 //!   success (Eq 2), the queue's instantaneous robustness (Eq 3), and the
-//!   same quantities under provisional drops (Eqs 4–7);
+//!   same quantities under provisional drops (Eqs 4–7); its free functions
+//!   are the references for the hot-path `ChainEvaluator`, which lives in
+//!   `taskdrop_pmf` and is re-exported from [`queue`];
 //! * the read-only **views** ([`view`]) the simulator hands to mapping
 //!   heuristics and dropping policies, keeping `taskdrop-sched` and
 //!   `taskdrop-core` decoupled from the simulator;

@@ -16,29 +16,16 @@
 //! the **dependence zone** is positions `0..i` (they determine when `i` can
 //! start) and the **influence zone** is positions `i+1..` (they are affected
 //! if `i` is dropped).
+//!
+//! The free functions here are the allocation-per-step *reference*
+//! implementations; hot paths run the same arithmetic through
+//! [`ChainEvaluator`] (defined in `taskdrop_pmf` beside the kernel it
+//! drives and re-exported here with [`ChainTask`] and [`ChainLink`]),
+//! which is bit-identical and reuses its buffers.
 
 use std::ops::Range;
-use taskdrop_pmf::{deadline_convolve, ChainScratch, Compaction, Impulse, Pmf, Tick};
-
-/// One pending task as seen by the chain: its deadline and its
-/// execution-time PMF on this machine (a PET matrix cell).
-#[derive(Debug, Clone, Copy)]
-pub struct ChainTask<'a> {
-    /// Hard deadline of the task.
-    pub deadline: Tick,
-    /// Execution-time PMF on the machine that queues the task.
-    pub exec: &'a Pmf,
-}
-
-/// Completion PMF and chance of success of one pending position.
-#[derive(Debug, Clone)]
-pub struct ChainLink {
-    /// Completion-time PMF of the position (after compaction).
-    pub completion: Pmf,
-    /// Chance of success (Eq 2), computed *before* compaction so the
-    /// deadline boundary is exact.
-    pub chance: f64,
-}
+use taskdrop_pmf::{deadline_convolve, Compaction, Pmf};
+pub use taskdrop_pmf::{ChainEvaluator, ChainLink, ChainTask};
 
 /// Applies Equation (1) along the whole queue.
 ///
@@ -50,8 +37,7 @@ pub struct ChainLink {
 /// per `compaction` before feeding the next convolution (the paper's
 /// histogram discretisation keeps impulse counts bounded the same way).
 ///
-/// This is the allocation-per-step *reference* implementation; hot paths
-/// use [`ChainEvaluator`], which is bit-identical and reuses its buffers.
+/// Reference for [`ChainEvaluator::chain`].
 #[must_use]
 pub fn chain(base: &Pmf, tasks: &[ChainTask<'_>], compaction: Compaction) -> Vec<ChainLink> {
     let mut links = Vec::with_capacity(tasks.len());
@@ -69,8 +55,7 @@ pub fn chain(base: &Pmf, tasks: &[ChainTask<'_>], compaction: Compaction) -> Vec
 /// Sum of the chances of success of the first `take` tasks of the chain
 /// (Eq 3 restricted to a prefix), without materialising the links.
 ///
-/// This is the hot primitive of the proactive dropping heuristic: evaluating
-/// Eq (8) needs only chance sums over the effective depth.
+/// Reference for [`ChainEvaluator::chance_sum`].
 #[must_use]
 pub fn chance_sum(base: &Pmf, tasks: &[ChainTask<'_>], take: usize, compaction: Compaction) -> f64 {
     let mut sum = 0.0;
@@ -112,149 +97,6 @@ pub fn chain_with_drops(
         links.push(Some(ChainLink { completion, chance }));
     }
     links
-}
-
-/// Zero-allocation fused evaluator serving [`chain`], [`chance_sum`],
-/// [`chain_with_drops`] and queue-tail queries from one reusable set of
-/// scratch buffers.
-///
-/// The free functions above are the *reference* implementations: one
-/// [`Pmf`] materialisation per convolution plus a compaction clone per
-/// step. The evaluator performs the same arithmetic through
-/// [`ChainScratch`] — deadline products accumulated into a dense
-/// tick-indexed buffer (no sort), the Eq (2) chance summed in the same
-/// sweep, compaction rebinned straight into a ping-pong predecessor buffer
-/// — so its outputs are **bit-identical** to the reference
-/// (`crates/model/tests/evaluator_equivalence.rs` enforces this under all
-/// three [`Compaction`] policies) while doing no steady-state allocation.
-///
-/// One evaluator is meant to be reused across many queues: buffers grow to
-/// the scenario's working-set size and stay there. Methods taking `&mut
-/// self` reset the chain state; the incremental API
-/// ([`ChainEvaluator::begin`] / [`ChainEvaluator::step`]) is for callers
-/// like the proactive dropper that interleave chain extension with
-/// decisions.
-#[derive(Debug, Default, Clone)]
-pub struct ChainEvaluator {
-    scratch: ChainScratch,
-}
-
-impl ChainEvaluator {
-    /// A fresh evaluator with empty scratch buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        ChainEvaluator::default()
-    }
-
-    /// Starts an incremental chain whose predecessor completion is `base`.
-    pub fn begin(&mut self, base: &Pmf) {
-        self.scratch.begin(base);
-    }
-
-    /// Advances the incremental chain by one task, returning its chance of
-    /// success (Eq 2, evaluated on the raw pre-compaction completion).
-    pub fn step(&mut self, task: ChainTask<'_>, compaction: Compaction) -> f64 {
-        self.scratch.step(task.exec, task.deadline, compaction)
-    }
-
-    /// The current predecessor completion of the incremental chain.
-    #[must_use]
-    pub fn completion(&self) -> &[Impulse] {
-        self.scratch.completion()
-    }
-
-    /// Materialises the current predecessor completion as a [`Pmf`].
-    #[must_use]
-    pub fn completion_pmf(&self) -> Pmf {
-        self.scratch.completion_pmf()
-    }
-
-    /// One-shot step from an arbitrary predecessor `prev`, leaving any
-    /// incremental chain state untouched. Returns `(chance, completion)`.
-    pub fn step_from(
-        &mut self,
-        prev: &Pmf,
-        task: ChainTask<'_>,
-        compaction: Compaction,
-    ) -> (f64, Pmf) {
-        self.scratch.step_pmf(prev, task.exec, task.deadline, compaction)
-    }
-
-    /// Chance of success of `task` queued directly behind `prev`, without
-    /// materialising the completion (Eq 1 + Eq 2 fused).
-    pub fn chance_from(&mut self, prev: &Pmf, task: ChainTask<'_>) -> f64 {
-        self.scratch.chance_of(prev, task.exec, task.deadline)
-    }
-
-    /// Fused equivalent of [`chain`].
-    pub fn chain(
-        &mut self,
-        base: &Pmf,
-        tasks: &[ChainTask<'_>],
-        compaction: Compaction,
-    ) -> Vec<ChainLink> {
-        self.begin(base);
-        let mut links = Vec::with_capacity(tasks.len());
-        for &t in tasks {
-            let chance = self.step(t, compaction);
-            links.push(ChainLink { completion: self.completion_pmf(), chance });
-        }
-        links
-    }
-
-    /// Fused equivalent of [`chance_sum`].
-    pub fn chance_sum(
-        &mut self,
-        base: &Pmf,
-        tasks: &[ChainTask<'_>],
-        take: usize,
-        compaction: Compaction,
-    ) -> f64 {
-        self.begin(base);
-        let mut sum = 0.0;
-        for &t in tasks.iter().take(take) {
-            sum += self.step(t, compaction);
-        }
-        sum
-    }
-
-    /// Fused equivalent of [`chain_with_drops`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dropped.len() != tasks.len()`.
-    pub fn chain_with_drops(
-        &mut self,
-        base: &Pmf,
-        tasks: &[ChainTask<'_>],
-        dropped: &[bool],
-        compaction: Compaction,
-    ) -> Vec<Option<ChainLink>> {
-        assert_eq!(dropped.len(), tasks.len(), "drop mask must match task count");
-        self.begin(base);
-        let mut links = Vec::with_capacity(tasks.len());
-        for (&t, &is_dropped) in tasks.iter().zip(dropped) {
-            if is_dropped {
-                links.push(None);
-                continue;
-            }
-            let chance = self.step(t, compaction);
-            links.push(Some(ChainLink { completion: self.completion_pmf(), chance }));
-        }
-        links
-    }
-
-    /// Completion PMF of the queue tail — where a task appended after
-    /// `tasks` would wait. Equivalent to the last link of [`chain`] (or
-    /// `base` itself for an empty queue) without materialising the
-    /// intermediate links.
-    pub fn tail(&mut self, base: &Pmf, tasks: &[ChainTask<'_>], compaction: Compaction) -> Pmf {
-        self.begin(base);
-        for &t in tasks {
-            self.step(t, compaction);
-        }
-        self.completion_pmf()
-    }
 }
 
 /// A lazily-extended baseline chain with prefix reuse — the shared

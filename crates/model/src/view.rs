@@ -7,7 +7,7 @@
 //! testable with hand-built snapshots.
 
 use crate::queue::ChainTask;
-use crate::{MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+use crate::{MachineId, MachineTypeId, PetMatrix, Task, TaskId, TaskTypeId};
 use taskdrop_pmf::{Compaction, Pmf, Tick};
 
 /// A pending (queued, not yet running) task in a machine queue.
@@ -144,19 +144,6 @@ pub struct MachineView {
     pub tail: Pmf,
 }
 
-/// An unmapped task in the batch queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnmappedView {
-    /// Task identifier.
-    pub id: TaskId,
-    /// Task type.
-    pub type_id: TaskTypeId,
-    /// Arrival tick (FCFS ordering key).
-    pub arrival: Tick,
-    /// Hard deadline.
-    pub deadline: Tick,
-}
-
 /// Input to a mapping heuristic: machines with free slots and the batch
 /// queue, plus the PET matrix.
 #[derive(Debug)]
@@ -167,8 +154,8 @@ pub struct MappingInput<'a> {
     pub pet: &'a PetMatrix,
     /// Machine snapshots (all machines; some may have zero free slots).
     pub machines: Vec<MachineView>,
-    /// Unmapped tasks in arrival order.
-    pub unmapped: &'a [UnmappedView],
+    /// The engine's batch queue: unmapped tasks in arrival order.
+    pub unmapped: &'a [Task],
     /// Compaction policy for any PMF chaining the heuristic performs.
     pub compaction: Compaction,
 }

@@ -23,7 +23,7 @@ use taskdrop_core::{
 };
 use taskdrop_model::approx::degraded_pet;
 use taskdrop_model::ctx::PolicyCtx;
-use taskdrop_model::queue::{chain, chain_with_drops, chance_sum, ChainEvaluator, ChainTask};
+use taskdrop_model::queue::{chain, chance_sum, ChainEvaluator, ChainTask};
 use taskdrop_model::view::{DropContext, PendingView, QueueView, RunningView};
 use taskdrop_model::{ApproxSpec, MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
 use taskdrop_pmf::{Compaction, Pmf, Tick};
@@ -200,31 +200,6 @@ proptest! {
         let mut eval = ChainEvaluator::new();
         let fused = eval.chance_sum(&base, &tasks, take, compaction);
         prop_assert_eq!(naive.to_bits(), fused.to_bits());
-    }
-
-    #[test]
-    fn evaluator_chain_with_drops_is_bit_identical(
-        bq in arb_queue(),
-        compaction in arb_compaction(),
-        mask_seed in 0u64..u64::MAX,
-    ) {
-        let (base, queue) = bq;
-        let tasks = tasks_of(&queue);
-        let dropped: Vec<bool> = (0..tasks.len()).map(|i| mask_seed >> i & 1 == 1).collect();
-        let naive = chain_with_drops(&base, &tasks, &dropped, compaction);
-        let mut eval = ChainEvaluator::new();
-        let fused = eval.chain_with_drops(&base, &tasks, &dropped, compaction);
-        prop_assert_eq!(naive.len(), fused.len());
-        for (n, f) in naive.iter().zip(fused.iter()) {
-            match (n, f) {
-                (None, None) => {}
-                (Some(n), Some(f)) => {
-                    prop_assert_eq!(n.chance.to_bits(), f.chance.to_bits());
-                    prop_assert_eq!(pmf_bits(&n.completion), pmf_bits(&f.completion));
-                }
-                _ => prop_assert!(false, "drop masks disagree"),
-            }
-        }
     }
 
     /// `tail` equals the last link of the reference chain, and a reused

@@ -1,4 +1,5 @@
-//! Zero-allocation fused chain stepping — the engine's hot path.
+//! The chain evaluator: zero-allocation fused chain stepping, the
+//! engine's hot path.
 //!
 //! One step of a machine-queue completion-time chain is Eq (1) followed by
 //! Eq (2) and compaction:
@@ -11,8 +12,8 @@
 //!
 //! Done naively that is three materialisations per step: a raw pair vector
 //! that gets sorted, a coalesced [`Pmf`], and a compacted clone. The
-//! [`ChainScratch`] here makes one pass instead: raw `(tick, mass)` products
-//! are appended by the same generator as [`crate::deadline_convolve_into`],
+//! [`ChainEvaluator`] here makes one pass instead: raw `(tick, mass)`
+//! products are appended by the same generator as [`crate::deadline_convolve`],
 //! accumulated into a reusable **dense tick-indexed buffer** (no sort), the
 //! chance is summed during the sweep, and compaction rebins straight into a
 //! ping-pong output buffer that becomes the next step's predecessor. No
@@ -23,12 +24,13 @@
 //! Floating-point addition is not associative, so the *order* in which
 //! colliding products are summed is part of the observable behaviour. The
 //! canonical order is **generation order**: ascending predecessor tick,
-//! then ascending execution tick (the order `deadline_convolve_into`
-//! appends). The dense accumulator preserves it by construction, and the
-//! sparse fallback (support span above [`crate::DENSE_SPAN_LIMIT`]) is the
-//! shared [`coalesce`](crate::ops) path, so [`crate::deadline_convolve`]
-//! and every [`ChainScratch`] method produce **bit-identical** results —
-//! `tests/` in `taskdrop_model` enforce this against the naive chain.
+//! then ascending execution tick (the order `push_products` appends). The
+//! dense accumulator preserves it by construction, and the sparse fallback
+//! (support span above [`crate::DENSE_SPAN_LIMIT`]) is the shared
+//! [`coalesce`](crate::ops) path, so [`crate::deadline_convolve`] and every
+//! [`ChainEvaluator`] method produce **bit-identical** results — the
+//! reference chain functions in `taskdrop_model::queue` and the
+//! differential suite beside them enforce this.
 
 use crate::compact::Compaction;
 use crate::ops::{coalesce_into, product_capacity, DENSE_SPAN_LIMIT};
@@ -86,8 +88,9 @@ fn chance_before(raw: &[Impulse], deadline: Tick) -> f64 {
 }
 
 /// Appends the raw Eq (1) products of `prev ⊛ exec` under `deadline` into
-/// `out` (cleared first); slice-level twin of
-/// [`crate::deadline_convolve_into`].
+/// `out` (cleared first), in the canonical generation order: the product
+/// generator behind both [`crate::deadline_convolve`] and
+/// [`ChainEvaluator`].
 pub(crate) fn push_products(
     prev: &[Impulse],
     exec: &[Impulse],
@@ -108,21 +111,47 @@ pub(crate) fn push_products(
     }
 }
 
-/// Reusable scratch buffers for fused chain stepping.
+/// One pending task as seen by the chain: its deadline and its
+/// execution-time PMF on the machine that queues it (a PET matrix cell).
+#[derive(Debug, Clone, Copy)]
+pub struct ChainTask<'a> {
+    /// Hard deadline of the task.
+    pub deadline: Tick,
+    /// Execution-time PMF on the machine that queues the task.
+    pub exec: &'a Pmf,
+}
+
+/// Completion PMF and chance of success of one pending position.
+#[derive(Debug, Clone)]
+pub struct ChainLink {
+    /// Completion-time PMF of the position (after compaction).
+    pub completion: Pmf,
+    /// Chance of success (Eq 2), computed *before* compaction so the
+    /// deadline boundary is exact.
+    pub chance: f64,
+}
+
+/// Zero-allocation fused evaluator of machine-queue chains: whole chains
+/// ([`ChainEvaluator::chain`]), prefix chance sums
+/// ([`ChainEvaluator::chance_sum`]), queue tails ([`ChainEvaluator::tail`])
+/// and incremental stepping, all from one reusable set of buffers.
 ///
 /// Owns five buffers: the raw product pairs, the dense accumulator, the
 /// uncompacted result, and a ping-pong pair (`cur`/`next`) holding the
 /// current and upcoming predecessor completion. All buffers are cleared and
 /// refilled per step but never shrink, so a steady-state chain evaluation
-/// performs no heap allocation.
+/// performs no heap allocation. One evaluator is meant to be reused across
+/// many queues: buffers grow to the scenario's working-set size and stay
+/// there.
 ///
-/// Ownership rule: `cur` (exposed via [`ChainScratch::completion`]) is only
-/// valid between [`ChainScratch::begin`]/[`ChainScratch::step`] calls; the
-/// one-shot helpers ([`ChainScratch::step_pmf`], [`ChainScratch::chance_of`])
-/// clobber the internal work buffers but leave `cur` untouched, so they can
-/// be interleaved with an in-progress chain.
+/// Ownership rule: `cur` (read via [`ChainEvaluator::completion_pmf`]) is
+/// only valid between [`ChainEvaluator::begin`]/[`ChainEvaluator::step`]
+/// calls, and the whole-chain methods re-`begin`. The one-shot helpers
+/// ([`ChainEvaluator::step_from`], [`ChainEvaluator::chance_from`]) clobber
+/// the internal work buffers but leave `cur` untouched, so they can be
+/// interleaved with an in-progress chain.
 #[derive(Debug, Default, Clone)]
-pub struct ChainScratch {
+pub struct ChainEvaluator {
     pairs: Vec<(Tick, f64)>,
     acc: Vec<f64>,
     raw: Vec<Impulse>,
@@ -130,36 +159,31 @@ pub struct ChainScratch {
     next: Vec<Impulse>,
 }
 
-impl ChainScratch {
-    /// Fresh scratch with empty buffers.
+impl ChainEvaluator {
+    /// A fresh evaluator with empty buffers.
     #[must_use]
     pub fn new() -> Self {
-        ChainScratch::default()
+        ChainEvaluator::default()
     }
 
-    /// Starts a chain: the predecessor completion becomes `base`.
+    /// Starts an incremental chain: the predecessor completion becomes
+    /// `base`.
     pub fn begin(&mut self, base: &Pmf) {
         self.cur.clear();
         self.cur.extend_from_slice(&base.impulses);
     }
 
-    /// Advances the chain by one task: Eq (1) against the current
-    /// predecessor, Eq (2) on the raw result, compaction into the new
-    /// predecessor. Returns the chance of success.
-    pub fn step(&mut self, exec: &Pmf, deadline: Tick, compaction: Compaction) -> f64 {
-        let ChainScratch { pairs, acc, raw, cur, next } = self;
-        push_products(cur, &exec.impulses, deadline, pairs);
+    /// Advances the incremental chain by one task: Eq (1) against the
+    /// current predecessor, Eq (2) on the raw result, compaction into the
+    /// new predecessor. Returns the chance of success.
+    pub fn step(&mut self, task: ChainTask<'_>, compaction: Compaction) -> f64 {
+        let ChainEvaluator { pairs, acc, raw, cur, next } = self;
+        push_products(cur, &task.exec.impulses, task.deadline, pairs);
         accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, deadline);
+        let chance = chance_before(raw, task.deadline);
         compaction.apply_into(raw, next);
         std::mem::swap(cur, next);
         chance
-    }
-
-    /// The current (compacted) predecessor completion.
-    #[must_use]
-    pub fn completion(&self) -> &[Impulse] {
-        &self.cur
     }
 
     /// Materialises the current predecessor completion as a [`Pmf`].
@@ -168,40 +192,86 @@ impl ChainScratch {
         Pmf::from_sorted_unchecked(self.cur.clone())
     }
 
-    /// One-shot fused step from an arbitrary predecessor: returns the
-    /// chance of success and the compacted completion, without touching the
-    /// chain state set up by [`ChainScratch::begin`]. Bit-identical to
-    /// `compaction.apply(&deadline_convolve(prev, exec, deadline))` plus
-    /// `raw.mass_before(deadline)`.
-    pub fn step_pmf(
+    /// One-shot step from an arbitrary predecessor `prev`, leaving the
+    /// incremental chain state untouched. Returns `(chance, completion)`,
+    /// bit-identical to `compaction.apply(&deadline_convolve(prev, exec,
+    /// deadline))` plus `raw.mass_before(deadline)`.
+    pub fn step_from(
         &mut self,
         prev: &Pmf,
-        exec: &Pmf,
-        deadline: Tick,
+        task: ChainTask<'_>,
         compaction: Compaction,
     ) -> (f64, Pmf) {
-        let ChainScratch { pairs, acc, raw, next, .. } = self;
-        push_products(&prev.impulses, &exec.impulses, deadline, pairs);
+        let ChainEvaluator { pairs, acc, raw, next, .. } = self;
+        push_products(&prev.impulses, &task.exec.impulses, task.deadline, pairs);
         accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, deadline);
+        let chance = chance_before(raw, task.deadline);
         compaction.apply_into(raw, next);
         (chance, Pmf::from_sorted_unchecked(next.clone()))
     }
 
-    /// Chance of success of `prev ⊛ exec` under `deadline` (Eq 1 + Eq 2)
-    /// without materialising the completion at all — the admission gate's
-    /// and the optimal search's bound primitive.
-    pub fn chance_of(&mut self, prev: &Pmf, exec: &Pmf, deadline: Tick) -> f64 {
-        let ChainScratch { pairs, acc, raw, .. } = self;
-        push_products(&prev.impulses, &exec.impulses, deadline, pairs);
+    /// Chance of success of `task` queued directly behind `prev` (Eq 1 +
+    /// Eq 2 fused) without materialising the completion at all — the
+    /// admission gate's and the optimal search's bound primitive.
+    pub fn chance_from(&mut self, prev: &Pmf, task: ChainTask<'_>) -> f64 {
+        let ChainEvaluator { pairs, acc, raw, .. } = self;
+        push_products(&prev.impulses, &task.exec.impulses, task.deadline, pairs);
         accumulate(pairs, acc, raw);
-        chance_before(raw, deadline)
+        chance_before(raw, task.deadline)
+    }
+
+    /// Applies Eq (1) along the whole queue behind `base`: one
+    /// [`ChainLink`] per task, each completion compacted per `compaction`
+    /// before it feeds the next step.
+    pub fn chain(
+        &mut self,
+        base: &Pmf,
+        tasks: &[ChainTask<'_>],
+        compaction: Compaction,
+    ) -> Vec<ChainLink> {
+        self.begin(base);
+        let mut links = Vec::with_capacity(tasks.len());
+        for &t in tasks {
+            let chance = self.step(t, compaction);
+            links.push(ChainLink { completion: self.completion_pmf(), chance });
+        }
+        links
+    }
+
+    /// Sum of the chances of success of the first `take` tasks of the
+    /// chain (Eq 3 restricted to a prefix), without materialising the
+    /// links — the hot primitive of the Eq (8) droppers.
+    pub fn chance_sum(
+        &mut self,
+        base: &Pmf,
+        tasks: &[ChainTask<'_>],
+        take: usize,
+        compaction: Compaction,
+    ) -> f64 {
+        self.begin(base);
+        let mut sum = 0.0;
+        for &t in tasks.iter().take(take) {
+            sum += self.step(t, compaction);
+        }
+        sum
+    }
+
+    /// Completion PMF of the queue tail — where a task appended after
+    /// `tasks` would wait: the last link of [`ChainEvaluator::chain`] (or
+    /// `base` itself for an empty queue) without materialising the
+    /// intermediate links.
+    pub fn tail(&mut self, base: &Pmf, tasks: &[ChainTask<'_>], compaction: Compaction) -> Pmf {
+        self.begin(base);
+        for &t in tasks {
+            self.step(t, compaction);
+        }
+        self.completion_pmf()
     }
 }
 
 /// Computes Eq (1) into a freshly allocated [`Pmf`] via the shared kernel.
 /// This is the body of [`crate::deadline_convolve`]; it lives here so the
-/// naive entry point and [`ChainScratch`] cannot drift apart.
+/// naive entry point and [`ChainEvaluator`] cannot drift apart.
 pub(crate) fn deadline_convolve_impl(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
     let mut pairs: Vec<(Tick, f64)> =
         Vec::with_capacity(product_capacity(prev.len(), exec.len().max(1)));
@@ -221,15 +291,19 @@ mod tests {
         p.iter().map(|i| (i.t, i.p.to_bits())).collect()
     }
 
+    fn task(deadline: Tick, exec: &Pmf) -> ChainTask<'_> {
+        ChainTask { deadline, exec }
+    }
+
     #[test]
     fn step_pmf_matches_naive_pipeline_bitwise() {
         let prev = Pmf::from_impulses(vec![(10, 0.6), (11, 0.3), (12, 0.05), (13, 0.05)]).unwrap();
         let exec = Pmf::from_impulses(vec![(1, 0.6), (2, 0.4)]).unwrap();
-        let mut scratch = ChainScratch::new();
+        let mut eval = ChainEvaluator::new();
         for compaction in [Compaction::None, Compaction::MaxImpulses(2), Compaction::BinWidth(3)] {
             let raw = deadline_convolve(&prev, &exec, 13);
             let naive = compaction.apply(&raw);
-            let (chance, fused) = scratch.step_pmf(&prev, &exec, 13, compaction);
+            let (chance, fused) = eval.step_from(&prev, task(13, &exec), compaction);
             assert_eq!(bits(&naive), bits(&fused));
             assert_eq!(chance.to_bits(), raw.mass_before(13).to_bits());
         }
@@ -240,17 +314,17 @@ mod tests {
         let base = Pmf::uniform(0, 40);
         let exec = Pmf::from_impulses(vec![(8, 0.5), (16, 0.5)]).unwrap();
         let compaction = Compaction::MaxImpulses(16);
-        let mut scratch = ChainScratch::new();
-        scratch.begin(&base);
+        let mut eval = ChainEvaluator::new();
+        eval.begin(&base);
         let mut prev = base;
         for k in 0..5u64 {
             let deadline = 60 + 25 * k;
             let raw = deadline_convolve(&prev, &exec, deadline);
             let naive_chance = raw.mass_before(deadline);
             prev = compaction.apply(&raw);
-            let chance = scratch.step(&exec, deadline, compaction);
+            let chance = eval.step(task(deadline, &exec), compaction);
             assert_eq!(chance.to_bits(), naive_chance.to_bits(), "step {k}");
-            assert_eq!(bits(&prev), bits(&scratch.completion_pmf()), "step {k}");
+            assert_eq!(bits(&prev), bits(&eval.completion_pmf()), "step {k}");
         }
     }
 
@@ -258,10 +332,10 @@ mod tests {
     fn chance_of_matches_mass_before() {
         let prev = Pmf::uniform(5, 60);
         let exec = Pmf::from_impulses(vec![(3, 0.25), (9, 0.75)]).unwrap();
-        let mut scratch = ChainScratch::new();
+        let mut eval = ChainEvaluator::new();
         for d in [0, 10, 35, 70, 200] {
             let naive = deadline_convolve(&prev, &exec, d).mass_before(d);
-            assert_eq!(scratch.chance_of(&prev, &exec, d).to_bits(), naive.to_bits());
+            assert_eq!(eval.chance_from(&prev, task(d, &exec)).to_bits(), naive.to_bits());
         }
     }
 
@@ -269,15 +343,15 @@ mod tests {
     fn one_shot_helpers_do_not_disturb_chain_state() {
         let base = Pmf::point(5);
         let exec = Pmf::point(10);
-        let mut scratch = ChainScratch::new();
-        scratch.begin(&base);
-        scratch.step(&exec, 100, Compaction::None);
-        let before = scratch.completion_pmf();
-        let _ = scratch.step_pmf(&Pmf::uniform(0, 9), &exec, 50, Compaction::MaxImpulses(4));
-        let _ = scratch.chance_of(&Pmf::uniform(0, 9), &exec, 50);
-        assert_eq!(before, scratch.completion_pmf());
-        assert_eq!(scratch.step(&exec, 100, Compaction::None), 1.0);
-        assert_eq!(scratch.completion_pmf(), Pmf::point(25));
+        let mut eval = ChainEvaluator::new();
+        eval.begin(&base);
+        eval.step(task(100, &exec), Compaction::None);
+        let before = eval.completion_pmf();
+        let _ = eval.step_from(&Pmf::uniform(0, 9), task(50, &exec), Compaction::MaxImpulses(4));
+        let _ = eval.chance_from(&Pmf::uniform(0, 9), task(50, &exec));
+        assert_eq!(before, eval.completion_pmf());
+        assert_eq!(eval.step(task(100, &exec), Compaction::None), 1.0);
+        assert_eq!(eval.completion_pmf(), Pmf::point(25));
     }
 
     #[test]
@@ -285,8 +359,8 @@ mod tests {
         // Span far beyond DENSE_SPAN_LIMIT forces the coalesce path.
         let prev = Pmf::from_impulses(vec![(0, 0.5), (200_000, 0.5)]).unwrap();
         let exec = Pmf::from_impulses(vec![(1, 0.5), (100_000, 0.5)]).unwrap();
-        let mut scratch = ChainScratch::new();
-        let (chance, fused) = scratch.step_pmf(&prev, &exec, 150_000, Compaction::None);
+        let mut eval = ChainEvaluator::new();
+        let (chance, fused) = eval.step_from(&prev, task(150_000, &exec), Compaction::None);
         let raw = deadline_convolve(&prev, &exec, 150_000);
         assert_eq!(bits(&raw), bits(&fused));
         assert_eq!(chance.to_bits(), raw.mass_before(150_000).to_bits());
@@ -294,12 +368,13 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let mut scratch = ChainScratch::new();
-        let (chance, out) = scratch.step_pmf(&Pmf::empty(), &Pmf::point(1), 10, Compaction::None);
+        let mut eval = ChainEvaluator::new();
+        let one = Pmf::point(1);
+        let (chance, out) = eval.step_from(&Pmf::empty(), task(10, &one), Compaction::None);
         assert_eq!(chance, 0.0);
         assert!(out.is_empty());
-        scratch.begin(&Pmf::empty());
-        assert_eq!(scratch.step(&Pmf::point(1), 10, Compaction::None), 0.0);
-        assert!(scratch.completion().is_empty());
+        eval.begin(&Pmf::empty());
+        assert_eq!(eval.step(task(10, &one), Compaction::None), 0.0);
+        assert!(eval.completion_pmf().is_empty());
     }
 }

@@ -50,7 +50,7 @@ impl Compaction {
 
     /// Buffer-reusing twin of [`Compaction::apply`]: compacts the sorted,
     /// coalesced `raw` impulses into `out` (cleared first). Shared by the
-    /// fused chain kernel ([`crate::ChainScratch`]) so the fused and naive
+    /// fused chain kernel ([`crate::ChainEvaluator`]) so the fused and naive
     /// paths compact with bit-identical arithmetic.
     pub(crate) fn apply_into(self, raw: &[Impulse], out: &mut Vec<Impulse>) {
         match self {

@@ -47,22 +47,11 @@ use crate::Tick;
 ///
 /// Colliding products are summed in *generation order* (ascending
 /// predecessor tick, then ascending execution tick) through the same fused
-/// kernel as [`crate::ChainScratch`], so naive and scratch-based chain
+/// kernel as [`crate::ChainEvaluator`], so naive and evaluator-based chain
 /// evaluations are bit-identical.
 #[must_use]
 pub fn deadline_convolve(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
     deadline_convolve_impl(prev, exec, deadline)
-}
-
-/// Variant of [`deadline_convolve`] that appends the raw `(tick, mass)`
-/// products into `out` (cleared first) so callers can reuse the allocation
-/// and control the accumulation themselves. This is the product generator
-/// behind both [`deadline_convolve`] and the fused chain kernel
-/// ([`crate::ChainScratch`]); the append order (ascending predecessor tick,
-/// then ascending execution tick) is the canonical summation order of the
-/// determinism contract.
-pub fn deadline_convolve_into(prev: &Pmf, exec: &Pmf, deadline: Tick, out: &mut Vec<(Tick, f64)>) {
-    crate::chain::push_products(&prev.impulses, &exec.impulses, deadline, out);
 }
 
 /// Chance of success (Equation (2)): probability that a task with

@@ -13,6 +13,12 @@
 //! after the task's deadline *passes through* unchanged, modelling the
 //! reactive drop of a task that can no longer start before its deadline.
 //!
+//! Along a machine queue the hot paths run the same arithmetic through one
+//! reusable [`ChainEvaluator`]: each [`ChainTask`] step chains Eq (1), reads
+//! the chance of success (Eq 2) off the raw result, and compacts, without
+//! allocating once its buffers are warm. It is bit-identical to repeated
+//! [`deadline_convolve`] calls.
+//!
 //! # Quick example (Figure 2 of the paper)
 //!
 //! ```
@@ -47,9 +53,9 @@ mod moments;
 mod ops;
 mod pmf;
 
-pub use chain::ChainScratch;
+pub use chain::{ChainEvaluator, ChainLink, ChainTask};
 pub use compact::Compaction;
-pub use deadline::{chance_of_success, deadline_convolve, deadline_convolve_into};
+pub use deadline::{chance_of_success, deadline_convolve};
 pub use error::PmfError;
 pub use ops::{convolve_dense_forced, convolve_sparse_forced, DENSE_SPAN_LIMIT};
 pub use pmf::{Impulse, Pmf, MASS_EPSILON};

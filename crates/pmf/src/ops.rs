@@ -9,7 +9,7 @@ use crate::Tick;
 /// sparse accumulation costs `O(n*m log(n*m))`. For the queue-length and
 /// impulse-count regimes of the simulator (spans of a few thousand ticks) the
 /// dense path is almost always selected. The same split drives the fused
-/// chain kernel ([`crate::ChainScratch`]), so both paths stay bit-identical.
+/// chain kernel ([`crate::ChainEvaluator`]), so both paths stay bit-identical.
 pub const DENSE_SPAN_LIMIT: u64 = 1 << 16;
 
 /// Capacity hint for buffers holding up to `a * b` raw products: saturating

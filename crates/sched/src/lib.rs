@@ -24,6 +24,10 @@
 //!
 //! All heuristics are deterministic: ties ultimately break on task id and
 //! machine id.
+//!
+//! A heuristic reads the engine's batch queue as it is, a `&[Task]` in
+//! arrival order ([`MappingInput::unmapped`]), and extends queue tails with
+//! the one chain evaluator in the caller's [`PolicyCtx`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -69,8 +73,8 @@ pub trait MappingHeuristic: Send + Sync {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use taskdrop_model::view::{MachineView, UnmappedView};
-    use taskdrop_model::{MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+    use taskdrop_model::view::MachineView;
+    use taskdrop_model::{MachineId, MachineTypeId, PetMatrix, Task, TaskId, TaskTypeId};
     use taskdrop_pmf::{Pmf, Tick};
 
     /// PET with 2 task types x 2 machine types, deterministic times:
@@ -89,7 +93,7 @@ pub(crate) mod testutil {
         }
     }
 
-    pub fn task(id: u64, ttype: u16, arrival: Tick, deadline: Tick) -> UnmappedView {
-        UnmappedView { id: TaskId(id), type_id: TaskTypeId(ttype), arrival, deadline }
+    pub fn task(id: u64, ttype: u16, arrival: Tick, deadline: Tick) -> Task {
+        Task { id: TaskId(id), type_id: TaskTypeId(ttype), arrival, deadline }
     }
 }

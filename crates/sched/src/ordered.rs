@@ -142,7 +142,7 @@ mod tests {
     fn input<'a>(
         pet: &'a taskdrop_model::PetMatrix,
         machines: Vec<taskdrop_model::view::MachineView>,
-        unmapped: &'a [taskdrop_model::view::UnmappedView],
+        unmapped: &'a [taskdrop_model::Task],
     ) -> MappingInput<'a> {
         MappingInput { now: 0, pet, machines, unmapped, compaction: Compaction::None }
     }

@@ -26,8 +26,8 @@
 use crate::MappingHeuristic;
 use taskdrop_model::ctx::{PolicyCtx, TailCache};
 use taskdrop_model::queue::{ChainEvaluator, ChainTask};
-use taskdrop_model::view::{Assignment, MachineView, MappingInput, UnmappedView};
-use taskdrop_model::PetMatrix;
+use taskdrop_model::view::{Assignment, MachineView, MappingInput};
+use taskdrop_model::{PetMatrix, Task};
 use taskdrop_pmf::Compaction;
 
 /// Which two-phase heuristic to run.
@@ -154,11 +154,11 @@ impl<'a> WorkState<'a> {
         }
     }
 
-    fn expected_completion(&self, mi: usize, task: &UnmappedView) -> f64 {
+    fn expected_completion(&self, mi: usize, task: &Task) -> f64 {
         self.tail_means[mi] + self.pet.mean_exec(task.type_id, self.machines[mi].machine_type)
     }
 
-    fn chance(&mut self, mi: usize, task: &UnmappedView) -> f64 {
+    fn chance(&mut self, mi: usize, task: &Task) -> f64 {
         let exec = self.pet.pmf(task.type_id, self.machines[mi].machine_type);
         let conv = self.cache.conv(
             self.machines[mi].machine.index(),
@@ -170,7 +170,7 @@ impl<'a> WorkState<'a> {
         conv.mass_before(task.deadline)
     }
 
-    fn assign(&mut self, mi: usize, task: &UnmappedView) {
+    fn assign(&mut self, mi: usize, task: &Task) {
         let exec = self.pet.pmf(task.type_id, self.machines[mi].machine_type);
         let step = ChainTask { deadline: task.deadline, exec };
         let (_, tail) = self.eval.step_from(&self.machines[mi].tail, step, self.compaction);
@@ -195,9 +195,8 @@ struct Pair {
 
 fn run_two_phase(input: MappingInput<'_>, kind: Kind, scratch: &mut PolicyCtx) -> Vec<Assignment> {
     let mut state = WorkState::new(&input, scratch);
-    // (original index, view) of still-unmapped tasks.
-    let mut remaining: Vec<(usize, UnmappedView)> =
-        input.unmapped.iter().copied().enumerate().collect();
+    // (original index, task) of still-unmapped tasks.
+    let mut remaining: Vec<(usize, Task)> = input.unmapped.iter().copied().enumerate().collect();
     let mut out = Vec::new();
 
     loop {
@@ -299,13 +298,13 @@ fn run_two_phase(input: MappingInput<'_>, kind: Kind, scratch: &mut PolicyCtx) -
 fn phase2_beats(
     kind: Kind,
     state: &WorkState<'_>,
-    remaining: &[(usize, UnmappedView)],
+    remaining: &[(usize, Task)],
     a: &Pair,
     b: &Pair,
 ) -> bool {
     let ta = &remaining[a.pos].1;
     let tb = &remaining[b.pos].1;
-    let key = |pair: &Pair, t: &UnmappedView| -> (f64, f64, u64) {
+    let key = |pair: &Pair, t: &Task| -> (f64, f64, u64) {
         match kind {
             // MinMin: min completion, ties by task id.
             Kind::MinMin => (pair.completion, 0.0, t.id.0),
@@ -336,7 +335,7 @@ mod tests {
     fn input<'a>(
         pet: &'a PetMatrix,
         machines: Vec<MachineView>,
-        unmapped: &'a [UnmappedView],
+        unmapped: &'a [Task],
     ) -> MappingInput<'a> {
         MappingInput { now: 0, pet, machines, unmapped, compaction: Compaction::None }
     }

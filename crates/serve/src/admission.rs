@@ -27,7 +27,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use taskdrop_model::{MachineTypeId, PetMatrix, TaskId};
-use taskdrop_pmf::{ChainScratch, Pmf, Tick};
+use taskdrop_pmf::{ChainEvaluator, ChainTask, Pmf, Tick};
 use taskdrop_sim::{AdmissionDropKind, ObserverHub, SimCore, SimError, SimEvent};
 use taskdrop_workload::OfferedTask;
 
@@ -120,20 +120,58 @@ impl AdmissionController {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or a
-    /// [`BackpressurePolicy::PreDrop`] threshold is outside `[0, 1]`.
+    /// Panics if [`AdmissionController::check_settings`] refuses `capacity`
+    /// and `policy`.
     #[must_use]
     pub fn new(capacity: usize, policy: BackpressurePolicy) -> Self {
-        assert!(capacity > 0, "ingress queue needs at least one slot");
-        if let BackpressurePolicy::PreDrop { threshold } = policy {
-            assert!((0.0..=1.0).contains(&threshold), "pre-drop threshold must be a probability");
-        }
+        assert_eq!(Self::check_settings(capacity, policy), Ok(()), "invalid admission controller");
         AdmissionController {
             capacity,
             policy,
             queue: VecDeque::new(),
             stats: AdmissionStats::default(),
         }
+    }
+
+    /// The conditions [`AdmissionController::new`] asserts: at least one
+    /// ingress slot, and a [`BackpressurePolicy::PreDrop`] threshold in
+    /// `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_settings(capacity: usize, policy: BackpressurePolicy) -> Result<(), &'static str> {
+        if capacity == 0 {
+            return Err("ingress queue needs at least one slot");
+        }
+        match policy {
+            BackpressurePolicy::PreDrop { threshold } if !(0.0..=1.0).contains(&threshold) => {
+                Err("pre-drop threshold must be a probability in [0, 1]")
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks a controller that did not come from
+    /// [`AdmissionController::new`], such as one parsed from a checkpoint:
+    /// the conditions of [`AdmissionController::check_settings`], and the
+    /// queue invariants [`AdmissionController::offer`],
+    /// [`AdmissionController::drain_due`] and
+    /// [`AdmissionController::accept_stolen`] rely on — at most `capacity`
+    /// queued offers, in non-decreasing arrival order.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        Self::check_settings(self.capacity, self.policy)?;
+        if self.queue.len() > self.capacity {
+            return Err("ingress queue holds more offers than its capacity");
+        }
+        if self.queue.iter().zip(self.queue.iter().skip(1)).any(|(a, b)| a.arrival > b.arrival) {
+            return Err("ingress queue arrivals must be non-decreasing");
+        }
+        Ok(())
     }
 
     /// The configured backpressure policy.
@@ -399,9 +437,9 @@ fn admission_dropped(task: &OfferedTask, now: Tick, kind: AdmissionDropKind) -> 
 #[derive(Debug, Clone, Default)]
 pub struct QueueTails {
     tails: Vec<(MachineTypeId, Pmf)>,
-    /// Reusable Eq 1 + Eq 2 scratch: one per captured tail set instead of
-    /// one allocation per priced offer.
-    scratch: ChainScratch,
+    /// Reusable Eq 1 + Eq 2 evaluator: one per captured tail set instead
+    /// of one allocation per priced offer.
+    eval: ChainEvaluator,
 }
 
 impl QueueTails {
@@ -421,7 +459,7 @@ impl QueueTails {
                 tails.push((m.type_id, tail));
             }
         }
-        QueueTails { tails, scratch: ChainScratch::new() }
+        QueueTails { tails, eval: ChainEvaluator::new() }
     }
 
     /// How many machines were up at capture time.
@@ -447,12 +485,12 @@ impl QueueTails {
         let deadline = now + task.deadline.saturating_sub(task.arrival);
         // Fused Eq 1 + Eq 2: the chance is summed during the convolution
         // sweep, so no completion PMF is ever materialised; the owned
-        // scratch serves every cluster scan of the capture's lifetime, so
+        // evaluator serves every cluster scan of the capture's lifetime, so
         // a whole offer batch prices with zero steady-state allocation.
         let mut best = 0.0f64;
         for (machine_type, tail) in &self.tails {
             let exec = pet.pmf(task.type_id, *machine_type);
-            best = best.max(self.scratch.chance_of(tail, exec, deadline));
+            best = best.max(self.eval.chance_from(tail, ChainTask { deadline, exec }));
         }
         best
     }

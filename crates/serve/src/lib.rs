@@ -96,6 +96,15 @@ pub enum ServeError {
         /// The rejected delta.
         delta: taskdrop_pmf::Tick,
     },
+    /// A serving plan breaks a condition that a constructor of one of its
+    /// parts checks; nothing was built from it.
+    InvalidPlan {
+        /// The shard whose settings break the condition, or `None` for a
+        /// fleet-wide setting.
+        shard: Option<String>,
+        /// The broken condition, in words.
+        problem: &'static str,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -110,6 +119,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::InvalidEpoch { delta } => {
                 write!(f, "epoch delta {delta} must be positive to advance the clock")
+            }
+            ServeError::InvalidPlan { shard: Some(shard), problem } => {
+                write!(f, "invalid plan for shard `{shard}`: {problem}")
+            }
+            ServeError::InvalidPlan { shard: None, problem } => {
+                write!(f, "invalid plan: {problem}")
             }
         }
     }

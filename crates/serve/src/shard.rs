@@ -323,15 +323,19 @@ impl<'a> FleetShard<'a> {
     ///
     /// [`SimError::CheckpointMismatch`] with field `"source"` if the
     /// checkpointed traffic source breaks a condition of its constructor
-    /// ([`TrafficSource::validate`]), or any validation error from
+    /// ([`TrafficSource::validate`]), with field `"admission"` if the
+    /// checkpointed admission controller fails
+    /// [`AdmissionController::validate`], or any validation error from
     /// [`SimCore::restore_in`]; on error the live state and restore point
     /// are unchanged.
     pub fn restore_from(&mut self, checkpoint: &ShardCheckpoint) -> Result<(), SimError> {
-        checkpoint.source.validate().map_err(|problem| SimError::CheckpointMismatch {
-            field: "source",
-            expected: "a source its constructor accepts".to_string(),
+        let refuse = |field, problem| SimError::CheckpointMismatch {
+            field,
+            expected: format!("{field} state its constructor accepts"),
             found: format!("one that breaks \"{problem}\""),
-        })?;
+        };
+        checkpoint.source.validate().map_err(|problem| refuse("source", problem))?;
+        checkpoint.admission.validate().map_err(|problem| refuse("admission", problem))?;
         self.core =
             SimCore::restore_in(self.scenario, self.mapper, self.dropper, &checkpoint.core)?;
         self.source = checkpoint.source.clone();

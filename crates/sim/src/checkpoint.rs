@@ -46,8 +46,10 @@ use taskdrop_pmf::Tick;
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// One outstanding engine event with its schedule time and FIFO sequence
-/// number (ties at equal times pop in sequence order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// number (ties at equal times pop in sequence order). The engine's event
+/// heap stores these entries; the derived order, field by field, is its
+/// pop order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EventEntry {
     /// Tick the event fires at.
     pub time: Tick,
@@ -57,7 +59,8 @@ pub struct EventEntry {
     pub event: Event,
 }
 
-/// An execution in flight at snapshot time.
+/// An execution in flight: the engine's own entry for a machine's running
+/// task, stored in a checkpoint as it is.
 ///
 /// Unlike the policy-facing [`RunningState`](crate::RunningState), this
 /// carries the engine's realised `finish` tick — a checkpoint stores truth,
@@ -75,7 +78,8 @@ pub struct RunningCheckpoint {
     pub degraded: bool,
 }
 
-/// A task waiting in a machine queue at snapshot time.
+/// A task waiting in a machine queue: the engine's own queue entry,
+/// stored in a checkpoint as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueuedCheckpoint {
     /// The waiting task.

@@ -26,8 +26,7 @@
 //! t = 0 without processing any failure-timeline event.
 
 use crate::checkpoint::{
-    Checkpoint, EventEntry, MachineCheckpoint, QueuedCheckpoint, RunningCheckpoint,
-    CHECKPOINT_VERSION,
+    Checkpoint, MachineCheckpoint, QueuedCheckpoint, RunningCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -39,7 +38,7 @@ use taskdrop_core::DropPolicy;
 use taskdrop_model::ctx::{CacheStats, PolicyCtx};
 use taskdrop_model::queue as qchain;
 use taskdrop_model::view::{
-    DropContext, MachineView, MappingInput, PendingView, QueueView, RunningView, UnmappedView,
+    DropContext, MachineView, MappingInput, PendingView, QueueView, RunningView,
 };
 use taskdrop_model::{Machine, MachineId, PetMatrix, Task, TaskId, TaskTypeId};
 use taskdrop_pmf::{Pmf, Tick};
@@ -47,28 +46,12 @@ use taskdrop_sched::MappingHeuristic;
 use taskdrop_stats::{derive_seed, new_rng};
 use taskdrop_workload::{Scenario, Workload};
 
-/// A task currently executing on a machine.
-struct RunningTask {
-    task: Task,
-    start: Tick,
-    finish: Tick,
-    /// Running the approximate (degraded) variant.
-    degraded: bool,
-}
-
-/// A task waiting in a machine queue, possibly degraded to its approximate
-/// variant by the dropping policy.
-#[derive(Debug, Clone, Copy)]
-struct QueuedTask {
-    task: Task,
-    degraded: bool,
-}
-
-/// Mutable per-machine state.
+/// Mutable per-machine state. The running and queued entries are the
+/// checkpoint's own types, so snapshot and restore copy them as they are.
 struct MachineSt {
     machine: Machine,
-    running: Option<RunningTask>,
-    pending: VecDeque<QueuedTask>,
+    running: Option<RunningCheckpoint>,
+    pending: VecDeque<QueuedCheckpoint>,
     busy_ticks: u64,
     /// Incremented each time a task starts; stamps Completion/DeadlineKill
     /// events so stale ones (for an already-ended execution) are ignored.
@@ -765,7 +748,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// them afresh after restoring.
     #[must_use]
     pub fn snapshot(&self) -> Checkpoint {
-        let (entries, event_seq) = self.events.snapshot();
+        let (events, event_seq) = self.events.snapshot();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             scenario_name: self.scenario.name.clone(),
@@ -784,23 +767,11 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     down: m.down,
                     busy_ticks: m.busy_ticks,
                     epoch: m.epoch,
-                    running: m.running.as_ref().map(|r| RunningCheckpoint {
-                        task: r.task,
-                        start: r.start,
-                        finish: r.finish,
-                        degraded: r.degraded,
-                    }),
-                    pending: m
-                        .pending
-                        .iter()
-                        .map(|qt| QueuedCheckpoint { task: qt.task, degraded: qt.degraded })
-                        .collect(),
+                    running: m.running,
+                    pending: m.pending.iter().copied().collect(),
                 })
                 .collect(),
-            events: entries
-                .into_iter()
-                .map(|(time, seq, event)| EventEntry { time, seq, event })
-                .collect(),
+            events,
             event_seq,
         }
     }
@@ -835,27 +806,15 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             .zip(&checkpoint.machines)
             .map(|(&machine, mc)| MachineSt {
                 machine,
-                running: mc.running.map(|r| RunningTask {
-                    task: r.task,
-                    start: r.start,
-                    finish: r.finish,
-                    degraded: r.degraded,
-                }),
-                pending: mc
-                    .pending
-                    .iter()
-                    .map(|qc| QueuedTask { task: qc.task, degraded: qc.degraded })
-                    .collect(),
+                running: mc.running,
+                pending: mc.pending.iter().copied().collect(),
                 busy_ticks: mc.busy_ticks,
                 epoch: mc.epoch,
                 down: mc.down,
                 queue_rev: 0,
             })
             .collect();
-        let events = EventQueue::from_snapshot(
-            checkpoint.events.iter().map(|e| (e.time, e.seq, e.event)).collect(),
-            checkpoint.event_seq,
-        );
+        let events = EventQueue::from_snapshot(&checkpoint.events, checkpoint.event_seq);
         let approx_pet = checkpoint
             .config
             .approx
@@ -1133,20 +1092,11 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     }
                 })
                 .collect();
-            let unmapped: Vec<UnmappedView> = batch
-                .iter()
-                .map(|t| UnmappedView {
-                    id: t.id,
-                    type_id: t.type_id,
-                    arrival: t.arrival,
-                    deadline: t.deadline,
-                })
-                .collect();
             let input = MappingInput {
                 now,
                 pet,
                 machines: machine_views,
-                unmapped: &unmapped,
+                unmapped: batch,
                 compaction: config.compaction,
             };
             let assignments = mapper.map(input, ctx);
@@ -1162,7 +1112,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     "mapper overfilled queue of {}",
                     a.machine
                 );
-                m.pending.push_back(QueuedTask { task: batch[a.task_idx], degraded: false });
+                m.pending.push_back(QueuedCheckpoint { task: batch[a.task_idx], degraded: false });
                 m.queue_rev += 1;
                 emit(
                     observers,
@@ -1450,7 +1400,7 @@ fn start_next<H: ObserverHub>(
     if m.down {
         return; // queue frozen until repair
     }
-    while let Some(QueuedTask { task, degraded }) = m.pending.pop_front() {
+    while let Some(QueuedCheckpoint { task, degraded }) = m.pending.pop_front() {
         m.queue_rev += 1;
         if task.expired(now) {
             resolve(
@@ -1481,7 +1431,7 @@ fn start_next<H: ObserverHub>(
         }
         events.push(finish, Event::Completion(m.machine.id, m.epoch));
         emit(observers, SimEvent::Started { task: task.id, machine: m.machine.id, now, degraded });
-        m.running = Some(RunningTask { task, start: now, finish, degraded });
+        m.running = Some(RunningCheckpoint { task, start: now, finish, degraded });
         return;
     }
 }
@@ -1521,7 +1471,7 @@ fn running_view(
 }
 
 /// The clamp only applies while the kill can still fire (deadline ahead).
-fn self_kill_applies(config: SimConfig, r: &RunningTask, now: Tick) -> bool {
+fn self_kill_applies(config: SimConfig, r: &RunningCheckpoint, now: Tick) -> bool {
     config.kill_running_at_deadline && r.task.deadline > now
 }
 

@@ -1,5 +1,6 @@
 //! The discrete-event queue.
 
+use crate::checkpoint::EventEntry;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,7 +18,11 @@ use taskdrop_pmf::Tick;
 /// construction and in-flight executions carry their realised finish times,
 /// so the outstanding event set cannot be recomputed from the rest of the
 /// state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The derived order only separates [`EventEntry`] values with equal time
+/// and sequence number, which the engine never produces: every push takes
+/// a fresh number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Event {
     /// Task `workload_index` arrives.
     Arrival(usize),
@@ -32,47 +37,13 @@ pub enum Event {
     MachineRepair(MachineId),
 }
 
-/// Min-heap of `(time, seq, event)`. The monotone sequence number makes
-/// ordering total and FIFO among equal timestamps, keeping the engine
-/// deterministic.
+/// Min-heap of [`EventEntry`] values, ordered by `(time, seq, event)`. The
+/// monotone sequence number makes ordering total and FIFO among equal
+/// timestamps, keeping the engine deterministic.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Tick, u64, EventKey)>>,
+    heap: BinaryHeap<Reverse<EventEntry>>,
     seq: u64,
-}
-
-/// Orderable encoding of [`Event`] (derives `Ord` cheaply).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKey {
-    Arrival(usize),
-    Completion(u16, u64),
-    DeadlineKill(u16, u64),
-    MachineFailure(u16),
-    MachineRepair(u16),
-}
-
-impl From<Event> for EventKey {
-    fn from(e: Event) -> Self {
-        match e {
-            Event::Arrival(i) => EventKey::Arrival(i),
-            Event::Completion(m, ep) => EventKey::Completion(m.0, ep),
-            Event::DeadlineKill(m, ep) => EventKey::DeadlineKill(m.0, ep),
-            Event::MachineFailure(m) => EventKey::MachineFailure(m.0),
-            Event::MachineRepair(m) => EventKey::MachineRepair(m.0),
-        }
-    }
-}
-
-impl From<EventKey> for Event {
-    fn from(k: EventKey) -> Self {
-        match k {
-            EventKey::Arrival(i) => Event::Arrival(i),
-            EventKey::Completion(m, ep) => Event::Completion(MachineId(m), ep),
-            EventKey::DeadlineKill(m, ep) => Event::DeadlineKill(MachineId(m), ep),
-            EventKey::MachineFailure(m) => Event::MachineFailure(MachineId(m)),
-            EventKey::MachineRepair(m) => Event::MachineRepair(MachineId(m)),
-        }
-    }
 }
 
 impl EventQueue {
@@ -85,37 +56,36 @@ impl EventQueue {
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: Tick, event: Event) {
         self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, event.into())));
+        self.heap.push(Reverse(EventEntry { time, seq: self.seq, event }));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Tick, Event)> {
-        self.heap.pop().map(|Reverse((t, _, k))| (t, k.into()))
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
     /// Time of the earliest event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<Tick> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Snapshot for checkpointing: every outstanding `(time, seq, event)`
-    /// entry in pop order, plus the live sequence counter. Sorting makes the
-    /// snapshot canonical — two queues with identical pending events and
-    /// counters produce identical snapshots even if their heap arrays are
-    /// arranged differently.
-    pub fn snapshot(&self) -> (Vec<(Tick, u64, Event)>, u64) {
-        let mut entries: Vec<(Tick, u64, EventKey)> =
-            self.heap.iter().map(|Reverse(e)| *e).collect();
+    /// Snapshot for checkpointing: every outstanding entry in pop order,
+    /// plus the live sequence counter. Sorting makes the snapshot canonical
+    /// — two queues with identical pending events and counters produce
+    /// identical snapshots even if their heap arrays are arranged
+    /// differently.
+    pub fn snapshot(&self) -> (Vec<EventEntry>, u64) {
+        let mut entries: Vec<EventEntry> = self.heap.iter().map(|Reverse(e)| *e).collect();
         entries.sort_unstable();
-        (entries.into_iter().map(|(t, s, k)| (t, s, k.into())).collect(), self.seq)
+        (entries, self.seq)
     }
 
     /// Rebuilds a queue from a [`EventQueue::snapshot`]. Pop order — and
     /// every future FIFO tie-break, because the sequence counter resumes
     /// where it left off — is identical to the queue that was snapshotted.
-    pub fn from_snapshot(entries: Vec<(Tick, u64, Event)>, seq: u64) -> Self {
-        let heap = entries.into_iter().map(|(t, s, e)| Reverse((t, s, e.into()))).collect();
+    pub fn from_snapshot(entries: &[EventEntry], seq: u64) -> Self {
+        let heap = entries.iter().copied().map(Reverse).collect();
         EventQueue { heap, seq }
     }
 }
@@ -158,8 +128,8 @@ mod tests {
         assert_eq!(seq, 3);
         assert_eq!(entries.len(), 3);
         // Canonical order: sorted by (time, seq).
-        assert_eq!(entries[0].0, 2);
-        let mut restored = EventQueue::from_snapshot(entries, seq);
+        assert_eq!(entries[0].time, 2);
+        let mut restored = EventQueue::from_snapshot(&entries, seq);
         // A post-restore push ties at t=5 and must lose to both originals.
         restored.push(5, Event::Arrival(8));
         q.push(5, Event::Arrival(8));

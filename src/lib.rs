@@ -131,9 +131,7 @@ pub mod prelude {
         TaskGraph,
     };
     pub use taskdrop_model::ctx::{CacheStats, PolicyCtx};
-    pub use taskdrop_model::view::{
-        Assignment, DropContext, MappingInput, QueueView, UnmappedView,
-    };
+    pub use taskdrop_model::view::{Assignment, DropContext, MappingInput, QueueView};
     pub use taskdrop_model::ApproxSpec;
     pub use taskdrop_model::{MachineId, MachineTypeId, PetMatrix, Task, TaskId, TaskTypeId};
     pub use taskdrop_obs::{

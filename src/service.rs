@@ -177,11 +177,15 @@ impl ServicePlan {
     ///
     /// # Errors
     ///
-    /// Any [`ServeError`] from shard assembly or driving, or
+    /// [`ServeError::InvalidPlan`] before anything is built if the plan
+    /// breaks a condition of a constructor it feeds (a plan parsed from a
+    /// file skipped them); otherwise any [`ServeError`] from shard assembly
+    /// or driving, or
     /// [`SimError::NotDrained`](taskdrop_sim::SimError::NotDrained)
     /// surfaced through it if the epoch budget ran out with tasks still in
     /// flight (the report's `result` requires a drained core).
     pub fn run(&self) -> Result<ServiceReport, ServeError> {
+        self.check()?;
         let scenario = self.scenario.build();
         let mappers: Vec<Box<dyn MappingHeuristic>> =
             self.shards.iter().map(|s| s.mapper.build()).collect();
@@ -226,6 +230,32 @@ impl ServicePlan {
             .collect::<Result<Vec<_>, ServeError>>()?;
         Ok(ServiceReport { clock: driver.clock(), epochs, idle, shards })
     }
+
+    /// The conditions of the constructors [`ServicePlan::run`] feeds: a
+    /// positive checkpoint interval, a valid steal policy, and per shard a
+    /// traffic source and admission settings their constructors accept.
+    fn check(&self) -> Result<(), ServeError> {
+        let fleet_wide = |problem| ServeError::InvalidPlan { shard: None, problem };
+        if self.checkpoint_every == Some(0) {
+            return Err(fleet_wide("checkpoint interval must be positive"));
+        }
+        if self.parallel.and_then(|p| p.stealing).is_some_and(|s| !s.is_valid()) {
+            return Err(fleet_wide("steal policy thresholds out of range"));
+        }
+        for shard in &self.shards {
+            shard
+                .source
+                .validate()
+                .and_then(|()| {
+                    AdmissionController::check_settings(shard.ingress_capacity, shard.backpressure)
+                })
+                .map_err(|problem| ServeError::InvalidPlan {
+                    shard: Some(shard.name.clone()),
+                    problem,
+                })?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -268,6 +298,56 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// `plan` is refused before anything runs, naming `problem` and, when
+    /// the problem is in a shard, that shard.
+    fn assert_refused(plan: &ServicePlan, shard: Option<&str>, problem: &'static str) {
+        assert_eq!(
+            plan.run(),
+            Err(ServeError::InvalidPlan { shard: shard.map(String::from), problem })
+        );
+    }
+
+    #[test]
+    fn a_plan_with_a_zero_period_diurnal_source_is_refused() {
+        let mut p = plan();
+        let source = serde_json::to_string(&p.shards[1].source).unwrap();
+        assert_eq!(source.matches("\"period\":3000").count(), 1, "{source}");
+        p.shards[1].source =
+            serde_json::from_str(&source.replace("\"period\":3000", "\"period\":0")).unwrap();
+        assert_refused(&p, Some("diurnal"), "period must be positive");
+    }
+
+    #[test]
+    fn a_plan_with_a_zero_ingress_capacity_is_refused() {
+        let mut p = plan();
+        p.shards[0].ingress_capacity = 0;
+        assert_refused(&p, Some("bursty"), "ingress queue needs at least one slot");
+    }
+
+    #[test]
+    fn a_plan_with_a_pre_drop_threshold_above_one_is_refused() {
+        let mut p = plan();
+        p.shards[0].backpressure = BackpressurePolicy::PreDrop { threshold: 1.5 };
+        assert_refused(&p, Some("bursty"), "pre-drop threshold must be a probability in [0, 1]");
+    }
+
+    #[test]
+    fn a_plan_with_a_zero_checkpoint_interval_is_refused() {
+        let mut p = plan();
+        p.checkpoint_every = Some(0);
+        assert_refused(&p, None, "checkpoint interval must be positive");
+    }
+
+    #[test]
+    fn a_plan_with_an_invalid_steal_policy_is_refused() {
+        let mut p = plan();
+        p.parallel = Some(FleetPlan {
+            workers: Some(1),
+            stealing: Some(StealPolicy { saturation: 0.0, headroom: 0.9, max_per_epoch: 4 }),
+        });
+        assert_refused(&p, None, "steal policy thresholds out of range");
     }
 
     #[test]

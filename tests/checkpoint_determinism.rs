@@ -371,3 +371,93 @@ fn a_shard_checkpoint_with_a_broken_source_is_refused() {
     // The shard is unharmed: it keeps serving from its own source.
     fleet.advance(200).unwrap();
 }
+
+/// The admission controller in a checkpoint skipped its constructor's
+/// checks too. A zero capacity, a pre-drop threshold above one, a queue
+/// longer than its capacity and a queue out of arrival order are each
+/// refused with a typed error before any field of the live shard is
+/// replaced.
+#[test]
+fn a_shard_checkpoint_with_a_broken_admission_controller_is_refused() {
+    let scenario = Scenario::specint(3);
+    let dropper = ProactiveDropper::paper_default();
+    let mut fleet = FleetDriver::new().with_checkpoint_every(100);
+    let shard = FleetShard::new(
+        "bursty",
+        &scenario,
+        &Pam,
+        &dropper,
+        quick_config(),
+        7,
+        TrafficSource::Bursty(BurstySource::new(9, 0.05, 0.0, 300, 700, 400, 12, 40)),
+        AdmissionController::new(4, BackpressurePolicy::PreDrop { threshold: 0.2 }),
+    )
+    .unwrap();
+    fleet.add_shard(shard);
+    fleet.advance(200).unwrap();
+    let shard = fleet.shard_mut(0).unwrap();
+    let restore_point =
+        shard.last_checkpoint().cloned().expect("the live shard has a restore point");
+    let live = (shard.core().snapshot(), shard.source().clone(), shard.admission().clone());
+
+    // A controller with two queued offers, arrivals 10 then 20.
+    let mut core = SimCore::open(&scenario, &Pam, &dropper, quick_config(), 1).unwrap();
+    let mut queued = AdmissionController::new(4, BackpressurePolicy::PreDrop { threshold: 0.2 });
+    for arrival in [10, 20] {
+        queued.offer(OfferedTask { type_id: TaskTypeId(0), arrival, deadline: 900 }, &mut core);
+    }
+    assert_eq!(queued.queued(), 2);
+    let json = serde_json::to_string(&queued).unwrap();
+    for field in ["\"capacity\":4", "\"threshold\":0.2", "\"arrival\":10"] {
+        assert_eq!(json.matches(field).count(), 1, "{json}");
+    }
+    let broken = [
+        json.replace("\"capacity\":4", "\"capacity\":0"),
+        json.replace("\"threshold\":0.2", "\"threshold\":1.5"),
+        json.replace("\"capacity\":4", "\"capacity\":1"),
+        json.replace("\"arrival\":10", "\"arrival\":30"),
+    ];
+    for admission in &broken {
+        let mut checkpoint = restore_point.clone();
+        checkpoint.admission =
+            serde_json::from_str(admission).expect("the broken controller parses");
+        assert!(
+            matches!(
+                shard.restore_from(&checkpoint),
+                Err(SimError::CheckpointMismatch { field: "admission", .. })
+            ),
+            "{admission}"
+        );
+        assert_eq!(shard.last_checkpoint(), Some(&restore_point));
+        assert_eq!(
+            (shard.core().snapshot(), shard.source().clone(), shard.admission().clone()),
+            live
+        );
+    }
+    // The untouched controller still restores.
+    let mut checkpoint = restore_point.clone();
+    checkpoint.admission = serde_json::from_str(&json).unwrap();
+    assert_eq!(shard.restore_from(&checkpoint), Ok(()));
+}
+
+/// A DAG checkpoint carries the coordinator's admission controller, and
+/// restoring it refuses a broken one the same way.
+#[test]
+fn a_dag_checkpoint_with_a_broken_admission_controller_is_refused() {
+    let scenario = Scenario::specint(3);
+    let core = SimCore::open(&scenario, &Pam, &ReactiveOnly, quick_config(), 1).unwrap();
+    let coordinator = DagCoordinator::new()
+        .with_admission(AdmissionController::new(4, BackpressurePolicy::Reject));
+    let checkpoint = coordinator.snapshot(&core);
+    assert!(checkpoint.restore(&scenario, &Pam, &ReactiveOnly).is_ok());
+
+    let json = serde_json::to_string(&checkpoint.coordinator).unwrap();
+    assert_eq!(json.matches("\"capacity\":4").count(), 1, "{json}");
+    let mut broken = checkpoint.clone();
+    broken.coordinator =
+        serde_json::from_str(&json.replace("\"capacity\":4", "\"capacity\":0")).unwrap();
+    assert!(matches!(
+        broken.restore(&scenario, &Pam, &ReactiveOnly),
+        Err(DagError::Sim(SimError::CheckpointMismatch { field: "admission", .. }))
+    ));
+}
