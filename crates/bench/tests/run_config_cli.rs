@@ -32,11 +32,22 @@ fn an_unreadable_or_invalid_spec_exits_1() {
     assert_eq!(missing.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read no-such-spec.json"));
 
-    let path = std::env::temp_dir()
-        .join(format!("taskdrop-run-config-invalid-{}.json", std::process::id()));
-    std::fs::write(&path, "{\"gamma\": 1.0}").unwrap();
-    let invalid = run_config(&[path.to_str().unwrap()]);
-    std::fs::remove_file(&path).unwrap();
-    assert_eq!(invalid.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&invalid.stderr).contains("invalid spec"));
+    // A spec missing fields, and a complete spec whose dropper parameter
+    // breaks its constructor's condition.
+    let out_of_range = r#"{"level": {"label": "tiny", "tasks": 20, "window": 500}, "gamma": 1.0,
+        "mapper": "Pam", "dropper": {"Heuristic": {"beta": 0.5, "eta": 2}},
+        "config": {"queue_size": 6, "compaction": {"MaxImpulses": 64}, "exclude_boundary": 0,
+        "kill_running_at_deadline": true, "failures": null, "approx": null}}"#;
+    for (spec, problem) in
+        [("{\"gamma\": 1.0}", "invalid spec"), (out_of_range, "invalid dropper: beta must be >= 1")]
+    {
+        let path = std::env::temp_dir()
+            .join(format!("taskdrop-run-config-invalid-{}.json", std::process::id()));
+        std::fs::write(&path, spec).unwrap();
+        let invalid = run_config(&[path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&invalid.stderr);
+        assert_eq!(invalid.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(problem), "{stderr}");
+    }
 }

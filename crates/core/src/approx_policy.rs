@@ -23,7 +23,7 @@
 //! With approximate computing disabled in the context, the policy reduces
 //! *exactly* to [`ProactiveDropper`] (tested).
 
-use crate::{DropDecision, DropPolicy};
+use crate::{DropDecision, DropPolicy, ProactiveDropper};
 use taskdrop_model::ctx::PolicyCtx;
 use taskdrop_model::queue::{ChainLink, ChainTask};
 use taskdrop_model::view::{DropContext, QueueView};
@@ -37,15 +37,15 @@ pub struct ApproxDropper {
 
 impl ApproxDropper {
     /// Creates the policy; β and η have the same meaning as in
-    /// [`crate::ProactiveDropper`].
+    /// [`ProactiveDropper`].
     ///
     /// # Panics
     ///
-    /// Panics if `beta < 1` or `eta == 0`.
+    /// Panics if [`ProactiveDropper::check_settings`] refuses `beta` and
+    /// `eta`.
     #[must_use]
     pub fn new(beta: f64, eta: usize) -> Self {
-        assert!(beta.is_finite() && beta >= 1.0, "beta must be >= 1");
-        assert!(eta >= 1, "effective depth must be >= 1");
+        assert_eq!(ProactiveDropper::check_settings(beta, eta), Ok(()), "invalid approx dropper");
         ApproxDropper { beta, eta }
     }
 
@@ -73,24 +73,13 @@ impl DropPolicy for ApproxDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let mut tasks: Vec<ChainTask<'_>> = queue.chain_tasks();
+        let tasks = &queue.tasks;
         let n = tasks.len();
         if n < 2 {
             return DropDecision::none();
         }
-        // Degraded execution PMFs per position (None when the extension is
-        // off or the task is already degraded).
-        let degraded_exec: Vec<Option<&taskdrop_pmf::Pmf>> = queue
-            .pending
-            .iter()
-            .map(|p| match (queue.approx_pet, p.degraded) {
-                (Some(apet), false) => Some(apet.pmf(p.type_id, queue.machine_type)),
-                _ => None,
-            })
-            .collect();
         let value = ctx.approx.map_or(0.0, |a| a.value);
 
-        let base = queue.base();
         let mut drops = Vec::new();
         let mut degrades = Vec::new();
         // Lazily extended baseline + probe evaluators from the persistent
@@ -98,11 +87,11 @@ impl DropPolicy for ApproxDropper {
         // reuse, DESIGN.md §12); the baseline reflects the current
         // survivor/fidelity set.
         let PolicyCtx { baseline, probe, .. } = scratch;
-        baseline.reset(&base);
-        let mut prev = base;
+        baseline.reset(&queue.base);
+        let mut prev = queue.base.clone();
         for i in 0..n - 1 {
             let window_end = (i + 1 + self.eta).min(n);
-            baseline.ensure(&tasks, window_end, ctx.compaction);
+            baseline.ensure(tasks, window_end, ctx.compaction);
             let u_keep: f64 = baseline.links()[i..window_end].iter().map(|l| l.chance).sum();
             let u_drop = probe.chance_sum(&prev, &tasks[i + 1..], self.eta, ctx.compaction);
 
@@ -116,7 +105,8 @@ impl DropPolicy for ApproxDropper {
             // Eq 8 fires: clear the slot. Rescue branch — task i runs its
             // approximate execution PMF; the successor window spans the same
             // η tasks as the keep branch (positions i+1 ..= i+η).
-            let u_degrade = match degraded_exec[i] {
+            // `degradable` is empty when the extension is off.
+            let u_degrade = match queue.degradable.get(i).copied().flatten() {
                 Some(exec) => {
                     let head = ChainTask { deadline: tasks[i].deadline, exec };
                     let (chance, completion) = probe.step_from(&prev, head, ctx.compaction);
@@ -131,14 +121,9 @@ impl DropPolicy for ApproxDropper {
             match u_degrade {
                 Some((u_deg, head_link)) if u_deg >= u_drop => {
                     degrades.push(i);
-                    // The chain continues from the degraded completion: swap
-                    // task i's exec PMF (kept consistent even though only
-                    // positions past i are ever re-chained) and rewind the
-                    // baseline to restart behind the degraded head.
-                    tasks[i] = ChainTask {
-                        deadline: tasks[i].deadline,
-                        exec: degraded_exec[i].expect("degrade branch"),
-                    };
+                    // The chain continues from the degraded completion:
+                    // rewind the baseline to restart behind the degraded
+                    // head (only positions past i are ever re-chained).
                     prev = head_link.completion.clone();
                     baseline.replace(i, head_link);
                     baseline.rewind(&prev, i + 1);
@@ -157,24 +142,46 @@ impl DropPolicy for ApproxDropper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{idle_queue, pending, pet};
-    use crate::ProactiveDropper;
+    use crate::testutil::{idle_queue, pet};
     use taskdrop_model::approx::{degraded_pet, ApproxSpec};
     use taskdrop_model::view::QueueView;
-    use taskdrop_pmf::Compaction;
+    use taskdrop_model::{MachineTypeId, PetMatrix, TaskTypeId};
+    use taskdrop_pmf::{Compaction, Pmf};
 
     fn ctx_with(approx: Option<ApproxSpec>) -> DropContext {
         DropContext { compaction: Compaction::None, pressure: 0.0, approx }
     }
 
+    /// Idle queue at 0 with approximate computing on: pending tasks given
+    /// as (task type, deadline, already degraded), as the engine builds
+    /// them from `pet` and its degraded copy `apet`.
+    fn approx_queue<'a>(
+        pet: &'a PetMatrix,
+        apet: &'a PetMatrix,
+        pending: &[(u16, u64, bool)],
+    ) -> QueueView<'a> {
+        let exec = |source: &'a PetMatrix, ttype| source.pmf(TaskTypeId(ttype), MachineTypeId(0));
+        QueueView {
+            base: Pmf::point(0),
+            tasks: pending
+                .iter()
+                .map(|&(ttype, deadline, degraded)| ChainTask {
+                    deadline,
+                    exec: exec(if degraded { apet } else { pet }, ttype),
+                })
+                .collect(),
+            degradable: pending
+                .iter()
+                .map(|&(ttype, _, degraded)| (!degraded).then(|| exec(apet, ttype)))
+                .collect(),
+        }
+    }
+
     #[test]
     fn reduces_to_proactive_without_approx() {
         let pet = pet();
-        let queues = vec![
-            vec![pending(1, 1, 20), pending(2, 0, 30)],
-            vec![pending(1, 2, 45), pending(2, 0, 35)],
-            vec![pending(1, 0, 1000), pending(2, 0, 1000), pending(3, 1, 5)],
-        ];
+        let queues: [&[(u16, u64)]; 3] =
+            [&[(1, 20), (0, 30)], &[(2, 45), (0, 35)], &[(0, 1000), (0, 1000), (1, 5)]];
         for pendings in queues {
             let q = idle_queue(&pet, 0, pendings);
             let a = ApproxDropper::paper_default().select_drops_fresh(&q, &ctx_with(None));
@@ -195,10 +202,7 @@ mod tests {
         // behind degraded task 1 (done at 10) -> done 20 < 25 -> 1; with
         // task 1 dropped -> done 10 -> 1.
         // U_keep = 0; U_drop = 1; U_degrade = 0.8 + 1 = 1.8 -> degrade.
-        let q = QueueView {
-            approx_pet: Some(&apet),
-            ..idle_queue(&pet, 0, vec![pending(1, 1, 30), pending(2, 0, 25)])
-        };
+        let q = approx_queue(&pet, &apet, &[(1, 30, false), (0, 25, false)]);
         let d = ApproxDropper::paper_default().select_drops_fresh(&q, &ctx_with(Some(spec)));
         assert_eq!(d.degrades, vec![0]);
         assert!(d.drops.is_empty());
@@ -212,10 +216,7 @@ mod tests {
         // Task 1: type 1 (exec 50, degraded 45), deadline 20 -> hopeless
         // either way. Task 2 (exec 10), deadline 30: blocked by 45-50 ticks
         // -> 0; dropped -> 1. Degrade gains nothing; drop wins.
-        let q = QueueView {
-            approx_pet: Some(&apet),
-            ..idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 30)])
-        };
+        let q = approx_queue(&pet, &apet, &[(1, 20, false), (0, 30, false)]);
         let d = ApproxDropper::paper_default().select_drops_fresh(&q, &ctx_with(Some(spec)));
         assert_eq!(d.drops, vec![0]);
         assert!(d.degrades.is_empty());
@@ -226,10 +227,7 @@ mod tests {
         let pet = pet();
         let spec = ApproxSpec::half_time();
         let apet = degraded_pet(&pet, spec);
-        let q = QueueView {
-            approx_pet: Some(&apet),
-            ..idle_queue(&pet, 0, vec![pending(1, 1, 60), pending(2, 0, 70)])
-        };
+        let q = approx_queue(&pet, &apet, &[(1, 60, false), (0, 70, false)]);
         let d = ApproxDropper::paper_default().select_drops_fresh(&q, &ctx_with(Some(spec)));
         assert!(d.is_empty());
     }
@@ -239,9 +237,8 @@ mod tests {
         let pet = pet();
         let spec = ApproxSpec::new(0.2, 0.8);
         let apet = degraded_pet(&pet, spec);
-        let mut pendings = vec![pending(1, 1, 30), pending(2, 0, 25)];
-        pendings[0].degraded = true; // already approximate
-        let q = QueueView { approx_pet: Some(&apet), ..idle_queue(&pet, 0, pendings) };
+        // The first task is already approximate.
+        let q = approx_queue(&pet, &apet, &[(1, 30, true), (0, 25, false)]);
         let d = ApproxDropper::paper_default().select_drops_fresh(&q, &ctx_with(Some(spec)));
         assert!(!d.degrades.contains(&0), "cannot degrade twice: {d:?}");
     }

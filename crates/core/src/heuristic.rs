@@ -57,13 +57,30 @@ impl ProactiveDropper {
     ///
     /// # Panics
     ///
-    /// Panics if `beta < 1` (Eq 8 requires β ≥ 1) or `eta == 0` (a zero
-    /// depth can never observe a gain, so every comparison degenerates).
+    /// Panics if [`ProactiveDropper::check_settings`] refuses `beta` and
+    /// `eta`.
     #[must_use]
     pub fn new(beta: f64, eta: usize) -> Self {
-        assert!(beta.is_finite() && beta >= 1.0, "beta must be >= 1");
-        assert!(eta >= 1, "effective depth must be >= 1");
+        assert_eq!(Self::check_settings(beta, eta), Ok(()), "invalid proactive dropper");
         ProactiveDropper { beta, eta }
+    }
+
+    /// The conditions [`ProactiveDropper::new`] asserts, shared by every
+    /// Eq-8 dropper: a finite `beta ≥ 1` (Eq 8 requires β ≥ 1) and
+    /// `eta ≥ 1` (a zero depth can never observe a gain, so every
+    /// comparison degenerates).
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_settings(beta: f64, eta: usize) -> Result<(), &'static str> {
+        if !(beta.is_finite() && beta >= 1.0) {
+            return Err("beta must be >= 1");
+        }
+        if eta == 0 {
+            return Err("effective depth must be >= 1");
+        }
+        Ok(())
     }
 
     /// The configuration the paper converges on: β = 1, η = 2.
@@ -102,13 +119,12 @@ impl DropPolicy for ProactiveDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let tasks = queue.chain_tasks();
+        let tasks = &queue.tasks;
         let n = tasks.len();
         if n < 2 {
             // A single pending task is the last task: influence zone empty.
             return DropDecision::none();
         }
-        let base = queue.base();
         let mut drops = Vec::new();
         // Baseline chain (no further drops): the keep-future of position i
         // reads straight from it, so each position costs η extra
@@ -119,12 +135,12 @@ impl DropPolicy for ProactiveDropper {
         // the persistent context: the buffers are warm from previous calls,
         // the arithmetic is untouched.
         let PolicyCtx { baseline, probe, .. } = scratch;
-        baseline.reset(&base);
+        baseline.reset(&queue.base);
         // Completion PMF of the latest surviving predecessor.
-        let mut prev = base;
+        let mut prev = queue.base.clone();
         for i in 0..n - 1 {
             let window_end = (i + 1 + self.eta).min(n);
-            baseline.ensure(&tasks, window_end, ctx.compaction);
+            baseline.ensure(tasks, window_end, ctx.compaction);
             // Keep-future: chances of i and up to η successors, from the
             // baseline chain.
             let keep: f64 = baseline.links()[i..window_end].iter().map(|l| l.chance).sum();
@@ -147,8 +163,8 @@ impl DropPolicy for ProactiveDropper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{busy_queue, idle_queue, pending, pet};
-    use taskdrop_pmf::Compaction;
+    use crate::testutil::{idle_queue, pet, queue};
+    use taskdrop_pmf::{Compaction, Pmf};
 
     fn ctx() -> DropContext {
         DropContext::plain(Compaction::None)
@@ -157,7 +173,7 @@ mod tests {
     #[test]
     fn empty_queue_no_drops() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![]);
+        let q = idle_queue(&pet, 0, &[]);
         assert!(ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
@@ -165,7 +181,7 @@ mod tests {
     fn single_task_never_dropped() {
         let pet = pet();
         // Hopeless deadline, but it is the last task: influence zone empty.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 5)]);
+        let q = idle_queue(&pet, 0, &[(1, 5)]);
         assert!(ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
@@ -176,7 +192,7 @@ mod tests {
         // task 2 (type 0, exec 10) with deadline 30: blocked it completes at
         // 60 (chance 0); alone it completes at 10 (chance 1). Dropping the
         // blocker gains 1.0 > beta * 0.0.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 30)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 30)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert_eq!(d.drops, vec![0]);
     }
@@ -186,7 +202,7 @@ mod tests {
         let pet = pet();
         // Task 1 (exec 50, deadline 60): chance 1. Task 2 (exec 10,
         // deadline 70): completes at 60 < 70, chance 1. Nothing to gain.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 60), pending(2, 0, 70)]);
+        let q = idle_queue(&pet, 0, &[(1, 60), (0, 70)]);
         assert!(ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
@@ -198,7 +214,7 @@ mod tests {
         // = P(exec branch 20) * P(10 after) = 30 < 35 -> 0.5; alone chance 1.
         // Gain 0.5 vs loss 0.5: beta=1 is indifferent (strict >), huge beta
         // certainly keeps it.
-        let q = idle_queue(&pet, 0, vec![pending(1, 2, 45), pending(2, 0, 35)]);
+        let q = idle_queue(&pet, 0, &[(2, 45), (0, 35)]);
         let conservative = ProactiveDropper::new(1e12, 2);
         assert!(conservative.select_drops_fresh(&q, &ctx()).is_empty());
         // With beta = 1 and a slightly *bigger* gain (tighten the follower
@@ -206,7 +222,7 @@ mod tests {
         // the construction simple: widen gain by making the blocker's own
         // chance smaller via deadline 25 -> blocker chance 0.5 (20 < 25),
         // hmm same. Direct check: beta=1 drops when gain exceeds loss.)
-        let q2 = idle_queue(&pet, 0, vec![pending(1, 2, 85), pending(2, 0, 35)]);
+        let q2 = idle_queue(&pet, 0, &[(2, 85), (0, 35)]);
         // Blocker chance: 20<85 and 80<85 -> 1.0; follower blocked: done at
         // 30 (.5) or 90 (.5) -> 0.5; alone -> 1.0. Gain 0.5 < loss 1.0+0.5:
         // no drop at any beta >= 1. Sanity only.
@@ -217,7 +233,7 @@ mod tests {
     fn zero_keep_chance_blocker_dropped_at_any_beta() {
         let pet = pet();
         // Literal Eq 8: keep-future chance 0 means any gain wins at any beta.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 30)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 30)]);
         let conservative = ProactiveDropper::new(1e12, 2);
         assert_eq!(conservative.select_drops_fresh(&q, &ctx()).drops, vec![0]);
     }
@@ -228,7 +244,7 @@ mod tests {
         // Both tasks hopeless: dropping the first gains nothing (0 > 0 is
         // false), so Eq 8 keeps it; the engine's reactive dropping will
         // handle them as their deadlines pass.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 10), pending(2, 1, 10)]);
+        let q = idle_queue(&pet, 0, &[(1, 10), (1, 10)]);
         assert!(ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
@@ -264,9 +280,7 @@ mod tests {
         // eta=1: drop-sum = p(B|dropA) = 1; keep-sum = p_A + p_B = 0 + 1 = 1.
         //   1 > 1 false -> A kept (misses C's gain).
         // eta=2: drop-sum = 1 + 1 = 2; keep-sum = 0 + 1 + 0 = 1. 2 > 1 -> drop A.
-        let mk = |pet| {
-            idle_queue(pet, 0, vec![pending(1, 1, 45), pending(2, 0, 1000), pending(3, 0, 25)])
-        };
+        let mk = |pet| idle_queue(pet, 0, &[(1, 45), (0, 1000), (0, 25)]);
         let q = mk(&pet);
         let shallow = ProactiveDropper::new(1.0, 1);
         assert!(shallow.select_drops_fresh(&q, &ctx()).is_empty(), "eta=1 misses the depth-2 gain");
@@ -279,8 +293,7 @@ mod tests {
         let pet = pet();
         // Three tasks; make the last hopeless. It must survive (its
         // influence zone is empty).
-        let q =
-            idle_queue(&pet, 0, vec![pending(1, 0, 1000), pending(2, 0, 1000), pending(3, 1, 5)]);
+        let q = idle_queue(&pet, 0, &[(0, 1000), (0, 1000), (1, 5)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert!(!d.drops.contains(&2));
     }
@@ -290,7 +303,7 @@ mod tests {
         let pet = pet();
         // A doomed huge task followed by two viable ones; after dropping the
         // blocker the survivors are fine and must not be dropped.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 40), pending(3, 0, 40)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 40), (0, 40)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert_eq!(d.drops, vec![0]);
     }
@@ -303,7 +316,7 @@ mod tests {
         // reactive pass-through means X's slot costs nothing... X passes
         // through (never starts), so Y completes at 110 < 115 either way;
         // no gain, no drop.)
-        let q = busy_queue(&pet, 0, 100, 1000, vec![pending(1, 0, 50), pending(2, 0, 115)]);
+        let q = queue(&pet, Pmf::point(100), &[(0, 50), (0, 115)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert!(d.is_empty(), "pass-through already neutralises the doomed task");
         // But with a *stochastic* runner the doomed task can hurt: runner
@@ -317,22 +330,8 @@ mod tests {
         // .5 (late) or pass-through... runner at 100 >= X deadline 50: X
         // passes; Y starts at 100: late. chance = 0. drop X: Y starts 40,
         // done 50 < 51 w.p. 0.5 -> chance 0.5 > 0. Drop!
-        use taskdrop_model::view::RunningView;
-        use taskdrop_model::{TaskId, TaskTypeId};
-        use taskdrop_pmf::Pmf;
-        let q = taskdrop_model::view::QueueView {
-            running: Some(RunningView {
-                id: TaskId(9),
-                type_id: TaskTypeId(0),
-                deadline: 1000,
-                completion: Pmf::from_impulses(vec![(40, 0.5), (100, 0.5)]).unwrap(),
-            }),
-            ..q
-        };
-        let q = taskdrop_model::view::QueueView {
-            pending: vec![pending(1, 0, 50), pending(2, 0, 51)],
-            ..q
-        };
+        let runner = Pmf::from_impulses(vec![(40, 0.5), (100, 0.5)]).unwrap();
+        let q = queue(&pet, runner, &[(0, 50), (0, 51)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert_eq!(d.drops, vec![0]);
     }

@@ -24,9 +24,9 @@
 //! * [`ReactiveOnly`] — no proactive drops at all; only the engine's
 //!   reactive dropping (tasks that already missed their deadlines) applies.
 //!
-//! Policies never see the simulator: they receive a read-only
-//! [`QueueView`] per machine queue and
-//! return the pending positions to drop. The *running* task is never
+//! Policies never see the simulator: they receive one [`QueueView`] per
+//! machine queue — the inputs of its Eq-1 chain — and return the pending
+//! positions to drop. The *running* task is never
 //! droppable (the system model forbids preemption), and the *last* pending
 //! task is excluded because its influence zone is empty (Section IV-D).
 
@@ -52,9 +52,9 @@ use taskdrop_model::view::{DropContext, QueueView};
 /// Outcome of a dropping decision for one machine queue.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DropDecision {
-    /// Indices into `QueueView::pending` to drop, strictly increasing.
+    /// Indices into [`QueueView::tasks`] to drop, strictly increasing.
     pub drops: Vec<usize>,
-    /// Indices into `QueueView::pending` to *degrade* to their approximate
+    /// Indices into [`QueueView::tasks`] to *degrade* to their approximate
     /// variants (the future-work extension; see [`ApproxDropper`]), strictly
     /// increasing and disjoint from `drops`. Empty for the paper's policies.
     pub degrades: Vec<usize>,
@@ -98,7 +98,9 @@ pub trait DropPolicy: Send + Sync {
     /// `scratch` for all chain evaluation.
     ///
     /// Returned indices must be strictly increasing and reference
-    /// `queue.pending`; the engine validates this.
+    /// [`QueueView::tasks`]; a degrade must name a position whose
+    /// [`QueueView::degradable`] entry is `Some`. The engine validates
+    /// this.
     fn select_drops(
         &self,
         queue: &QueueView<'_>,
@@ -117,8 +119,9 @@ pub trait DropPolicy: Send + Sync {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use taskdrop_model::view::{PendingView, QueueView, RunningView};
-    use taskdrop_model::{MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+    use taskdrop_model::queue::ChainTask;
+    use taskdrop_model::view::QueueView;
+    use taskdrop_model::{MachineTypeId, PetMatrix, TaskTypeId};
     use taskdrop_pmf::{Pmf, Tick};
 
     /// A 3-type x 1-machine PET: type 0 = 10 ticks, type 1 = 50 ticks,
@@ -135,48 +138,20 @@ pub(crate) mod testutil {
         )
     }
 
-    pub fn pending(id: u64, ttype: u16, deadline: Tick) -> PendingView {
-        PendingView::full(TaskId(id), TaskTypeId(ttype), deadline)
+    /// Pending tasks given as (task type, deadline), chained behind `base`.
+    pub fn queue<'a>(pet: &'a PetMatrix, base: Pmf, pending: &[(u16, Tick)]) -> QueueView<'a> {
+        let tasks = pending
+            .iter()
+            .map(|&(ttype, deadline)| ChainTask {
+                deadline,
+                exec: pet.pmf(TaskTypeId(ttype), MachineTypeId(0)),
+            })
+            .collect();
+        QueueView { base, tasks, degradable: Vec::new() }
     }
 
     /// Queue on an idle machine at `now`.
-    pub fn idle_queue<'a>(
-        pet: &'a PetMatrix,
-        now: Tick,
-        pending: Vec<PendingView>,
-    ) -> QueueView<'a> {
-        QueueView {
-            machine: MachineId(0),
-            machine_type: MachineTypeId(0),
-            now,
-            running: None,
-            pending,
-            pet,
-            approx_pet: None,
-        }
-    }
-
-    /// Queue with a running task completing deterministically at `done_at`.
-    pub fn busy_queue<'a>(
-        pet: &'a PetMatrix,
-        now: Tick,
-        done_at: Tick,
-        deadline: Tick,
-        pending: Vec<PendingView>,
-    ) -> QueueView<'a> {
-        QueueView {
-            machine: MachineId(0),
-            machine_type: MachineTypeId(0),
-            now,
-            running: Some(RunningView {
-                id: TaskId(999),
-                type_id: TaskTypeId(0),
-                deadline,
-                completion: Pmf::point(done_at),
-            }),
-            pending,
-            pet,
-            approx_pet: None,
-        }
+    pub fn idle_queue<'a>(pet: &'a PetMatrix, now: Tick, pending: &[(u16, Tick)]) -> QueueView<'a> {
+        queue(pet, Pmf::point(now), pending)
     }
 }

@@ -125,7 +125,7 @@ impl DropPolicy for OptimalDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let tasks = queue.chain_tasks();
+        let (base, tasks) = (&queue.base, &queue.tasks);
         let n = tasks.len();
         if n < 2 {
             return DropDecision::none();
@@ -136,7 +136,6 @@ impl DropPolicy for OptimalDropper {
             n - 1,
             n - 1
         );
-        let base = queue.base();
         let eval = &mut scratch.eval;
 
         // Per-position best-case chance: chained directly after the base.
@@ -145,14 +144,14 @@ impl DropPolicy for OptimalDropper {
         // predecessor (see `completion_dominates_predecessor` property).
         let mut bound_tail = vec![0.0; n + 1];
         for i in (0..n).rev() {
-            bound_tail[i] = bound_tail[i + 1] + eval.chance_from(&base, tasks[i]);
+            bound_tail[i] = bound_tail[i + 1] + eval.chance_from(base, tasks[i]);
         }
 
         // Seed the incumbent with the no-drop chain so pruning has a bar,
         // then search all alternatives.
-        let seed_r = eval.chance_sum(&base, &tasks, n, ctx.compaction);
+        let seed_r = eval.chance_sum(base, tasks, n, ctx.compaction);
         let mut search = Search {
-            tasks: &tasks,
+            tasks,
             compaction: ctx.compaction,
             prune: self.prune,
             eval,
@@ -161,7 +160,7 @@ impl DropPolicy for OptimalDropper {
             best_drops: Vec::new(),
             current: Vec::new(),
         };
-        search.dfs(0, &base, 0.0);
+        search.dfs(0, base, 0.0);
         DropDecision::drops(search.best_drops)
     }
 }
@@ -169,7 +168,7 @@ impl DropPolicy for OptimalDropper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{idle_queue, pending, pet};
+    use crate::testutil::{idle_queue, pet};
     use crate::ProactiveDropper;
     use taskdrop_model::queue::{chain_with_drops, instantaneous_robustness};
 
@@ -180,9 +179,7 @@ mod tests {
     /// Oracle: enumerate all masks with `chain_with_drops` and return the
     /// best robustness value.
     fn oracle_best(queue: &QueueView<'_>) -> f64 {
-        let tasks = queue.chain_tasks();
-        let base = queue.base();
-        let n = tasks.len();
+        let n = queue.tasks.len();
         let mut best = f64::NEG_INFINITY;
         for mask in 0u32..(1 << n) {
             // Last task not droppable.
@@ -190,35 +187,34 @@ mod tests {
                 continue;
             }
             let dropped: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-            let links = chain_with_drops(&base, &tasks, &dropped, Compaction::None);
+            let links = chain_with_drops(&queue.base, &queue.tasks, &dropped, Compaction::None);
             best = best.max(instantaneous_robustness(&links));
         }
         best
     }
 
     fn achieved(queue: &QueueView<'_>, drops: &[usize]) -> f64 {
-        let tasks = queue.chain_tasks();
-        let mut mask = vec![false; tasks.len()];
+        let mut mask = vec![false; queue.tasks.len()];
         for &d in drops {
             mask[d] = true;
         }
-        let links = chain_with_drops(&queue.base(), &tasks, &mask, Compaction::None);
+        let links = chain_with_drops(&queue.base, &queue.tasks, &mask, Compaction::None);
         instantaneous_robustness(&links)
     }
 
     #[test]
     fn empty_and_singleton_queues() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![]);
+        let q = idle_queue(&pet, 0, &[]);
         assert!(OptimalDropper::new().select_drops_fresh(&q, &ctx()).is_empty());
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 5)]);
+        let q = idle_queue(&pet, 0, &[(1, 5)]);
         assert!(OptimalDropper::new().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
     #[test]
     fn matches_oracle_on_doomed_blocker() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 30)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 30)]);
         let d = OptimalDropper::new().select_drops_fresh(&q, &ctx());
         assert_eq!(d.drops, vec![0]);
         assert!((achieved(&q, &d.drops) - oracle_best(&q)).abs() < 1e-9);
@@ -227,23 +223,17 @@ mod tests {
     #[test]
     fn no_drop_when_nothing_gained() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 60), pending(2, 0, 70)]);
+        let q = idle_queue(&pet, 0, &[(1, 60), (0, 70)]);
         assert!(OptimalDropper::new().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
     #[test]
     fn matches_oracle_on_mixed_queues() {
         let pet = pet();
-        let queues = vec![
-            vec![pending(1, 2, 90), pending(2, 0, 100), pending(3, 1, 120), pending(4, 0, 50)],
-            vec![pending(1, 1, 55), pending(2, 1, 40), pending(3, 0, 95), pending(4, 0, 130)],
-            vec![
-                pending(1, 2, 30),
-                pending(2, 2, 85),
-                pending(3, 0, 95),
-                pending(4, 1, 160),
-                pending(5, 0, 175),
-            ],
+        let queues: [&[(u16, u64)]; 3] = [
+            &[(2, 90), (0, 100), (1, 120), (0, 50)],
+            &[(1, 55), (1, 40), (0, 95), (0, 130)],
+            &[(2, 30), (2, 85), (0, 95), (1, 160), (0, 175)],
         ];
         for pendings in queues {
             let q = idle_queue(&pet, 0, pendings);
@@ -257,14 +247,8 @@ mod tests {
     #[test]
     fn pruned_and_unpruned_agree() {
         let pet = pet();
-        let pendings = vec![
-            pending(1, 2, 60),
-            pending(2, 1, 70),
-            pending(3, 0, 45),
-            pending(4, 2, 150),
-            pending(5, 0, 90),
-        ];
-        let q = idle_queue(&pet, 0, pendings);
+        let pendings = [(2, 60), (1, 70), (0, 45), (2, 150), (0, 90)];
+        let q = idle_queue(&pet, 0, &pendings);
         let with = OptimalDropper::new().select_drops_fresh(&q, &ctx());
         let without = OptimalDropper::without_pruning().select_drops_fresh(&q, &ctx());
         assert_eq!(with, without);
@@ -273,10 +257,10 @@ mod tests {
     #[test]
     fn optimal_at_least_as_good_as_heuristic() {
         let pet = pet();
-        let cases = vec![
-            vec![pending(1, 1, 20), pending(2, 0, 30), pending(3, 2, 80)],
-            vec![pending(1, 2, 45), pending(2, 0, 22), pending(3, 1, 130), pending(4, 0, 60)],
-            vec![pending(1, 0, 15), pending(2, 1, 55), pending(3, 2, 95), pending(4, 0, 105)],
+        let cases: [&[(u16, u64)]; 3] = [
+            &[(1, 20), (0, 30), (2, 80)],
+            &[(2, 45), (0, 22), (1, 130), (0, 60)],
+            &[(0, 15), (1, 55), (2, 95), (0, 105)],
         ];
         for pendings in cases {
             let q = idle_queue(&pet, 0, pendings);
@@ -291,7 +275,7 @@ mod tests {
     #[test]
     fn never_drops_last_task() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![pending(1, 0, 1000), pending(2, 1, 5)]);
+        let q = idle_queue(&pet, 0, &[(0, 1000), (1, 5)]);
         let d = OptimalDropper::new().select_drops_fresh(&q, &ctx());
         assert!(!d.drops.contains(&1));
     }
@@ -302,7 +286,7 @@ mod tests {
         // Two identical viable tasks: dropping either changes nothing
         // (pass-through makes doomed drops free only when they add chance).
         // Both viable -> optimal must keep both.
-        let q = idle_queue(&pet, 0, vec![pending(1, 0, 500), pending(2, 0, 500)]);
+        let q = idle_queue(&pet, 0, &[(0, 500), (0, 500)]);
         let d = OptimalDropper::new().select_drops_fresh(&q, &ctx());
         assert!(d.is_empty());
     }

@@ -31,14 +31,14 @@ impl DropPolicy for ReactiveOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{idle_queue, pending, pet};
+    use crate::testutil::{idle_queue, pet};
     use taskdrop_pmf::Compaction;
 
     #[test]
     fn never_drops() {
         let pet = pet();
         // Even a hopeless queue yields no proactive drops.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 12), pending(2, 0, 15)]);
+        let q = idle_queue(&pet, 0, &[(1, 12), (0, 15)]);
         let ctx = DropContext { compaction: Compaction::None, pressure: 10.0, approx: None };
         assert!(ReactiveOnly.select_drops_fresh(&q, &ctx).is_empty());
     }

@@ -26,7 +26,6 @@
 
 use crate::{DropDecision, DropPolicy};
 use taskdrop_model::ctx::PolicyCtx;
-use taskdrop_model::queue::ChainTask;
 use taskdrop_model::view::{DropContext, QueueView};
 
 /// Threshold-based probabilistic dropping (the PAM+Threshold baseline).
@@ -38,28 +37,57 @@ pub struct ThresholdDropper {
 }
 
 impl ThresholdDropper {
+    /// The adaptation rate [`ThresholdDropper::new`] uses.
+    pub const DEFAULT_ADAPT_RATE: f64 = 0.25;
+
+    /// The threshold cap [`ThresholdDropper::new`] uses.
+    pub const DEFAULT_MAX: f64 = 0.8;
+
     /// Creates a threshold dropper with the given base threshold in `[0, 1]`
-    /// and the default adaptation (rate 0.25, cap 0.8).
+    /// and the default adaptation ([`ThresholdDropper::DEFAULT_ADAPT_RATE`],
+    /// [`ThresholdDropper::DEFAULT_MAX`]).
     ///
     /// # Panics
     ///
     /// Panics if `base` is outside `[0, 1]`.
     #[must_use]
     pub fn new(base: f64) -> Self {
-        Self::with_adaptation(base, 0.25, 0.8)
+        Self::with_adaptation(base, Self::DEFAULT_ADAPT_RATE, Self::DEFAULT_MAX)
     }
 
     /// Full-control constructor.
     ///
     /// # Panics
     ///
-    /// Panics if `base` or `max` is outside `[0, 1]`, or `adapt_rate < 0`.
+    /// Panics if [`ThresholdDropper::check_settings`] refuses the
+    /// arguments.
     #[must_use]
     pub fn with_adaptation(base: f64, adapt_rate: f64, max: f64) -> Self {
-        assert!((0.0..=1.0).contains(&base), "base threshold must be in [0, 1]");
-        assert!((0.0..=1.0).contains(&max), "max threshold must be in [0, 1]");
-        assert!(adapt_rate >= 0.0, "adapt rate must be >= 0");
+        assert_eq!(
+            Self::check_settings(base, adapt_rate, max),
+            Ok(()),
+            "invalid threshold dropper"
+        );
         ThresholdDropper { base, adapt_rate, max }
+    }
+
+    /// The conditions [`ThresholdDropper::with_adaptation`] asserts: `base`
+    /// and `max` in `[0, 1]`, and `adapt_rate ≥ 0`.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_settings(base: f64, adapt_rate: f64, max: f64) -> Result<(), &'static str> {
+        if !(0.0..=1.0).contains(&base) {
+            return Err("base threshold must be in [0, 1]");
+        }
+        if !(0.0..=1.0).contains(&max) {
+            return Err("max threshold must be in [0, 1]");
+        }
+        if !(0.0..).contains(&adapt_rate) {
+            return Err("adapt rate must be >= 0");
+        }
+        Ok(())
     }
 
     /// The threshold the paper's comparison uses (25 %).
@@ -92,12 +120,11 @@ impl DropPolicy for ThresholdDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let tasks: Vec<ChainTask<'_>> = queue.chain_tasks();
         let threshold = self.effective_threshold(ctx.pressure);
         let mut drops = Vec::new();
         let eval = &mut scratch.eval;
-        let mut prev = queue.base();
-        for (i, &t) in tasks.iter().enumerate() {
+        let mut prev = queue.base.clone();
+        for (i, &t) in queue.tasks.iter().enumerate() {
             let (chance, completion) = eval.step_from(&prev, t, ctx.compaction);
             if chance < threshold {
                 drops.push(i);
@@ -113,7 +140,7 @@ impl DropPolicy for ThresholdDropper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{idle_queue, pending, pet};
+    use crate::testutil::{idle_queue, pet};
     use taskdrop_pmf::Compaction;
 
     fn ctx(pressure: f64) -> DropContext {
@@ -126,7 +153,7 @@ mod tests {
         // Task 1: type 2 ({20: .5, 80: .5}), deadline 50 -> chance 0.5.
         // Task 2 (behind 1): type 0 (exec 10), deadline 95:
         //   completion = 30 w.p. .5 / 90 w.p. .5 -> chance 1.0.
-        let q = idle_queue(&pet, 0, vec![pending(1, 2, 50), pending(2, 0, 95)]);
+        let q = idle_queue(&pet, 0, &[(2, 50), (0, 95)]);
         let lenient = ThresholdDropper::with_adaptation(0.3, 0.0, 0.8);
         assert!(lenient.select_drops_fresh(&q, &ctx(0.0)).is_empty());
         let strict = ThresholdDropper::with_adaptation(0.6, 0.0, 0.8);
@@ -136,7 +163,7 @@ mod tests {
     #[test]
     fn zero_threshold_never_drops() {
         let pet = pet();
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 30)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 30)]);
         let off = ThresholdDropper::with_adaptation(0.0, 0.0, 0.8);
         assert!(off.select_drops_fresh(&q, &ctx(5.0)).is_empty());
     }
@@ -145,7 +172,7 @@ mod tests {
     fn may_drop_last_task() {
         let pet = pet();
         // Unlike Eq-8 droppers, threshold pruning discards a hopeless tail.
-        let q = idle_queue(&pet, 0, vec![pending(1, 0, 1000), pending(2, 1, 5)]);
+        let q = idle_queue(&pet, 0, &[(0, 1000), (1, 5)]);
         let d = ThresholdDropper::paper_default().select_drops_fresh(&q, &ctx(0.0));
         assert_eq!(d.drops, vec![1]);
     }
@@ -155,7 +182,7 @@ mod tests {
         let pet = pet();
         // Doomed 50-tick blocker (chance 0 < 0.25) then a task that is only
         // viable once the blocker is gone.
-        let q = idle_queue(&pet, 0, vec![pending(1, 1, 20), pending(2, 0, 15)]);
+        let q = idle_queue(&pet, 0, &[(1, 20), (0, 15)]);
         let d = ThresholdDropper::paper_default().select_drops_fresh(&q, &ctx(0.0));
         // Blocker dropped; follower then completes at 10 < 15 (chance 1).
         assert_eq!(d.drops, vec![0]);
@@ -177,7 +204,7 @@ mod tests {
         let pet = pet();
         // Chance 0.5 task: kept at base 0.4, dropped once pressure raises
         // the effective threshold above 0.5.
-        let q = idle_queue(&pet, 0, vec![pending(1, 2, 50), pending(2, 0, 1000)]);
+        let q = idle_queue(&pet, 0, &[(2, 50), (0, 1000)]);
         let t = ThresholdDropper::with_adaptation(0.4, 0.5, 0.9);
         assert!(t.select_drops_fresh(&q, &ctx(0.0)).is_empty());
         assert_eq!(t.select_drops_fresh(&q, &ctx(1.0)).drops, vec![0]);

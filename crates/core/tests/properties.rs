@@ -11,14 +11,19 @@
 //!    depth the heuristic's chain updates never decrease robustness...
 //!    the *global* heuristic-vs-nodrop claim is only guaranteed for η
 //!    covering the whole influence zone, so we assert it for that case).
-//! 3. Drop indices are always strictly increasing, within bounds, and never
-//!    include the last pending task for the Eq-8 policies.
+//! 3. Drop and degrade indices are always strictly increasing, within
+//!    bounds and disjoint; drops never include the last pending task for
+//!    the Eq-8 policies, and degrades fall only on degradable positions
+//!    other than the last.
 
 use proptest::prelude::*;
-use taskdrop_core::{DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper};
-use taskdrop_model::queue::{chain_with_drops, instantaneous_robustness};
-use taskdrop_model::view::{DropContext, PendingView, QueueView};
-use taskdrop_model::{MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+use taskdrop_core::{
+    ApproxDropper, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper,
+};
+use taskdrop_model::approx::degraded_pet;
+use taskdrop_model::queue::{chain_with_drops, instantaneous_robustness, ChainTask};
+use taskdrop_model::view::{DropContext, QueueView};
+use taskdrop_model::{ApproxSpec, MachineTypeId, PetMatrix, TaskTypeId};
 use taskdrop_pmf::{Compaction, Pmf};
 
 /// A small PET with stochastic cells so chances are non-trivial.
@@ -40,24 +45,37 @@ fn queue_strategy() -> impl Strategy<Value = Vec<(u16, u64)>> {
     prop::collection::vec((0u16..4, 10u64..300), 0..=6)
 }
 
+fn exec(pet: &PetMatrix, tt: u16) -> &Pmf {
+    pet.pmf(TaskTypeId(tt), MachineTypeId(0))
+}
+
+/// An idle machine's queue at t = 0, approximate computing off.
 fn build_queue<'a>(pet: &'a PetMatrix, spec: &[(u16, u64)]) -> QueueView<'a> {
     QueueView {
-        machine: MachineId(0),
-        machine_type: MachineTypeId(0),
-        now: 0,
-        running: None,
-        pending: spec
-            .iter()
-            .enumerate()
-            .map(|(i, &(tt, d))| PendingView {
-                id: TaskId(i as u64),
-                type_id: TaskTypeId(tt),
+        base: Pmf::point(0),
+        tasks: spec.iter().map(|&(tt, d)| ChainTask { deadline: d, exec: exec(pet, tt) }).collect(),
+        degradable: Vec::new(),
+    }
+}
+
+/// The same queue with approximate computing on: position `i` is already
+/// degraded when `degraded[i]` is 1, and degradable otherwise.
+fn build_approx_queue<'a>(
+    pet: &'a PetMatrix,
+    apet: &'a PetMatrix,
+    spec: &[(u16, u64)],
+    degraded: &[u8],
+) -> QueueView<'a> {
+    let entries = || spec.iter().zip(degraded).map(|(&(tt, d), &deg)| (tt, d, deg == 1));
+    QueueView {
+        base: Pmf::point(0),
+        tasks: entries()
+            .map(|(tt, d, deg)| ChainTask {
                 deadline: d,
-                degraded: false,
+                exec: exec(if deg { apet } else { pet }, tt),
             })
             .collect(),
-        pet,
-        approx_pet: None,
+        degradable: entries().map(|(tt, _, deg)| (!deg).then(|| exec(apet, tt))).collect(),
     }
 }
 
@@ -66,26 +84,24 @@ fn ctx() -> DropContext {
 }
 
 fn robustness_with(queue: &QueueView<'_>, drops: &[usize]) -> f64 {
-    let tasks = queue.chain_tasks();
-    let mut mask = vec![false; tasks.len()];
+    let mut mask = vec![false; queue.tasks.len()];
     for &d in drops {
         mask[d] = true;
     }
-    let links = chain_with_drops(&queue.base(), &tasks, &mask, Compaction::None);
+    let links = chain_with_drops(&queue.base, &queue.tasks, &mask, Compaction::None);
     instantaneous_robustness(&links)
 }
 
 fn oracle_best(queue: &QueueView<'_>) -> f64 {
-    let tasks = queue.chain_tasks();
+    let (base, tasks) = (&queue.base, &queue.tasks);
     let n = tasks.len();
-    let base = queue.base();
     let mut best = f64::NEG_INFINITY;
     for mask_bits in 0u32..(1u32 << n) {
         if n > 0 && mask_bits & (1 << (n - 1)) != 0 {
             continue; // last task not droppable
         }
         let mask: Vec<bool> = (0..n).map(|i| mask_bits & (1 << i) != 0).collect();
-        let links = chain_with_drops(&base, &tasks, &mask, Compaction::None);
+        let links = chain_with_drops(base, tasks, &mask, Compaction::None);
         best = best.max(instantaneous_robustness(&links));
     }
     if n == 0 {
@@ -96,8 +112,6 @@ fn oracle_best(queue: &QueueView<'_>) -> f64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn optimal_matches_oracle(spec in queue_strategy()) {
         let pet = pet();
@@ -137,26 +151,48 @@ proptest! {
     }
 
     #[test]
-    fn drop_indices_well_formed(spec in queue_strategy()) {
+    fn drop_indices_well_formed(
+        spec in queue_strategy(),
+        degraded in prop::collection::vec(0u8..2, 6),
+    ) {
         let pet = pet();
-        let q = build_queue(&pet, &spec);
-        let n = q.pending.len();
+        let apet = degraded_pet(&pet, ApproxSpec::half_time());
+        let approx_ctx = DropContext { approx: Some(ApproxSpec::half_time()), ..ctx() };
+        let queues = [
+            (build_queue(&pet, &spec), ctx()),
+            (build_approx_queue(&pet, &apet, &spec, &degraded), approx_ctx),
+        ];
         let policies: Vec<Box<dyn DropPolicy>> = vec![
             Box::new(ReactiveOnly),
             Box::new(ProactiveDropper::paper_default()),
+            Box::new(ApproxDropper::paper_default()),
             Box::new(OptimalDropper::new()),
             Box::new(ThresholdDropper::paper_default()),
         ];
-        for p in &policies {
-            let d = p.select_drops_fresh(&q, &ctx());
-            for w in d.drops.windows(2) {
-                prop_assert!(w[0] < w[1], "{} indices not increasing", p.name());
-            }
-            for &i in &d.drops {
-                prop_assert!(i < n, "{} index {i} out of bounds {n}", p.name());
-            }
-            if (p.name() == "Heuristic" || p.name() == "Optimal") && n > 0 {
-                prop_assert!(!d.drops.contains(&(n - 1)), "{} dropped last", p.name());
+        for (q, dctx) in &queues {
+            let n = q.tasks.len();
+            for p in &policies {
+                let d = p.select_drops_fresh(q, dctx);
+                let name = p.name();
+                for indices in [&d.drops, &d.degrades] {
+                    for w in indices.windows(2) {
+                        prop_assert!(w[0] < w[1], "{name} indices not increasing: {d:?}");
+                    }
+                    for &i in indices {
+                        prop_assert!(i < n, "{name} index {i} out of bounds {n}");
+                    }
+                }
+                if name != "Threshold" && n > 0 {
+                    prop_assert!(!d.drops.contains(&(n - 1)), "{name} dropped last");
+                }
+                for &i in &d.degrades {
+                    prop_assert!(!d.drops.contains(&i), "{name} dropped and degraded {i}");
+                    prop_assert!(i + 1 < n, "{name} degraded the last position");
+                    prop_assert!(
+                        q.degradable.get(i).is_some_and(Option::is_some),
+                        "{name} degraded position {i}, which is not degradable"
+                    );
+                }
             }
         }
     }

@@ -24,8 +24,8 @@ use taskdrop_core::{
 use taskdrop_model::approx::degraded_pet;
 use taskdrop_model::ctx::PolicyCtx;
 use taskdrop_model::queue::{chain, chance_sum, ChainEvaluator, ChainTask};
-use taskdrop_model::view::{DropContext, PendingView, QueueView, RunningView};
-use taskdrop_model::{ApproxSpec, MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+use taskdrop_model::view::{DropContext, QueueView};
+use taskdrop_model::{ApproxSpec, MachineTypeId, PetMatrix, TaskTypeId};
 use taskdrop_pmf::{Compaction, Pmf, Tick};
 
 /// A random normalised PMF with up to 12 impulses on ticks 0..=400.
@@ -140,32 +140,27 @@ impl QueueSim {
         }
     }
 
-    /// The policy-facing view; the differential loop splices `approx_pet`
-    /// in separately per approx-on/off case.
-    fn view<'a>(&self, pet: &'a PetMatrix) -> QueueView<'a> {
+    /// The policy-facing view, built the way the engine builds it: degraded
+    /// entries chain with the degraded PET `apet` when approximate computing
+    /// is on (`Some`), and every other entry is degradable then.
+    fn view<'a>(&self, pet: &'a PetMatrix, apet: Option<&'a PetMatrix>) -> QueueView<'a> {
+        let exec = |source: &'a PetMatrix, tt| source.pmf(TaskTypeId(tt), MachineTypeId(0));
         QueueView {
-            machine: MachineId(0),
-            machine_type: MachineTypeId(0),
-            now: self.now,
-            running: self.running.as_ref().map(|(completion, deadline)| RunningView {
-                id: TaskId(9_999),
-                type_id: TaskTypeId(0),
-                deadline: *deadline,
-                completion: completion.clone(),
-            }),
-            pending: self
+            base: self.running.as_ref().map_or_else(|| Pmf::point(self.now), |(c, _)| c.clone()),
+            tasks: self
                 .pending
                 .iter()
-                .enumerate()
-                .map(|(i, &(tt, deadline, degraded))| PendingView {
-                    id: TaskId(i as u64),
-                    type_id: TaskTypeId(tt),
+                .map(|&(tt, deadline, degraded)| ChainTask {
                     deadline,
-                    degraded,
+                    exec: exec(if degraded { apet.unwrap_or(pet) } else { pet }, tt),
                 })
                 .collect(),
-            pet,
-            approx_pet: None,
+            degradable: apet.map_or_else(Vec::new, |apet| {
+                self.pending
+                    .iter()
+                    .map(|&(tt, _, degraded)| (!degraded).then(|| exec(apet, tt)))
+                    .collect()
+            }),
         }
     }
 }
@@ -260,17 +255,13 @@ proptest! {
             if sim.pending.is_empty() {
                 continue;
             }
-            let view = sim.view(&pet);
             for (with_approx, pressure) in [(false, 0.0), (true, 1.5)] {
                 let dctx = DropContext {
                     compaction,
                     pressure,
                     approx: if with_approx { Some(spec) } else { None },
                 };
-                let view = QueueView {
-                    approx_pet: if with_approx { Some(&apet) } else { None },
-                    ..view.clone()
-                };
+                let view = sim.view(&pet, with_approx.then_some(&apet));
                 for p in &policies {
                     let warm = p.select_drops(&view, &dctx, &mut persistent);
                     let cold = p.select_drops_fresh(&view, &dctx);
@@ -283,10 +274,9 @@ proptest! {
             }
             // The persistent scratch's chain arithmetic stays bit-identical
             // to the naive reference after arbitrary interleaved reuse.
-            let tasks = view.chain_tasks();
-            let base = view.base();
-            let naive = chain(&base, &tasks, compaction);
-            let fused = persistent.eval.chain(&base, &tasks, compaction);
+            let view = sim.view(&pet, None);
+            let naive = chain(&view.base, &view.tasks, compaction);
+            let fused = persistent.eval.chain(&view.base, &view.tasks, compaction);
             for (n, f) in naive.iter().zip(fused.iter()) {
                 prop_assert_eq!(n.chance.to_bits(), f.chance.to_bits());
                 prop_assert_eq!(pmf_bits(&n.completion), pmf_bits(&f.completion));

@@ -142,7 +142,32 @@ impl DropperKind {
         DropperKind::Heuristic { beta: 1.0, eta: 2 }
     }
 
+    /// Checks the parameters against the conditions of the constructor
+    /// [`DropperKind::build`] calls (a kind parsed from a file skipped
+    /// them).
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            DropperKind::ReactiveOnly | DropperKind::Optimal => Ok(()),
+            DropperKind::Approx { beta, eta } | DropperKind::Heuristic { beta, eta } => {
+                ProactiveDropper::check_settings(beta, eta)
+            }
+            DropperKind::Threshold { base } => ThresholdDropper::check_settings(
+                base,
+                ThresholdDropper::DEFAULT_ADAPT_RATE,
+                ThresholdDropper::DEFAULT_MAX,
+            ),
+        }
+    }
+
     /// Instantiates the policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`DropperKind::validate`] refuses the parameters.
     #[must_use]
     pub fn build(&self) -> Box<dyn DropPolicy> {
         match *self {

@@ -36,10 +36,8 @@ use crate::observer::{DropKind, ObserverHub, SimEvent, SimObserver};
 use std::collections::VecDeque;
 use taskdrop_core::DropPolicy;
 use taskdrop_model::ctx::{CacheStats, PolicyCtx};
-use taskdrop_model::queue as qchain;
-use taskdrop_model::view::{
-    DropContext, MachineView, MappingInput, PendingView, QueueView, RunningView,
-};
+use taskdrop_model::queue::ChainTask;
+use taskdrop_model::view::{DropContext, MachineView, MappingInput, QueueView};
 use taskdrop_model::{Machine, MachineId, PetMatrix, Task, TaskId, TaskTypeId};
 use taskdrop_pmf::{Pmf, Tick};
 use taskdrop_sched::MappingHeuristic;
@@ -159,15 +157,6 @@ impl StepOutcome {
     }
 }
 
-/// Read-only snapshot of a queued task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedState {
-    /// The waiting task.
-    pub task: Task,
-    /// Whether the dropping policy degraded it to its approximate variant.
-    pub degraded: bool,
-}
-
 /// Read-only snapshot of a running execution.
 ///
 /// Deliberately omits the engine's realised finish tick: a driver inspecting
@@ -194,8 +183,8 @@ pub struct MachineState {
     pub busy_ticks: u64,
     /// The current execution, if any.
     pub running: Option<RunningState>,
-    /// Queued tasks in FCFS order.
-    pub pending: Vec<QueuedState>,
+    /// Queued tasks in FCFS order, as a checkpoint stores them.
+    pub pending: Vec<QueuedCheckpoint>,
 }
 
 /// Read-only snapshot of the whole core, from [`SimCore::state`].
@@ -728,11 +717,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                         start: r.start,
                         degraded: r.degraded,
                     }),
-                    pending: m
-                        .pending
-                        .iter()
-                        .map(|qt| QueuedState { task: qt.task, degraded: qt.degraded })
-                        .collect(),
+                    pending: m.pending.iter().copied().collect(),
                 })
                 .collect(),
         }
@@ -1007,22 +992,16 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 continue;
             }
             let view = QueueView {
-                machine: m.machine.id,
-                machine_type: m.machine.type_id,
-                now,
-                running: running_view(pet, now, m, config),
-                pending: m
-                    .pending
-                    .iter()
-                    .map(|qt| PendingView {
-                        id: qt.task.id,
-                        type_id: qt.task.type_id,
-                        deadline: qt.task.deadline,
-                        degraded: qt.degraded,
-                    })
-                    .collect(),
-                pet,
-                approx_pet,
+                base: queue_base(pet, now, m, config),
+                tasks: chain_tasks(pet, approx_pet, m),
+                degradable: approx_pet.map_or_else(Vec::new, |apet| {
+                    m.pending
+                        .iter()
+                        .map(|qt| {
+                            (!qt.degraded).then(|| apet.pmf(qt.task.type_id, m.machine.type_id))
+                        })
+                        .collect()
+                }),
             };
             let decision = dropper.select_drops(&view, &drop_ctx, ctx);
             if !decision.is_empty() {
@@ -1436,19 +1415,18 @@ fn start_next<H: ObserverHub>(
     }
 }
 
-/// Completion-time view of the running task: the learned execution PMF
+/// Completion PMF of whatever runs ahead of `m`'s first pending task: the
+/// base of its Eq-1 chain. For a running task, the learned execution PMF
 /// shifted to its start tick and conditioned on "not finished by now"; falls
 /// back to a point mass one tick ahead when the learned support is already
 /// exhausted (the actual draw exceeded everything the PET saw). Under
 /// kill-at-deadline semantics the machine frees no later than the running
-/// task's deadline, so the estimate is clamped there.
-fn running_view(
-    pet: &PetMatrix,
-    now: Tick,
-    m: &MachineSt,
-    config: SimConfig,
-) -> Option<RunningView> {
-    let r = m.running.as_ref()?;
+/// task's deadline, so the estimate is clamped there. A point mass at `now`
+/// when nothing runs.
+fn queue_base(pet: &PetMatrix, now: Tick, m: &MachineSt, config: SimConfig) -> Pmf {
+    let Some(r) = m.running.as_ref() else {
+        return Pmf::point(now);
+    };
     // A degraded runner's estimate scales its learned PMF the same way the
     // engine scales its actual draw.
     let exec_estimate = if r.degraded {
@@ -1462,12 +1440,26 @@ fn running_view(
     if self_kill_applies(config, r, now) {
         completion = completion.clamp_max(r.task.deadline.max(now + 1));
     }
-    Some(RunningView {
-        id: r.task.id,
-        type_id: r.task.type_id,
-        deadline: r.task.deadline,
-        completion,
-    })
+    completion
+}
+
+/// `m`'s pending entries as Eq-1 chain inputs, in queue order. Degraded
+/// entries chain with the degraded PET.
+fn chain_tasks<'p>(
+    pet: &'p PetMatrix,
+    approx_pet: Option<&'p PetMatrix>,
+    m: &MachineSt,
+) -> Vec<ChainTask<'p>> {
+    m.pending
+        .iter()
+        .map(|qt| {
+            let source = if qt.degraded { approx_pet.unwrap_or(pet) } else { pet };
+            ChainTask {
+                deadline: qt.task.deadline,
+                exec: source.pmf(qt.task.type_id, m.machine.type_id),
+            }
+        })
+        .collect()
 }
 
 /// The clamp only applies while the kill can still fire (deadline ahead).
@@ -1475,8 +1467,9 @@ fn self_kill_applies(config: SimConfig, r: &RunningCheckpoint, now: Tick) -> boo
     config.kill_running_at_deadline && r.task.deadline > now
 }
 
-/// Completion PMF of the queue tail: where a newly appended task would wait.
-/// Degraded entries chain with the degraded PET.
+/// Completion PMF of the queue tail: where a newly appended task would wait,
+/// chained from the same [`queue_base`] and [`chain_tasks`] inputs a
+/// dropping policy reads.
 ///
 /// Served through the persistent [`PolicyCtx`]: the cache key is the
 /// complete input of the chain — the machine's queue revision (pending
@@ -1493,10 +1486,7 @@ fn queue_tail(
     config: SimConfig,
     ctx: &mut PolicyCtx,
 ) -> Pmf {
-    let base = match running_view(pet, now, m, config) {
-        Some(r) => r.completion,
-        None => Pmf::point(now),
-    };
+    let base = queue_base(pet, now, m, config);
     if m.pending.is_empty() {
         return base;
     }
@@ -1504,18 +1494,7 @@ fn queue_tail(
     if let Some(tail) = ctx.tails.lookup_tail(key, m.queue_rev, &base, config.compaction) {
         return tail;
     }
-    let tasks: Vec<qchain::ChainTask<'_>> = m
-        .pending
-        .iter()
-        .map(|qt| {
-            let source = if qt.degraded { approx_pet.unwrap_or(pet) } else { pet };
-            qchain::ChainTask {
-                deadline: qt.task.deadline,
-                exec: source.pmf(qt.task.type_id, m.machine.type_id),
-            }
-        })
-        .collect();
-    let tail = ctx.eval.tail(&base, &tasks, config.compaction);
+    let tail = ctx.eval.tail(&base, &chain_tasks(pet, approx_pet, m), config.compaction);
     ctx.tails.store_tail(key, m.queue_rev, base, config.compaction, tail.clone());
     tail
 }
@@ -1624,6 +1603,13 @@ mod tests {
         assert!(st.resolved_tasks + queued + running + st.batch.len() <= st.total_tasks);
         for m in &st.machines {
             assert!(m.pending.len() < core.config().queue_size);
+        }
+        // Inspection and persistence show the same queues.
+        assert!(queued > 0, "no queued task to compare");
+        let saved = core.snapshot();
+        assert_eq!(st.machines.len(), saved.machines.len());
+        for (m, cp) in st.machines.iter().zip(&saved.machines) {
+            assert_eq!(m.pending, cp.pending, "{}", m.machine.id);
         }
     }
 

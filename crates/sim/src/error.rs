@@ -23,6 +23,12 @@ pub enum SimError {
     },
     /// The deadline slack coefficient γ was negative or not finite.
     InvalidGamma,
+    /// A [`crate::DropperKind`]'s parameters break a condition of the
+    /// policy's constructor ([`crate::DropperKind::validate`]).
+    InvalidDropper {
+        /// The broken condition, in words.
+        problem: &'static str,
+    },
     /// A `TrialRunner` was asked to run zero trials.
     ZeroTrials,
     /// A `SimReport` aggregate was requested over zero trials.
@@ -97,6 +103,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "failure spec needs positive MTBF and MTTR (got {mtbf}/{mttr})")
             }
             SimError::InvalidGamma => write!(f, "gamma must be finite and >= 0"),
+            SimError::InvalidDropper { problem } => write!(f, "invalid dropper: {problem}"),
             SimError::ZeroTrials => write!(f, "need at least one trial"),
             SimError::EmptyReport => write!(f, "report aggregate requested over zero trials"),
             SimError::MisnumberedWorkload { index, id } => {

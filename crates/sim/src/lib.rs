@@ -63,12 +63,12 @@ pub use checkpoint::{
     CHECKPOINT_VERSION,
 };
 pub use config::{DropperKind, FailureSpec, SimConfig};
-pub use core::{MachineState, QueuedState, RunningState, SimCore, SimState, StepOutcome};
+pub use core::{MachineState, RunningState, SimCore, SimState, StepOutcome};
 pub use error::SimError;
 pub use event::Event;
 pub use metrics::{TaskFate, TrialResult};
 pub use observer::{
-    AdmissionDropKind, DropKind, EventLog, EventRelay, ForfeitKind, MetricsObserver, MigrationKind,
+    AdmissionDropKind, DropKind, EventRelay, ForfeitKind, MetricsObserver, MigrationKind,
     ObserverHub, SimEvent, SimObserver,
 };
 pub use report::SimReport;

@@ -370,27 +370,6 @@ impl ObserverHub for EventRelay {
     }
 }
 
-/// An observer that records every event (tests, offline analysis, replays).
-#[derive(Debug, Default)]
-pub struct EventLog {
-    /// Events in simulation order.
-    pub events: Vec<SimEvent>,
-}
-
-impl EventLog {
-    /// An empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-}
-
-impl SimObserver for EventLog {
-    fn on_event(&mut self, ev: &SimEvent) {
-        self.events.push(*ev);
-    }
-}
-
 /// Rebuilds a [`TrialResult`] from the event stream alone.
 ///
 /// This is the "metrics as a pluggable observer" half of the API: it holds
@@ -647,15 +626,6 @@ mod tests {
             obs.on_event(&SimEvent::MappingRound { now: 2 });
         }
         assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn event_log_records_in_order() {
-        let mut log = EventLog::new();
-        log.on_event(&SimEvent::Arrived { task: task(0) });
-        log.on_event(&SimEvent::MappingRound { now: 5 });
-        assert_eq!(log.events.len(), 2);
-        assert!(matches!(log.events[1], SimEvent::MappingRound { now: 5 }));
     }
 
     #[test]

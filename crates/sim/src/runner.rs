@@ -71,6 +71,7 @@ impl TrialRunner {
         if !spec.gamma.is_finite() || spec.gamma < 0.0 {
             return Err(SimError::InvalidGamma);
         }
+        spec.dropper.validate().map_err(|problem| SimError::InvalidDropper { problem })?;
         spec.config.validate()
     }
 
@@ -80,8 +81,9 @@ impl TrialRunner {
     ///
     /// [`SimError::ZeroTrials`] for a runner with zero trials,
     /// [`SimError::InvalidGamma`] for a non-finite or negative slack
-    /// coefficient, or any configuration error from [`SimConfig::validate`],
-    /// all before any trial runs; otherwise the first trial's error (in
+    /// coefficient, [`SimError::InvalidDropper`] for dropper parameters
+    /// [`DropperKind::validate`] refuses, or any configuration error from
+    /// [`SimConfig::validate`], all before any trial runs; otherwise the first trial's error (in
     /// trial order) from [`SimCore::new`] or [`SimCore::run_to_completion`].
     pub fn run(&self, scenario: &Scenario, spec: &RunSpec) -> Result<SimReport, SimError> {
         self.validate(spec)?;
@@ -189,6 +191,27 @@ mod tests {
         s.gamma = f64::NAN;
         let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
         assert_eq!(err, Some(SimError::InvalidGamma));
+    }
+
+    #[test]
+    fn out_of_range_dropper_parameters_are_a_typed_error() {
+        let scenario = Scenario::specint(7);
+        let beta = "beta must be >= 1";
+        let eta = "effective depth must be >= 1";
+        let cases = [
+            (DropperKind::Heuristic { beta: 0.5, eta: 2 }, beta),
+            (DropperKind::Heuristic { beta: f64::NAN, eta: 2 }, beta),
+            (DropperKind::Heuristic { beta: 1.0, eta: 0 }, eta),
+            (DropperKind::Approx { beta: 0.5, eta: 2 }, beta),
+            (DropperKind::Approx { beta: f64::NAN, eta: 2 }, beta),
+            (DropperKind::Approx { beta: 1.0, eta: 0 }, eta),
+            (DropperKind::Threshold { base: 1.5 }, "base threshold must be in [0, 1]"),
+        ];
+        for (dropper, problem) in cases {
+            let s = RunSpec { dropper, ..spec(50, 1_000) };
+            let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
+            assert_eq!(err, Some(SimError::InvalidDropper { problem }), "{dropper:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! cargo run --release --example custom_policy -- --quick  # smoke scale
 //! ```
 
-use taskdrop::model::queue::ChainTask;
 use taskdrop::prelude::*;
 
 /// Deals unmapped tasks to machines in round-robin order, one per free slot,
@@ -69,11 +68,10 @@ impl DropPolicy for PanicThreshold {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        // The engine-provided scratch keeps even a custom policy
-        // allocation-free: the fused evaluator's buffers persist across
-        // mapping events.
-        let tasks: Vec<ChainTask<'_>> = queue.chain_tasks();
-        let links = scratch.eval.chain(&queue.base(), &tasks, ctx.compaction);
+        // The view holds the queue's Eq-1 chain inputs; the engine-provided
+        // scratch keeps even a custom policy allocation-free: the fused
+        // evaluator's buffers persist across mapping events.
+        let links = scratch.eval.chain(&queue.base, &queue.tasks, ctx.compaction);
         DropDecision::drops(
             links.iter().enumerate().filter(|(_, l)| l.chance < 0.05).map(|(i, _)| i).collect(),
         )

@@ -48,7 +48,8 @@ fn main() {
 
     println!("== Equation 8: the heuristic's drop decision ==\n");
     // A machine whose queue holds a doomed heavyweight blocking two light
-    // tasks. Execution PMFs come straight from a hand-written PET row.
+    // tasks. The execution PMFs are written by hand here; the engine takes
+    // them from PET cells.
     let heavy = Pmf::from_impulses(vec![(50, 0.5), (70, 0.5)]).unwrap();
     let light = Pmf::point(10);
     let base = Pmf::point(0); // idle machine
@@ -79,25 +80,9 @@ fn main() {
     );
 
     let dropper = ProactiveDropper::paper_default();
-    println!("\n  ProactiveDropper agrees: {:?}", {
-        // Assemble the same queue as a policy view.
-        use taskdrop::model::view::{PendingView, QueueView};
-        let pet = PetMatrix::new(2, 1, vec![heavy.clone(), light.clone()]);
-        let queue = QueueView {
-            machine: MachineId(0),
-            machine_type: MachineTypeId(0),
-            now: 0,
-            running: None,
-            pending: vec![
-                PendingView::full(TaskId(0), TaskTypeId(0), 45),
-                PendingView::full(TaskId(1), TaskTypeId(1), 30),
-                PendingView::full(TaskId(2), TaskTypeId(1), 40),
-            ],
-            pet: &pet,
-            approx_pet: None,
-        };
-        let ctx = DropContext::plain(Compaction::None);
-        dropper.select_drops_fresh(&queue, &ctx).drops
-    });
+    // A policy reads exactly these chain inputs.
+    let queue = QueueView { base, tasks, degradable: Vec::new() };
+    let ctx = DropContext::plain(Compaction::None);
+    println!("\n  ProactiveDropper agrees: {:?}", dropper.select_drops_fresh(&queue, &ctx).drops);
     println!("  (position 0 = task A is proactively dropped)");
 }

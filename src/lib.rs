@@ -144,9 +144,9 @@ pub mod prelude {
         ServeError, ShardCheckpoint, StealPolicy,
     };
     pub use taskdrop_sim::{
-        AdmissionDropKind, Checkpoint, DropKind, DropperKind, EventLog, ForfeitKind,
-        MetricsObserver, RunSpec, SimConfig, SimCore, SimError, SimEvent, SimObserver, SimReport,
-        SimState, StepOutcome, TaskFate, TrialResult, TrialRunner,
+        AdmissionDropKind, Checkpoint, DropKind, DropperKind, ForfeitKind, MetricsObserver,
+        RunSpec, SimConfig, SimCore, SimError, SimEvent, SimObserver, SimReport, SimState,
+        StepOutcome, TaskFate, TrialResult, TrialRunner,
     };
     pub use taskdrop_workload::{
         BlueprintNode, BurstySource, DiurnalSource, GraphBlueprint, OfferedTask,

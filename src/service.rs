@@ -233,7 +233,8 @@ impl ServicePlan {
 
     /// The conditions of the constructors [`ServicePlan::run`] feeds: a
     /// positive checkpoint interval, a valid steal policy, and per shard a
-    /// traffic source and admission settings their constructors accept.
+    /// traffic source, admission settings and dropper parameters their
+    /// constructors accept.
     fn check(&self) -> Result<(), ServeError> {
         let fleet_wide = |problem| ServeError::InvalidPlan { shard: None, problem };
         if self.checkpoint_every == Some(0) {
@@ -249,6 +250,7 @@ impl ServicePlan {
                 .and_then(|()| {
                     AdmissionController::check_settings(shard.ingress_capacity, shard.backpressure)
                 })
+                .and_then(|()| shard.dropper.validate())
                 .map_err(|problem| ServeError::InvalidPlan {
                     shard: Some(shard.name.clone()),
                     problem,
@@ -331,6 +333,13 @@ mod tests {
         let mut p = plan();
         p.shards[0].backpressure = BackpressurePolicy::PreDrop { threshold: 1.5 };
         assert_refused(&p, Some("bursty"), "pre-drop threshold must be a probability in [0, 1]");
+    }
+
+    #[test]
+    fn a_plan_with_an_out_of_range_dropper_parameter_is_refused() {
+        let mut p = plan();
+        p.shards[0].dropper = DropperKind::Heuristic { beta: 0.5, eta: 2 };
+        assert_refused(&p, Some("bursty"), "beta must be >= 1");
     }
 
     #[test]

@@ -157,7 +157,8 @@ fn observers_do_not_change_the_outcome() {
     let dropper = ProactiveDropper::paper_default();
     let bare = closed_world_run(&scenario, &w, &dropper, config, 11);
     let mut core = SimCore::new(&scenario, &w, &Pam, &dropper, config, 11).unwrap();
-    core.attach(EventLog::new());
+    let mut events = Vec::new();
+    core.attach(move |ev: &SimEvent| events.push(*ev));
     core.attach(|_: &SimEvent| {});
     assert_eq!(bare, core.run_to_completion().unwrap());
 }
@@ -201,19 +202,20 @@ fn interleaved_injection_mid_run_still_conserves() {
 
 /// The property the serving fleet's observation path rests on: a core on
 /// an [`EventRelay`] hub, drained after every `step()`, yields exactly the
-/// event sequence — step by step — that an [`EventLog`] attached to the
-/// default hub sees, so feeding the drained buffer to the flight recorder
-/// and telemetry at the epoch barrier observes what live observers would.
+/// event sequence — step by step — that an event log (a `Vec<SimEvent>`
+/// filled by an observer closure) attached to the default hub sees, so
+/// feeding the drained buffer to the flight recorder and telemetry at the
+/// epoch barrier observes what live observers would.
 #[test]
 fn relay_drained_per_step_matches_an_attached_event_log() {
     let scenario = scenario();
     for (name, config) in configs() {
         let w = workload(&scenario, 250, 2_200, 19);
         let dropper = dropper_for(name);
-        let log = Rc::new(RefCell::new(EventLog::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let handle = Rc::clone(&log);
         let mut boxed = SimCore::open(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
-        boxed.attach(move |ev: &SimEvent| handle.borrow_mut().on_event(ev));
+        boxed.attach(move |ev: &SimEvent| handle.borrow_mut().push(*ev));
         let mut relay =
             SimCore::<EventRelay>::open_in(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
         for t in &w.tasks {
@@ -226,8 +228,8 @@ fn relay_drained_per_step_matches_an_attached_event_log() {
             assert_eq!(relay.step(), outcome, "config {name}: relay core diverged");
             let drained = relay.hub_mut().take();
             let log = log.borrow();
-            assert_eq!(drained, &log.events[seen..], "config {name}: step ending at {outcome:?}");
-            seen = log.events.len();
+            assert_eq!(drained, &log[seen..], "config {name}: step ending at {outcome:?}");
+            seen = log.len();
             if outcome.is_drained() {
                 break;
             }
