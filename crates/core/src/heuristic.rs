@@ -31,6 +31,22 @@
 //! predecessor PMF simply skips dropped tasks, so later decisions see the
 //! improved queue — `O(η·q)` convolutions per queue (Section IV-F).
 //!
+//! **Approximate computing** (the paper's future work, enabled by
+//! `SimConfig::approx`) changes only the *action* taken once Eq 8 fires.
+//! When the task can still be degraded ([`QueueView::degradable`]), the
+//! heuristic also prices a **degrade** future, in which task *i* runs its
+//! approximate variant and keeps a fraction `v` of its value:
+//!
+//! ```text
+//!   v · p̃_i  +  Σ_{n=i+1}^{i+η} p̃_n
+//! ```
+//!
+//! with `p̃` the chances behind the degraded head. The task is degraded
+//! when that is at least the drop-future, and dropped otherwise. Tasks
+//! Eq 8 keeps are never degraded, so degradation rescues doomed work and
+//! never trades away the paper's full-fidelity robustness. With
+//! `degradable` empty the pass is the paper's, step for step.
+//!
 //! Implementation: two fused [`ChainEvaluator`]s (DESIGN.md §12). The
 //! *baseline* evaluator extends the no-further-drops chain lazily, only as
 //! far as the current keep-window needs — so a confirmed drop invalidates
@@ -42,6 +58,7 @@
 
 use crate::{DropDecision, DropPolicy};
 use taskdrop_model::ctx::PolicyCtx;
+use taskdrop_model::queue::ChainTask;
 use taskdrop_model::view::{DropContext, QueueView};
 
 /// The autonomous proactive dropping heuristic.
@@ -65,10 +82,9 @@ impl ProactiveDropper {
         ProactiveDropper { beta, eta }
     }
 
-    /// The conditions [`ProactiveDropper::new`] asserts, shared by every
-    /// Eq-8 dropper: a finite `beta ≥ 1` (Eq 8 requires β ≥ 1) and
-    /// `eta ≥ 1` (a zero depth can never observe a gain, so every
-    /// comparison degenerates).
+    /// The conditions [`ProactiveDropper::new`] asserts: a finite `beta ≥ 1`
+    /// (Eq 8 requires β ≥ 1) and `eta ≥ 1` (a zero depth can never observe
+    /// a gain, so every comparison degenerates).
     ///
     /// # Errors
     ///
@@ -125,7 +141,10 @@ impl DropPolicy for ProactiveDropper {
             // A single pending task is the last task: influence zone empty.
             return DropDecision::none();
         }
-        let mut drops = Vec::new();
+        // The value a degraded on-time completion keeps (unused while
+        // `degradable` is empty).
+        let value = ctx.approx.map_or(0.0, |a| a.value);
+        let mut decision = DropDecision::none();
         // Baseline chain (no further drops): the keep-future of position i
         // reads straight from it, so each position costs η extra
         // convolutions (the drop-branch) instead of 2η+2 — the O(η·q)
@@ -147,16 +166,32 @@ impl DropPolicy for ProactiveDropper {
             // Drop-future: chances of up to η successors with i removed.
             let drop = probe.chance_sum(&prev, &tasks[i + 1..], self.eta, ctx.compaction);
             if drop > self.beta * keep + f64::EPSILON {
-                drops.push(i);
-                // prev unchanged: the chain now skips task i; positions
-                // past it re-chain from prev on demand (links[i] now dead,
-                // never read again).
+                // Eq 8 clears the slot. Degrade-future: i runs its
+                // approximate variant and the same η successors chain
+                // behind it; degrade when that is worth at least the drop.
+                let degraded = queue.degradable.get(i).copied().flatten().and_then(|exec| {
+                    let head = ChainTask { deadline: tasks[i].deadline, exec };
+                    let (chance, completion) = probe.step_from(&prev, head, ctx.compaction);
+                    let rest =
+                        probe.chance_sum(&completion, &tasks[i + 1..], self.eta, ctx.compaction);
+                    (value * chance + rest >= drop).then_some(completion)
+                });
+                match degraded {
+                    Some(completion) => {
+                        decision.degrades.push(i);
+                        prev = completion;
+                    }
+                    // prev unchanged: the chain now skips task i.
+                    None => decision.drops.push(i),
+                }
+                // Positions past i re-chain from prev on demand (links[i]
+                // is never read again).
                 baseline.rewind(&prev, i + 1);
             } else {
                 prev = baseline.links()[i].completion.clone();
             }
         }
-        DropDecision::drops(drops)
+        decision
     }
 }
 
@@ -164,10 +199,41 @@ impl DropPolicy for ProactiveDropper {
 mod tests {
     use super::*;
     use crate::testutil::{idle_queue, pet, queue};
+    use taskdrop_model::approx::{degraded_pet, ApproxSpec};
+    use taskdrop_model::{MachineTypeId, PetMatrix, TaskTypeId};
     use taskdrop_pmf::{Compaction, Pmf};
 
     fn ctx() -> DropContext {
         DropContext::plain(Compaction::None)
+    }
+
+    fn approx_ctx(spec: ApproxSpec) -> DropContext {
+        DropContext { approx: Some(spec), ..ctx() }
+    }
+
+    /// Idle queue at 0 with approximate computing on: pending tasks given
+    /// as (task type, deadline, already degraded), as the engine builds
+    /// them from `pet` and its degraded copy `apet`.
+    fn approx_queue<'a>(
+        pet: &'a PetMatrix,
+        apet: &'a PetMatrix,
+        pending: &[(u16, u64, bool)],
+    ) -> QueueView<'a> {
+        let exec = |source: &'a PetMatrix, ttype| source.pmf(TaskTypeId(ttype), MachineTypeId(0));
+        QueueView {
+            base: Pmf::point(0),
+            tasks: pending
+                .iter()
+                .map(|&(ttype, deadline, degraded)| ChainTask {
+                    deadline,
+                    exec: exec(if degraded { apet } else { pet }, ttype),
+                })
+                .collect(),
+            degradable: pending
+                .iter()
+                .map(|&(ttype, _, degraded)| (!degraded).then(|| exec(apet, ttype)))
+                .collect(),
+        }
     }
 
     #[test]
@@ -334,6 +400,58 @@ mod tests {
         let q = queue(&pet, runner, &[(0, 50), (0, 51)]);
         let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &ctx());
         assert_eq!(d.drops, vec![0]);
+    }
+
+    #[test]
+    fn degrades_when_partial_value_beats_dropping() {
+        let pet = pet();
+        let spec = ApproxSpec::new(0.2, 0.8); // 5x faster, 80 % value
+        let apet = degraded_pet(&pet, spec);
+        // Task 1: type 1 (exec 50), deadline 30 -> full chance 0, degraded
+        // exec 10 -> completes at 10 < 30 with chance 1 worth 0.8.
+        // Task 2: type 0 (exec 10), deadline 25: behind full task 1 -> 0;
+        // behind degraded task 1 (done at 10) -> done 20 < 25 -> 1; with
+        // task 1 dropped -> done 10 -> 1.
+        // U_keep = 0; U_drop = 1; U_degrade = 0.8 + 1 = 1.8 -> degrade.
+        let q = approx_queue(&pet, &apet, &[(1, 30, false), (0, 25, false)]);
+        let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &approx_ctx(spec));
+        assert_eq!(d.degrades, vec![0]);
+        assert!(d.drops.is_empty());
+    }
+
+    #[test]
+    fn drops_when_degraded_variant_is_still_hopeless() {
+        let pet = pet();
+        let spec = ApproxSpec::new(0.9, 0.1); // barely faster, little value
+        let apet = degraded_pet(&pet, spec);
+        // Task 1: type 1 (exec 50, degraded 45), deadline 20 -> hopeless
+        // either way. Task 2 (exec 10), deadline 30: blocked by 45-50 ticks
+        // -> 0; dropped -> 1. Degrade gains nothing; drop wins.
+        let q = approx_queue(&pet, &apet, &[(1, 20, false), (0, 30, false)]);
+        let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &approx_ctx(spec));
+        assert_eq!(d.drops, vec![0]);
+        assert!(d.degrades.is_empty());
+    }
+
+    #[test]
+    fn keeps_viable_tasks_untouched() {
+        let pet = pet();
+        let spec = ApproxSpec::half_time();
+        let apet = degraded_pet(&pet, spec);
+        let q = approx_queue(&pet, &apet, &[(1, 60, false), (0, 70, false)]);
+        let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &approx_ctx(spec));
+        assert!(d.is_empty());
+    }
+
+    #[test]
+    fn already_degraded_tasks_not_redegraded() {
+        let pet = pet();
+        let spec = ApproxSpec::new(0.2, 0.8);
+        let apet = degraded_pet(&pet, spec);
+        // The first task is already approximate.
+        let q = approx_queue(&pet, &apet, &[(1, 30, true), (0, 25, false)]);
+        let d = ProactiveDropper::paper_default().select_drops_fresh(&q, &approx_ctx(spec));
+        assert!(!d.degrades.contains(&0), "cannot degrade twice: {d:?}");
     }
 
     #[test]

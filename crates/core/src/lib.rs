@@ -12,7 +12,10 @@
 //! * [`ProactiveDropper`] — the paper's heuristic (Section IV-E): one pass
 //!   per queue, dropping task *i* iff the chance gained within the
 //!   *effective depth* η behind it outweighs β times the chance kept
-//!   (Equation 8). Autonomous: no user-tuned threshold.
+//!   (Equation 8). Autonomous: no user-tuned threshold. With approximate
+//!   computing on (the paper's future work), a task Eq 8 clears is
+//!   degraded to its approximate variant instead of dropped when that
+//!   salvages at least as much; it is the only policy that degrades.
 //! * [`OptimalDropper`] — the paper's optimal model (Section IV-D):
 //!   exhaustive search over the `2^(q-1)` drop subsets of each queue,
 //!   implemented as a shared-prefix DFS so common chain prefixes are
@@ -20,7 +23,8 @@
 //! * [`ThresholdDropper`] — the prior-work baseline (Gentry et al. \[2\],
 //!   "PAM+Threshold"): drop a task when its chance of success falls below a
 //!   user-provided threshold, mildly adapted to the observed
-//!   oversubscription pressure at each mapping event.
+//!   oversubscription pressure at each mapping event (a fixed rate and
+//!   cap).
 //! * [`ReactiveOnly`] — no proactive drops at all; only the engine's
 //!   reactive dropping (tasks that already missed their deadlines) applies.
 //!
@@ -34,13 +38,11 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-mod approx_policy;
 mod heuristic;
 mod optimal;
 mod reactive;
 mod threshold;
 
-pub use approx_policy::ApproxDropper;
 pub use heuristic::ProactiveDropper;
 pub use optimal::OptimalDropper;
 pub use reactive::ReactiveOnly;
@@ -55,8 +57,10 @@ pub struct DropDecision {
     /// Indices into [`QueueView::tasks`] to drop, strictly increasing.
     pub drops: Vec<usize>,
     /// Indices into [`QueueView::tasks`] to *degrade* to their approximate
-    /// variants (the future-work extension; see [`ApproxDropper`]), strictly
-    /// increasing and disjoint from `drops`. Empty for the paper's policies.
+    /// variants (the future-work extension), strictly increasing and
+    /// disjoint from `drops`. Only [`ProactiveDropper`] degrades, and only
+    /// positions [`QueueView::degradable`] offers, so this is empty while
+    /// approximate computing is off.
     pub degrades: Vec<usize>,
 }
 

@@ -9,15 +9,17 @@
 //! mapping event"), it is mildly adapted to the observed oversubscription:
 //!
 //! ```text
-//!   effective = clamp(base · (1 + adapt_rate · pressure), 0, max)
+//!   effective = clamp(base · (1 + ADAPT_RATE · pressure), 0, CAP)
 //! ```
 //!
 //! where `pressure` is the ratio of unmapped batch-queue tasks to total
-//! machine-queue capacity (0 when the system keeps up). A more oversubscribed
-//! system prunes more aggressively. The exact adaptive rule of [2] is not
-//! restated in the reproduced paper; this reconstruction preserves its
-//! interface (a base threshold the operator must pick) and its qualitative
-//! behaviour (see DESIGN.md, substitutions table).
+//! machine-queue capacity (0 when the system keeps up), and the rate and
+//! cap are fixed ([`ThresholdDropper::ADAPT_RATE`] = 0.25,
+//! [`ThresholdDropper::CAP`] = 0.8). A more oversubscribed system prunes
+//! more aggressively. The exact adaptive rule of [2] is not restated in the
+//! reproduced paper; this reconstruction preserves its interface (a base
+//! threshold the operator must pick) and its qualitative behaviour (see
+//! DESIGN.md, substitutions table).
 //!
 //! Like the heuristic, the pass is head-to-tail with confirmed drops taking
 //! effect immediately; chances are computed with the paper's Eq (1) chain.
@@ -32,60 +34,34 @@ use taskdrop_model::view::{DropContext, QueueView};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdDropper {
     base: f64,
-    adapt_rate: f64,
-    max: f64,
 }
 
 impl ThresholdDropper {
-    /// The adaptation rate [`ThresholdDropper::new`] uses.
-    pub const DEFAULT_ADAPT_RATE: f64 = 0.25;
+    /// How fast the threshold rises with oversubscription pressure.
+    pub const ADAPT_RATE: f64 = 0.25;
 
-    /// The threshold cap [`ThresholdDropper::new`] uses.
-    pub const DEFAULT_MAX: f64 = 0.8;
+    /// The highest threshold pressure can raise it to.
+    pub const CAP: f64 = 0.8;
 
-    /// Creates a threshold dropper with the given base threshold in `[0, 1]`
-    /// and the default adaptation ([`ThresholdDropper::DEFAULT_ADAPT_RATE`],
-    /// [`ThresholdDropper::DEFAULT_MAX`]).
+    /// Creates a threshold dropper with the given base threshold.
     ///
     /// # Panics
     ///
-    /// Panics if `base` is outside `[0, 1]`.
+    /// Panics if [`ThresholdDropper::check_settings`] refuses `base`.
     #[must_use]
     pub fn new(base: f64) -> Self {
-        Self::with_adaptation(base, Self::DEFAULT_ADAPT_RATE, Self::DEFAULT_MAX)
+        assert_eq!(Self::check_settings(base), Ok(()), "invalid threshold dropper");
+        ThresholdDropper { base }
     }
 
-    /// Full-control constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ThresholdDropper::check_settings`] refuses the
-    /// arguments.
-    #[must_use]
-    pub fn with_adaptation(base: f64, adapt_rate: f64, max: f64) -> Self {
-        assert_eq!(
-            Self::check_settings(base, adapt_rate, max),
-            Ok(()),
-            "invalid threshold dropper"
-        );
-        ThresholdDropper { base, adapt_rate, max }
-    }
-
-    /// The conditions [`ThresholdDropper::with_adaptation`] asserts: `base`
-    /// and `max` in `[0, 1]`, and `adapt_rate ≥ 0`.
+    /// The condition [`ThresholdDropper::new`] asserts: `base` in `[0, 1]`.
     ///
     /// # Errors
     ///
     /// The broken condition, in words.
-    pub fn check_settings(base: f64, adapt_rate: f64, max: f64) -> Result<(), &'static str> {
+    pub fn check_settings(base: f64) -> Result<(), &'static str> {
         if !(0.0..=1.0).contains(&base) {
             return Err("base threshold must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&max) {
-            return Err("max threshold must be in [0, 1]");
-        }
-        if !(0.0..).contains(&adapt_rate) {
-            return Err("adapt rate must be >= 0");
         }
         Ok(())
     }
@@ -99,7 +75,7 @@ impl ThresholdDropper {
     /// The effective threshold at the given oversubscription pressure.
     #[must_use]
     pub fn effective_threshold(&self, pressure: f64) -> f64 {
-        (self.base * (1.0 + self.adapt_rate * pressure.max(0.0))).clamp(0.0, self.max)
+        (self.base * (1.0 + Self::ADAPT_RATE * pressure.max(0.0))).clamp(0.0, Self::CAP)
     }
 }
 
@@ -154,9 +130,9 @@ mod tests {
         // Task 2 (behind 1): type 0 (exec 10), deadline 95:
         //   completion = 30 w.p. .5 / 90 w.p. .5 -> chance 1.0.
         let q = idle_queue(&pet, 0, &[(2, 50), (0, 95)]);
-        let lenient = ThresholdDropper::with_adaptation(0.3, 0.0, 0.8);
+        let lenient = ThresholdDropper::new(0.3);
         assert!(lenient.select_drops_fresh(&q, &ctx(0.0)).is_empty());
-        let strict = ThresholdDropper::with_adaptation(0.6, 0.0, 0.8);
+        let strict = ThresholdDropper::new(0.6);
         assert_eq!(strict.select_drops_fresh(&q, &ctx(0.0)).drops, vec![0]);
     }
 
@@ -164,7 +140,7 @@ mod tests {
     fn zero_threshold_never_drops() {
         let pet = pet();
         let q = idle_queue(&pet, 0, &[(1, 20), (0, 30)]);
-        let off = ThresholdDropper::with_adaptation(0.0, 0.0, 0.8);
+        let off = ThresholdDropper::new(0.0);
         assert!(off.select_drops_fresh(&q, &ctx(5.0)).is_empty());
     }
 
@@ -190,10 +166,10 @@ mod tests {
 
     #[test]
     fn threshold_adapts_to_pressure() {
-        let t = ThresholdDropper::with_adaptation(0.2, 0.5, 0.8);
+        let t = ThresholdDropper::new(0.2);
         assert!((t.effective_threshold(0.0) - 0.2).abs() < 1e-12);
-        assert!((t.effective_threshold(2.0) - 0.4).abs() < 1e-12);
-        // Caps at max.
+        assert!((t.effective_threshold(2.0) - 0.3).abs() < 1e-12);
+        // Caps at CAP.
         assert!((t.effective_threshold(100.0) - 0.8).abs() < 1e-12);
         // Negative pressure treated as zero.
         assert!((t.effective_threshold(-3.0) - 0.2).abs() < 1e-12);
@@ -203,11 +179,11 @@ mod tests {
     fn pressure_changes_decisions() {
         let pet = pet();
         // Chance 0.5 task: kept at base 0.4, dropped once pressure raises
-        // the effective threshold above 0.5.
+        // the effective threshold above 0.5 (0.6 at pressure 2).
         let q = idle_queue(&pet, 0, &[(2, 50), (0, 1000)]);
-        let t = ThresholdDropper::with_adaptation(0.4, 0.5, 0.9);
+        let t = ThresholdDropper::new(0.4);
         assert!(t.select_drops_fresh(&q, &ctx(0.0)).is_empty());
-        assert_eq!(t.select_drops_fresh(&q, &ctx(1.0)).drops, vec![0]);
+        assert_eq!(t.select_drops_fresh(&q, &ctx(2.0)).drops, vec![0]);
     }
 
     #[test]

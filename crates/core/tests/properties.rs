@@ -17,9 +17,7 @@
 //!    other than the last.
 
 use proptest::prelude::*;
-use taskdrop_core::{
-    ApproxDropper, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper,
-};
+use taskdrop_core::{DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper};
 use taskdrop_model::approx::degraded_pet;
 use taskdrop_model::queue::{chain_with_drops, instantaneous_robustness, ChainTask};
 use taskdrop_model::view::{DropContext, QueueView};
@@ -165,7 +163,6 @@ proptest! {
         let policies: Vec<Box<dyn DropPolicy>> = vec![
             Box::new(ReactiveOnly),
             Box::new(ProactiveDropper::paper_default()),
-            Box::new(ApproxDropper::paper_default()),
             Box::new(OptimalDropper::new()),
             Box::new(ThresholdDropper::paper_default()),
         ];

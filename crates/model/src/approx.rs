@@ -8,6 +8,12 @@
 //! discarding a doomed task outright, the system may degrade it: the queue
 //! behind it still gains most of the slack, and the task itself salvages
 //! partial value.
+//!
+//! The extension sits behind `SimConfig::approx` alone. When it is set, the
+//! paper's heuristic (`ProactiveDropper`) weighs degrading against dropping
+//! each task Eq 8 clears; no other policy degrades. A queue entry may be
+//! degraded only while a spec is set, and a checkpoint holding one without
+//! it is refused.
 
 use crate::PetMatrix;
 use serde::{Deserialize, Serialize};
@@ -27,13 +33,31 @@ impl ApproxSpec {
     ///
     /// # Panics
     ///
-    /// Panics unless both parameters lie strictly between 0 and 1 (a factor
-    /// of 1 would make degradation pointless, 0 would make it free).
+    /// Panics if [`ApproxSpec::check_settings`] refuses the parameters.
     #[must_use]
     pub fn new(time_factor: f64, value: f64) -> Self {
-        assert!(time_factor > 0.0 && time_factor < 1.0, "approx time factor must be in (0, 1)");
-        assert!(value > 0.0 && value < 1.0, "approx value must be in (0, 1)");
+        assert_eq!(Self::check_settings(time_factor, value), Ok(()), "invalid approx spec");
         ApproxSpec { time_factor, value }
+    }
+
+    /// The conditions [`ApproxSpec::new`] asserts: both parameters lie
+    /// strictly between 0 and 1 (a factor of 1 would make degradation
+    /// pointless, 0 would make it free; a value of 1 or more would credit
+    /// a degraded completion as a full one). A spec parsed from a file
+    /// skipped them; `SimConfig::validate` checks them.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_settings(time_factor: f64, value: f64) -> Result<(), &'static str> {
+        let open_unit = |x: f64| x > 0.0 && x < 1.0;
+        if !open_unit(time_factor) {
+            return Err("approx time factor must be in (0, 1)");
+        }
+        if !open_unit(value) {
+            return Err("approx value must be in (0, 1)");
+        }
+        Ok(())
     }
 
     /// A typical setting: half the execution time for 60 % of the value.

@@ -160,13 +160,6 @@ impl LazyChain {
         &self.links
     }
 
-    /// Replaces the link at `i` (which must already be evaluated), e.g.
-    /// with a degraded-head link.
-    pub fn replace(&mut self, i: usize, link: ChainLink) {
-        assert!(i < self.valid_to, "cannot replace a link past the watermark");
-        self.links[i] = link;
-    }
-
     /// Invalidates positions `to..` and restarts the chain from the
     /// predecessor completion `from` — the prefix-reuse rewind after a
     /// confirmed drop (or degrade) at position `to - 1`.

@@ -18,9 +18,7 @@
 //! scratch buffers may influence a later decision.
 
 use proptest::prelude::*;
-use taskdrop_core::{
-    ApproxDropper, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper,
-};
+use taskdrop_core::{DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper};
 use taskdrop_model::approx::degraded_pet;
 use taskdrop_model::ctx::PolicyCtx;
 use taskdrop_model::queue::{chain, chance_sum, ChainEvaluator, ChainTask};
@@ -246,7 +244,6 @@ proptest! {
         let policies: Vec<Box<dyn DropPolicy>> = vec![
             Box::new(ReactiveOnly),
             Box::new(ProactiveDropper::paper_default()),
-            Box::new(ApproxDropper::paper_default()),
             Box::new(ThresholdDropper::paper_default()),
             Box::new(OptimalDropper::new()),
         ];

@@ -63,7 +63,9 @@ pub struct SimConfig {
     #[serde(default)]
     pub failures: Option<FailureSpec>,
     /// Optional approximate computing (degrade instead of drop); see
-    /// [`taskdrop_model::approx`].
+    /// [`taskdrop_model::approx`]. Degrading is the heuristic's job
+    /// ([`DropperKind::Heuristic`]); `Optimal` and `Threshold` never
+    /// degrade.
     #[serde(default)]
     pub approx: Option<taskdrop_model::ApproxSpec>,
 }
@@ -86,19 +88,25 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Validates invariants (queue size at least 1, failure spec sane).
+    /// Validates invariants (queue size at least 1, failure and
+    /// approximate-computing specs sane).
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroQueueSize`] if `queue_size == 0`,
     /// [`SimError::DegenerateFailureSpec`] if the failure spec is
-    /// degenerate.
+    /// degenerate, [`SimError::InvalidApprox`] if the approximate-computing
+    /// spec breaks a condition of [`taskdrop_model::ApproxSpec::check_settings`].
     pub fn validate(&self) -> Result<(), SimError> {
         if self.queue_size == 0 {
             return Err(SimError::ZeroQueueSize);
         }
         if let Some(f) = &self.failures {
             f.validate()?;
+        }
+        if let Some(a) = &self.approx {
+            taskdrop_model::ApproxSpec::check_settings(a.time_factor, a.value)
+                .map_err(|problem| SimError::InvalidApprox { problem })?;
         }
         Ok(())
     }
@@ -110,16 +118,10 @@ impl SimConfig {
 pub enum DropperKind {
     /// No proactive dropping (reactive only).
     ReactiveOnly,
-    /// The approximate-computing extension: degrade to a cheaper variant
-    /// when that salvages more utility than dropping (requires
-    /// `SimConfig::approx` to be set for degradation to engage).
-    Approx {
-        /// Robustness improvement factor (≥ 1).
-        beta: f64,
-        /// Effective depth (≥ 1).
-        eta: usize,
-    },
-    /// The paper's proactive heuristic with parameters β and η.
+    /// The paper's proactive heuristic with parameters β and η. When
+    /// [`SimConfig::approx`] is set it also degrades a task Eq 8 clears
+    /// whenever that salvages at least as much as dropping it; it is the
+    /// only kind that degrades.
     Heuristic {
         /// Robustness improvement factor (≥ 1).
         beta: f64,
@@ -152,14 +154,8 @@ impl DropperKind {
     pub fn validate(&self) -> Result<(), &'static str> {
         match *self {
             DropperKind::ReactiveOnly | DropperKind::Optimal => Ok(()),
-            DropperKind::Approx { beta, eta } | DropperKind::Heuristic { beta, eta } => {
-                ProactiveDropper::check_settings(beta, eta)
-            }
-            DropperKind::Threshold { base } => ThresholdDropper::check_settings(
-                base,
-                ThresholdDropper::DEFAULT_ADAPT_RATE,
-                ThresholdDropper::DEFAULT_MAX,
-            ),
+            DropperKind::Heuristic { beta, eta } => ProactiveDropper::check_settings(beta, eta),
+            DropperKind::Threshold { base } => ThresholdDropper::check_settings(base),
         }
     }
 
@@ -172,9 +168,6 @@ impl DropperKind {
     pub fn build(&self) -> Box<dyn DropPolicy> {
         match *self {
             DropperKind::ReactiveOnly => Box::new(ReactiveOnly),
-            DropperKind::Approx { beta, eta } => {
-                Box::new(taskdrop_core::ApproxDropper::new(beta, eta))
-            }
             DropperKind::Heuristic { beta, eta } => Box::new(ProactiveDropper::new(beta, eta)),
             DropperKind::Optimal => Box::new(OptimalDropper::new()),
             DropperKind::Threshold { base } => Box::new(ThresholdDropper::new(base)),
@@ -186,7 +179,6 @@ impl DropperKind {
     pub fn label(&self) -> &'static str {
         match self {
             DropperKind::ReactiveOnly => "ReactDrop",
-            DropperKind::Approx { .. } => "Approx",
             DropperKind::Heuristic { .. } => "Heuristic",
             DropperKind::Optimal => "Optimal",
             DropperKind::Threshold { .. } => "Threshold",

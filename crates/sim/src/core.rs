@@ -773,6 +773,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// [`SimError::CheckpointMismatch`] if the checkpoint fails structural
     /// validation — scenario identity, dense task ids, fate-table sizing,
     /// queue occupancy, task-table membership of every queued entry,
+    /// degraded entries only under approximate computing,
     /// event-heap consistency (sequence counter, payload bounds, no event
     /// before the clock, in-flight executions matched by current-epoch
     /// completion events), and single-placement of every unresolved task;
@@ -992,7 +993,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 continue;
             }
             let view = QueueView {
-                base: queue_base(pet, now, m, config),
+                base: queue_base(pet, approx_pet, now, m, config),
                 tasks: chain_tasks(pet, approx_pet, m),
                 degradable: approx_pet.map_or_else(Vec::new, |apet| {
                     m.pending
@@ -1121,6 +1122,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 /// * every queued/batched/running task is recorded in the task table
 ///   *verbatim* (fate accounting and stale-event handling index by id);
 /// * machine-queue occupancy within the configured capacity;
+/// * no degraded running or queued entry unless approximate computing is
+///   configured (the engine degrades only then);
 /// * event-heap consistency: sequence counter covers every entry, event
 ///   payloads reference real tasks/machines, and no event is scheduled
 ///   before the checkpoint clock (the engine never leaves one behind, and
@@ -1225,6 +1228,15 @@ fn validate_checkpoint(scenario: &Scenario, checkpoint: &Checkpoint) -> Result<(
             if !known_task(&qc.task) {
                 return unknown("pending", &qc.task);
             }
+        }
+        let degraded =
+            mc.running.is_some_and(|r| r.degraded) || mc.pending.iter().any(|q| q.degraded);
+        if degraded && checkpoint.config.approx.is_none() {
+            return mismatch(
+                "degraded",
+                "no degraded entry while config.approx is unset".to_string(),
+                format!("a degraded entry on m{idx}"),
+            );
         }
     }
     if let Some(max_seq) = checkpoint.events.iter().map(|e| e.seq).max() {
@@ -1417,25 +1429,25 @@ fn start_next<H: ObserverHub>(
 
 /// Completion PMF of whatever runs ahead of `m`'s first pending task: the
 /// base of its Eq-1 chain. For a running task, the learned execution PMF
+/// (the degraded PET's cell for a degraded runner, as in [`chain_tasks`])
 /// shifted to its start tick and conditioned on "not finished by now"; falls
 /// back to a point mass one tick ahead when the learned support is already
 /// exhausted (the actual draw exceeded everything the PET saw). Under
 /// kill-at-deadline semantics the machine frees no later than the running
 /// task's deadline, so the estimate is clamped there. A point mass at `now`
 /// when nothing runs.
-fn queue_base(pet: &PetMatrix, now: Tick, m: &MachineSt, config: SimConfig) -> Pmf {
+fn queue_base(
+    pet: &PetMatrix,
+    approx_pet: Option<&PetMatrix>,
+    now: Tick,
+    m: &MachineSt,
+    config: SimConfig,
+) -> Pmf {
     let Some(r) = m.running.as_ref() else {
         return Pmf::point(now);
     };
-    // A degraded runner's estimate scales its learned PMF the same way the
-    // engine scales its actual draw.
-    let exec_estimate = if r.degraded {
-        let factor = config.approx.map_or(1.0, |a| a.time_factor);
-        pet.pmf(r.task.type_id, m.machine.type_id).time_scale(factor)
-    } else {
-        pet.pmf(r.task.type_id, m.machine.type_id).clone()
-    };
-    let shifted = exec_estimate.shift(r.start);
+    let source = if r.degraded { approx_pet.unwrap_or(pet) } else { pet };
+    let shifted = source.pmf(r.task.type_id, m.machine.type_id).shift(r.start);
     let mut completion = shifted.condition_at_least(now + 1).unwrap_or_else(|| Pmf::point(now + 1));
     if self_kill_applies(config, r, now) {
         completion = completion.clamp_max(r.task.deadline.max(now + 1));
@@ -1486,7 +1498,7 @@ fn queue_tail(
     config: SimConfig,
     ctx: &mut PolicyCtx,
 ) -> Pmf {
-    let base = queue_base(pet, now, m, config);
+    let base = queue_base(pet, approx_pet, now, m, config);
     if m.pending.is_empty() {
         return base;
     }
@@ -1503,7 +1515,7 @@ fn queue_tail(
 mod tests {
     use super::*;
     use crate::config::FailureSpec;
-    use taskdrop_core::{ApproxDropper, ProactiveDropper, ReactiveOnly};
+    use taskdrop_core::{ProactiveDropper, ReactiveOnly};
     use taskdrop_model::ApproxSpec;
     use taskdrop_sched::{Fcfs, MinMin, Pam};
     use taskdrop_workload::OversubscriptionLevel;
@@ -1955,20 +1967,11 @@ mod tests {
         let s = scenario();
         let w = workload(&s, 800, 4_000);
         let config = SimConfig { approx: Some(ApproxSpec::new(0.4, 0.6)), ..cfg() };
-        let r = run(&s, &w, &Pam, &ApproxDropper::paper_default(), config, 1);
+        let r = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), config, 1);
         assert!(r.is_conserved(), "{r:?}");
         assert!(r.on_time_approx > 0, "degradation never engaged: {r:?}");
         assert!(r.utility_pct() > r.robustness_pct());
         assert!((r.approx_value - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn approx_dropper_without_spec_equals_heuristic() {
-        let s = scenario();
-        let w = workload(&s, 500, 3_000);
-        let a = run(&s, &w, &Pam, &ApproxDropper::paper_default(), cfg(), 1);
-        let h = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), cfg(), 1);
-        assert_eq!(a, h, "with approx disabled the two policies must coincide");
     }
 
     #[test]
@@ -1977,7 +1980,7 @@ mod tests {
         let w = workload(&s, 800, 4_000);
         let approx_cfg = SimConfig { approx: Some(ApproxSpec::half_time()), ..cfg() };
         let plain = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), cfg(), 1);
-        let approx = run(&s, &w, &Pam, &ApproxDropper::paper_default(), approx_cfg, 1);
+        let approx = run(&s, &w, &Pam, &ProactiveDropper::paper_default(), approx_cfg, 1);
         assert!(
             approx.utility_pct() + 2.0 > plain.utility_pct(),
             "approx utility {:.1} should not trail plain dropping {:.1}",

@@ -29,6 +29,12 @@ pub enum SimError {
         /// The broken condition, in words.
         problem: &'static str,
     },
+    /// A `SimConfig::approx` spec breaks a condition of
+    /// `ApproxSpec::check_settings`.
+    InvalidApprox {
+        /// The broken condition, in words.
+        problem: &'static str,
+    },
     /// A `TrialRunner` was asked to run zero trials.
     ZeroTrials,
     /// A `SimReport` aggregate was requested over zero trials.
@@ -104,6 +110,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::InvalidGamma => write!(f, "gamma must be finite and >= 0"),
             SimError::InvalidDropper { problem } => write!(f, "invalid dropper: {problem}"),
+            SimError::InvalidApprox { problem } => {
+                write!(f, "invalid approximate computing: {problem}")
+            }
             SimError::ZeroTrials => write!(f, "need at least one trial"),
             SimError::EmptyReport => write!(f, "report aggregate requested over zero trials"),
             SimError::MisnumberedWorkload { index, id } => {

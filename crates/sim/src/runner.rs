@@ -138,6 +138,7 @@ impl TrialRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskdrop_model::ApproxSpec;
 
     fn spec(tasks: usize, window: u64) -> RunSpec {
         RunSpec {
@@ -202,15 +203,27 @@ mod tests {
             (DropperKind::Heuristic { beta: 0.5, eta: 2 }, beta),
             (DropperKind::Heuristic { beta: f64::NAN, eta: 2 }, beta),
             (DropperKind::Heuristic { beta: 1.0, eta: 0 }, eta),
-            (DropperKind::Approx { beta: 0.5, eta: 2 }, beta),
-            (DropperKind::Approx { beta: f64::NAN, eta: 2 }, beta),
-            (DropperKind::Approx { beta: 1.0, eta: 0 }, eta),
             (DropperKind::Threshold { base: 1.5 }, "base threshold must be in [0, 1]"),
         ];
         for (dropper, problem) in cases {
             let s = RunSpec { dropper, ..spec(50, 1_000) };
             let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
             assert_eq!(err, Some(SimError::InvalidDropper { problem }), "{dropper:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_approx_settings_are_a_typed_error() {
+        let scenario = Scenario::specint(7);
+        let factor = "approx time factor must be in (0, 1)";
+        let value = "approx value must be in (0, 1)";
+        for (time_factor, v, problem) in
+            [(0.0, 0.6, factor), (f64::NAN, 0.6, factor), (0.5, 7.0, value), (3.0, 0.6, factor)]
+        {
+            let mut s = spec(50, 1_000);
+            s.config.approx = Some(ApproxSpec { time_factor, value: v });
+            let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
+            assert_eq!(err, Some(SimError::InvalidApprox { problem }), "({time_factor}, {v})");
         }
     }
 

@@ -2,19 +2,19 @@
 //!
 //! *"In future, we plan to extend the probabilistic analysis to consider
 //! approximately computing tasks, in addition to task dropping."* (paper
-//! conclusion). Instead of discarding a doomed task, the [`ApproxDropper`]
-//! may *degrade* it: run a cheaper approximate variant (e.g. a lower-quality
-//! transcoding preset) that takes `time_factor` of the full execution time
-//! and yields `value` of the full utility. The decision generalises Eq 8 to
-//! three futures per task — keep, degrade, drop — chosen by expected
-//! utility over the effective depth.
+//! conclusion). With `SimConfig::approx` set, the paper's heuristic
+//! ([`ProactiveDropper`]) may *degrade* a doomed task instead of discarding
+//! it: run a cheaper approximate variant (e.g. a lower-quality transcoding
+//! preset) that takes `time_factor` of the full execution time and yields
+//! `value` of the full utility. The decision generalises Eq 8 to three
+//! futures per task — keep, degrade, drop — chosen by expected utility over
+//! the effective depth.
 //!
 //! ```sh
 //! cargo run --release --example approximate_computing            # full scale
 //! cargo run --release --example approximate_computing -- --quick  # smoke scale
 //! ```
 
-use taskdrop::core::ApproxDropper;
 use taskdrop::model::ApproxSpec;
 use taskdrop::prelude::*;
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), SimError> {
             level: level.clone(),
             gamma: 1.0,
             mapper: HeuristicKind::Pam,
-            dropper: DropperKind::Approx { beta: 1.0, eta: 2 },
+            dropper: DropperKind::heuristic_default(),
             config: SimConfig { approx: Some(spec), ..taskdrop::demo::scaled_config(scale) },
         };
         let report = runner.run(&scenario, &run)?;
@@ -80,8 +80,5 @@ fn main() -> Result<(), SimError> {
          the costlier variant (x0.7 time) engages far less often: the Eq-8\n\
          rescue comparison only degrades when it beats dropping."
     );
-
-    // Show the mechanism is autonomous: no threshold anywhere.
-    let _policy = ApproxDropper::paper_default();
     Ok(())
 }

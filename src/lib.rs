@@ -16,9 +16,10 @@
 //!   chains, instantaneous robustness.
 //! * [`sched`] — mapping heuristics: MinMin, MaxMin, MSD, Sufferage, PAM,
 //!   FCFS, EDF, SJF.
-//! * [`core`] — the paper's contribution: proactive dropping heuristic,
-//!   optimal subset dropping, threshold baseline, and the
-//!   approximate-computing dropper that degrades instead of dropping.
+//! * [`core`] — the paper's contribution: proactive dropping heuristic
+//!   (which also degrades doomed tasks to approximate variants once
+//!   `SimConfig::approx` is set), optimal subset dropping and the
+//!   threshold baseline.
 //! * [`workload`] — SPECint-like and video-transcoding scenario generators.
 //! * [`sim`] — discrete-event simulator: the resumable
 //!   [`SimCore`](taskdrop_sim::SimCore) stepping API with online task
@@ -123,8 +124,7 @@ pub mod prelude {
         FleetPlan, ScenarioSpec, ServicePlan, ServiceReport, ShardPlan, ShardReport,
     };
     pub use taskdrop_core::{
-        ApproxDropper, DropDecision, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly,
-        ThresholdDropper,
+        DropDecision, DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper,
     };
     pub use taskdrop_dag::{
         DagCheckpoint, DagCoordinator, DagError, DagStats, DagTap, NodeRef, NodeState, PrunePolicy,

@@ -182,6 +182,59 @@ fn a_restored_core_that_cannot_drain_reports_not_drained() {
     assert_eq!(restored.run_to_completion(), Err(SimError::NotDrained { resolved: 0, total: 1 }));
 }
 
+/// A mid-run checkpoint of an approximate-computing trial, taken at the
+/// first step after which some machine holds a degraded entry.
+fn degraded_checkpoint(scenario: &Scenario) -> Checkpoint {
+    let level = OversubscriptionLevel::new("cpa", 400, 2_500);
+    let workload = Workload::generate(scenario, &level, 1.0, 1);
+    let config = SimConfig { approx: Some(ApproxSpec::half_time()), ..quick_config() };
+    let dropper = ProactiveDropper::paper_default();
+    let mut core = SimCore::new(scenario, &workload, &Pam, &dropper, config, 1).unwrap();
+    loop {
+        assert!(!core.step().is_drained(), "the trial never degraded a task");
+        let degraded =
+            core.state().machines.iter().any(|m| {
+                m.running.is_some_and(|r| r.degraded) || m.pending.iter().any(|q| q.degraded)
+            });
+        if degraded {
+            return core.snapshot();
+        }
+    }
+}
+
+/// Approximate-computing settings in a checkpoint are untrusted input: a
+/// zero time factor is refused with the broken condition instead of
+/// panicking while the degraded PET is built.
+#[test]
+fn a_checkpoint_with_a_zero_approx_time_factor_is_refused() {
+    let scenario = Scenario::specint(0xA5);
+    let dropper = ProactiveDropper::paper_default();
+    let mut checkpoint = degraded_checkpoint(&scenario);
+    assert!(SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).is_ok());
+    checkpoint.config.approx = Some(ApproxSpec { time_factor: 0.0, value: 0.6 });
+    assert_eq!(
+        SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).err(),
+        Some(SimError::InvalidApprox { problem: "approx time factor must be in (0, 1)" })
+    );
+}
+
+/// The engine degrades a task only while approximate computing is on, so a
+/// checkpoint holding degraded entries without `config.approx` is refused.
+#[test]
+fn degraded_entries_without_approx_are_refused() {
+    let scenario = Scenario::specint(0xA5);
+    let mut checkpoint = degraded_checkpoint(&scenario);
+    checkpoint.config.approx = None;
+    let dropper = ProactiveDropper::paper_default();
+    assert!(
+        matches!(
+            SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).err(),
+            Some(SimError::CheckpointMismatch { field: "degraded", .. })
+        ),
+        "a degraded entry restored without approximate computing"
+    );
+}
+
 /// The persistent PET×tail cache (DESIGN.md §13) is *derived* state: a
 /// snapshot taken from a warm-cache core serializes to exactly the bytes
 /// a cold-cache twin produces, and the warm→restore→run path is

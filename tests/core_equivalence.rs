@@ -51,14 +51,6 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
-fn dropper_for(config_name: &str) -> Box<dyn DropPolicy> {
-    if config_name == "approx" {
-        Box::new(ApproxDropper::paper_default())
-    } else {
-        Box::new(ProactiveDropper::paper_default())
-    }
-}
-
 /// The closed-world run to completion every other test here compares with.
 fn closed_world_run(
     scenario: &Scenario,
@@ -73,20 +65,18 @@ fn closed_world_run(
 #[test]
 fn chunked_run_until_matches_one_shot_run() {
     let scenario = scenario();
+    let dropper = ProactiveDropper::paper_default();
     for seed in [1u64, 2, 9] {
         let w = workload(&scenario, 250, 2_200, seed);
         for (name, config) in configs() {
-            let dropper = dropper_for(name);
-            let one_shot = closed_world_run(&scenario, &w, dropper.as_ref(), config, seed);
+            let one_shot = closed_world_run(&scenario, &w, &dropper, config, seed);
 
-            let mut stepped =
-                SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).unwrap();
+            let mut stepped = SimCore::new(&scenario, &w, &Pam, &dropper, config, seed).unwrap();
             while let StepOutcome::Advanced { .. } = stepped.step() {}
             assert_eq!(stepped.result().unwrap(), one_shot, "step(): seed {seed}, config {name}");
 
             // Drive in arbitrary-sized time slices, as a live driver would.
-            let mut chunked =
-                SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, seed).unwrap();
+            let mut chunked = SimCore::new(&scenario, &w, &Pam, &dropper, config, seed).unwrap();
             let mut t = 0;
             while !chunked.run_until(t).is_drained() {
                 t += 137;
@@ -103,12 +93,12 @@ fn chunked_run_until_matches_one_shot_run() {
 #[test]
 fn event_stream_conserves_task_fates() {
     let scenario = scenario();
+    let dropper = ProactiveDropper::paper_default();
     for (name, config) in configs() {
         let w = workload(&scenario, 300, 2_500, 3);
-        let dropper = dropper_for(name);
         let terminal_counts = std::cell::RefCell::new(vec![0usize; w.len()]);
         let event_fates = std::cell::RefCell::new(vec![None::<TaskFate>; w.len()]);
-        let mut core = SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, 3).unwrap();
+        let mut core = SimCore::new(&scenario, &w, &Pam, &dropper, config, 3).unwrap();
         core.attach(|ev: &SimEvent| {
             if let Some((task, fate)) = ev.resolved() {
                 terminal_counts.borrow_mut()[task.index()] += 1;
@@ -133,11 +123,11 @@ fn event_stream_conserves_task_fates() {
 #[test]
 fn metrics_observer_reconstructs_the_trial_result_exactly() {
     let scenario = scenario();
+    let dropper = ProactiveDropper::paper_default();
     for (name, config) in configs() {
         let w = workload(&scenario, 250, 2_200, 7);
-        let dropper = dropper_for(name);
         let metrics = MetricsObserver::new(&scenario, &config);
-        let mut core = SimCore::new(&scenario, &w, &Pam, dropper.as_ref(), config, 7).unwrap();
+        let mut core = SimCore::new(&scenario, &w, &Pam, &dropper, config, 7).unwrap();
         // Box the observer through attach and retrieve its result via a
         // shared cell: observers are owned by the core.
         let shared = std::rc::Rc::new(std::cell::RefCell::new(metrics));
@@ -209,15 +199,15 @@ fn interleaved_injection_mid_run_still_conserves() {
 #[test]
 fn relay_drained_per_step_matches_an_attached_event_log() {
     let scenario = scenario();
+    let dropper = ProactiveDropper::paper_default();
     for (name, config) in configs() {
         let w = workload(&scenario, 250, 2_200, 19);
-        let dropper = dropper_for(name);
         let log = Rc::new(RefCell::new(Vec::new()));
         let handle = Rc::clone(&log);
-        let mut boxed = SimCore::open(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
+        let mut boxed = SimCore::open(&scenario, &Pam, &dropper, config, 19).unwrap();
         boxed.attach(move |ev: &SimEvent| handle.borrow_mut().push(*ev));
         let mut relay =
-            SimCore::<EventRelay>::open_in(&scenario, &Pam, dropper.as_ref(), config, 19).unwrap();
+            SimCore::<EventRelay>::open_in(&scenario, &Pam, &dropper, config, 19).unwrap();
         for t in &w.tasks {
             boxed.inject(t.type_id, t.arrival, t.deadline).unwrap();
             relay.inject(t.type_id, t.arrival, t.deadline).unwrap();
@@ -236,5 +226,36 @@ fn relay_drained_per_step_matches_an_attached_event_log() {
         }
         assert!(seen > 0, "config {name}: no events observed");
         assert_eq!(boxed.result().unwrap(), relay.result().unwrap(), "config {name}");
+    }
+}
+
+/// Approximate computing is the heuristic's job once `SimConfig::approx`
+/// is set. These outcomes are the ones the former separate approximate
+/// dropper produced on the same trials, so folding it into
+/// `ProactiveDropper` changed nothing.
+#[test]
+fn approximate_computing_matches_the_retired_approx_dropper() {
+    let scenario = scenario();
+    let config = SimConfig {
+        exclude_boundary: 0,
+        approx: Some(ApproxSpec::half_time()),
+        ..SimConfig::default()
+    };
+    let dropper = ProactiveDropper::paper_default();
+    // (seed, on_time, on_time_approx, dropped_proactive, dropped_reactive)
+    let pinned = [
+        (1u64, 158, 150, 57, 35),
+        (2, 167, 152, 52, 29),
+        (3, 172, 154, 47, 27),
+        (9, 151, 156, 63, 30),
+    ];
+    for (seed, on_time, on_time_approx, dropped_proactive, dropped_reactive) in pinned {
+        let w = workload(&scenario, 400, 2_500, seed);
+        let r = closed_world_run(&scenario, &w, &dropper, config, seed);
+        assert_eq!(
+            (r.on_time, r.on_time_approx, r.dropped_proactive, r.dropped_reactive),
+            (on_time, on_time_approx, dropped_proactive, dropped_reactive),
+            "seed {seed}"
+        );
     }
 }
