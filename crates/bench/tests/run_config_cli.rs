@@ -33,30 +33,37 @@ fn an_unreadable_or_invalid_spec_exits_1() {
     assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read no-such-spec.json"));
 
     // A spec missing fields; complete specs whose dropper parameter or
-    // approximate-computing factor breaks its constructor's condition; and
-    // a spec naming a dropper kind that no longer exists.
-    let complete = |dropper: &str, approx: &str| {
+    // approximate-computing factor breaks its constructor's condition; a
+    // spec naming a dropper kind that no longer exists; and the optimal
+    // search on queues too long to enumerate.
+    let complete = |dropper: &str, queue_size: usize, approx: &str| {
         format!(
             r#"{{"level": {{"label": "tiny", "tasks": 20, "window": 500}}, "gamma": 1.0,
             "mapper": "Pam", "dropper": {dropper},
-            "config": {{"queue_size": 6, "compaction": {{"MaxImpulses": 64}}, "exclude_boundary": 0,
-            "kill_running_at_deadline": true, "failures": null, "approx": {approx}}}}}"#
+            "config": {{"queue_size": {queue_size}, "compaction": {{"MaxImpulses": 64}},
+            "exclude_boundary": 0, "kill_running_at_deadline": true, "failures": null,
+            "approx": {approx}}}}}"#
         )
     };
     for (spec, problem) in [
         ("{\"gamma\": 1.0}".to_string(), "invalid spec"),
         (
-            complete(r#"{"Heuristic": {"beta": 0.5, "eta": 2}}"#, "null"),
+            complete(r#"{"Heuristic": {"beta": 0.5, "eta": 2}}"#, 6, "null"),
             "invalid dropper: beta must be >= 1",
         ),
         (
             complete(
                 r#"{"Heuristic": {"beta": 1.0, "eta": 2}}"#,
+                6,
                 r#"{"time_factor": 0.0, "value": 0.6}"#,
             ),
             "invalid approximate computing: approx time factor must be in (0, 1)",
         ),
-        (complete(r#"{"Approx": {"beta": 1.0, "eta": 2}}"#, "null"), "invalid spec"),
+        (complete(r#"{"Approx": {"beta": 1.0, "eta": 2}}"#, 6, "null"), "invalid spec"),
+        (
+            complete(r#""Optimal""#, 40, "null"),
+            "invalid dropper: queue_size must be at most 25 for Optimal's exhaustive search",
+        ),
     ] {
         let path = std::env::temp_dir()
             .join(format!("taskdrop-run-config-invalid-{}.json", std::process::id()));

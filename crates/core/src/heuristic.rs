@@ -193,6 +193,11 @@ impl DropPolicy for ProactiveDropper {
         }
         decision
     }
+
+    // Eq 8 has no pressure term: the mechanism is autonomous.
+    fn reads_pressure(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -94,6 +94,13 @@ impl DropDecision {
 /// context — the differential suite in
 /// `crates/model/tests/evaluator_equivalence.rs` pins persistent-context
 /// decisions bit-identical to fresh-context ones.
+///
+/// A decision is a function of the [`QueueView`] and of the
+/// [`DropContext`] fields the policy reads, and nothing else. The engine
+/// relies on this: it does not re-ask about a queue it last kept whole
+/// while the queue, its base and the context are unchanged (the keep-all
+/// verdict memo, DESIGN.md §13). [`DropContext::pressure`] joins that key
+/// only when [`DropPolicy::reads_pressure`] says so.
 pub trait DropPolicy: Send + Sync {
     /// Stable identifier used in reports and configs (e.g. `"Heuristic"`).
     fn name(&self) -> &'static str;
@@ -111,6 +118,14 @@ pub trait DropPolicy: Send + Sync {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision;
+
+    /// Whether decisions read [`DropContext::pressure`]. The default,
+    /// `true`, is never wrong; a policy that ignores pressure returns
+    /// `false`, so the engine can skip repeat decisions on a queue it last
+    /// kept whole even while the batch queue grows or shrinks.
+    fn reads_pressure(&self) -> bool {
+        true
+    }
 
     /// One-shot convenience: [`DropPolicy::select_drops`] against a fresh
     /// [`PolicyCtx`]. This is the reference path the differential tests

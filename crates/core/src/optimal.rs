@@ -30,26 +30,44 @@ use taskdrop_pmf::{Compaction, Pmf};
 /// Exhaustive optimal proactive dropping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimalDropper {
-    /// Hard cap on droppable positions; beyond this the enumeration would
-    /// explode (the guard trips on misconfigured queue sizes, not in the
-    /// paper's regime of q ≤ 6).
-    max_droppable: usize,
     /// Enable the admissible-bound pruning extension.
     prune: bool,
 }
 
 impl OptimalDropper {
+    /// Hard cap on droppable positions per queue; beyond this the
+    /// enumeration would explode (the paper's regime is q ≤ 6).
+    /// [`OptimalDropper::check_queue_size`] refuses configurations that
+    /// could exceed it; [`DropPolicy::select_drops`] panics past it.
+    pub const MAX_DROPPABLE: usize = 24;
+
     /// Creates the exhaustive search (pruning enabled).
     #[must_use]
     pub fn new() -> Self {
-        OptimalDropper { max_droppable: 24, prune: true }
+        OptimalDropper { prune: true }
     }
 
     /// Plain enumeration without bound pruning: the reference the pruned
     /// search is tested against.
     #[must_use]
     pub fn without_pruning() -> Self {
-        OptimalDropper { max_droppable: 24, prune: false }
+        OptimalDropper { prune: false }
+    }
+
+    /// The condition a machine-queue capacity must meet for the search to
+    /// stay within [`OptimalDropper::MAX_DROPPABLE`]. The longest pending
+    /// list the engine judges has `queue_size` entries (a restored
+    /// checkpoint bounds only occupancy, so a machine with nothing running
+    /// may hold that many), and every position but the last is droppable.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_queue_size(queue_size: usize) -> Result<(), &'static str> {
+        if queue_size.saturating_sub(1) > Self::MAX_DROPPABLE {
+            return Err("queue_size must be at most 25 for Optimal's exhaustive search");
+        }
+        Ok(())
     }
 
     /// Whether bound pruning is enabled.
@@ -131,7 +149,7 @@ impl DropPolicy for OptimalDropper {
             return DropDecision::none();
         }
         assert!(
-            n - 1 <= self.max_droppable,
+            n - 1 <= Self::MAX_DROPPABLE,
             "optimal dropping over {} droppable positions would enumerate 2^{} subsets",
             n - 1,
             n - 1
@@ -162,6 +180,11 @@ impl DropPolicy for OptimalDropper {
         };
         search.dfs(0, base, 0.0);
         DropDecision::drops(search.best_drops)
+    }
+
+    // The search maximises Eq 3 over the queue alone.
+    fn reads_pressure(&self) -> bool {
+        false
     }
 }
 
@@ -278,6 +301,20 @@ mod tests {
         let q = idle_queue(&pet, 0, &[(0, 1000), (1, 5)]);
         let d = OptimalDropper::new().select_drops_fresh(&q, &ctx());
         assert!(!d.drops.contains(&1));
+    }
+
+    #[test]
+    fn queue_size_bound_admits_exactly_the_searchable_queues() {
+        let longest = OptimalDropper::MAX_DROPPABLE + 1;
+        assert_eq!(OptimalDropper::check_queue_size(1), Ok(()));
+        assert_eq!(OptimalDropper::check_queue_size(longest), Ok(()));
+        let refusal = OptimalDropper::check_queue_size(longest + 1).unwrap_err();
+        assert!(refusal.contains(&format!("at most {longest} ")), "{refusal}");
+        // The longest admitted queue sits exactly at the search's cap.
+        let pet = pet();
+        let pendings = vec![(0, 10_000); longest];
+        let q = idle_queue(&pet, 0, &pendings);
+        assert!(OptimalDropper::new().select_drops_fresh(&q, &ctx()).is_empty());
     }
 
     #[test]

@@ -26,6 +26,11 @@ impl DropPolicy for ReactiveOnly {
     ) -> DropDecision {
         DropDecision::none()
     }
+
+    // Never drops, at any pressure.
+    fn reads_pressure(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

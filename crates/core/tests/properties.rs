@@ -15,6 +15,9 @@
 //!    bounds and disjoint; drops never include the last pending task for
 //!    the Eq-8 policies, and degrades fall only on degradable positions
 //!    other than the last.
+//! 4. A policy whose `reads_pressure` is `false` decides the same at every
+//!    pressure, so the engine's keep-all verdict memo may leave pressure
+//!    out of its key for it.
 
 use proptest::prelude::*;
 use taskdrop_core::{DropPolicy, OptimalDropper, ProactiveDropper, ReactiveOnly, ThresholdDropper};
@@ -79,6 +82,28 @@ fn build_approx_queue<'a>(
 
 fn ctx() -> DropContext {
     DropContext::plain(Compaction::None)
+}
+
+/// Every built-in policy.
+fn policies() -> Vec<Box<dyn DropPolicy>> {
+    vec![
+        Box::new(ReactiveOnly),
+        Box::new(ProactiveDropper::paper_default()),
+        Box::new(OptimalDropper::new()),
+        Box::new(ThresholdDropper::paper_default()),
+    ]
+}
+
+/// The same queue spec with approximate computing off and on, each with
+/// its drop context.
+fn plain_and_approx_queues<'a>(
+    pet: &'a PetMatrix,
+    apet: &'a PetMatrix,
+    spec: &[(u16, u64)],
+    degraded: &[u8],
+) -> [(QueueView<'a>, DropContext); 2] {
+    let approx_ctx = DropContext { approx: Some(ApproxSpec::half_time()), ..ctx() };
+    [(build_queue(pet, spec), ctx()), (build_approx_queue(pet, apet, spec, degraded), approx_ctx)]
 }
 
 fn robustness_with(queue: &QueueView<'_>, drops: &[usize]) -> f64 {
@@ -155,18 +180,8 @@ proptest! {
     ) {
         let pet = pet();
         let apet = degraded_pet(&pet, ApproxSpec::half_time());
-        let approx_ctx = DropContext { approx: Some(ApproxSpec::half_time()), ..ctx() };
-        let queues = [
-            (build_queue(&pet, &spec), ctx()),
-            (build_approx_queue(&pet, &apet, &spec, &degraded), approx_ctx),
-        ];
-        let policies: Vec<Box<dyn DropPolicy>> = vec![
-            Box::new(ReactiveOnly),
-            Box::new(ProactiveDropper::paper_default()),
-            Box::new(OptimalDropper::new()),
-            Box::new(ThresholdDropper::paper_default()),
-        ];
-        for (q, dctx) in &queues {
+        let policies = policies();
+        for (q, dctx) in &plain_and_approx_queues(&pet, &apet, &spec, &degraded) {
             let n = q.tasks.len();
             for p in &policies {
                 let d = p.select_drops_fresh(q, dctx);
@@ -192,6 +207,32 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pressure_blind_policies_decide_the_same_at_any_pressure(
+        spec in queue_strategy(),
+        degraded in prop::collection::vec(0u8..2, 6),
+        pressure_a in 0.0f64..16.0,
+        pressure_b in 0.0f64..16.0,
+    ) {
+        let pet = pet();
+        let apet = degraded_pet(&pet, ApproxSpec::half_time());
+        let queues = plain_and_approx_queues(&pet, &apet, &spec, &degraded);
+        for p in policies().iter().filter(|p| !p.reads_pressure()) {
+            for (q, dctx) in &queues {
+                prop_assert_eq!(
+                    p.select_drops_fresh(q, &DropContext { pressure: pressure_a, ..*dctx }),
+                    p.select_drops_fresh(q, &DropContext { pressure: pressure_b, ..*dctx }),
+                    "{} changed its decision between pressures {} and {}",
+                    p.name(),
+                    pressure_a,
+                    pressure_b
+                );
+            }
+        }
+        // The one built-in that adapts to pressure must say so.
+        prop_assert!(ThresholdDropper::paper_default().reads_pressure());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! * the shared scratch evaluators every policy draws from (buffers warm
 //!   up once per trial instead of once per call), and
 //! * a [`TailCache`]: per-machine queue-tail completion PMFs keyed by
-//!   `(queue revision, base PMF, compaction)` and per-(machine, task-type)
-//!   plain `tail ⊛ exec` convolutions keyed by `(tail, exec)`, with
-//!   deterministic hit/miss counters.
+//!   `(queue revision, base PMF, compaction)`, per-(machine, task-type)
+//!   plain `tail ⊛ exec` convolutions keyed by `(tail, exec)`, and
+//!   per-machine keep-all drop verdicts keyed by `(queue revision, base
+//!   PMF, drop context)`, with deterministic hit/miss counters.
 //!
 //! # Correctness contract
 //!
@@ -31,6 +32,7 @@
 //! the same bytes (asserted in `tests/checkpoint_determinism.rs`).
 
 use crate::queue::{ChainEvaluator, LazyChain};
+use crate::view::DropContext;
 use taskdrop_pmf::{Compaction, Pmf};
 
 /// Monotone cache hit/miss counters, deterministic for a given trial
@@ -46,13 +48,23 @@ pub struct CacheStats {
     pub conv_hits: u64,
     /// PET×tail convolution lookups that had to convolve.
     pub conv_misses: u64,
+    /// Drop decisions skipped because the queue was last kept whole under
+    /// the same key.
+    pub verdict_hits: u64,
+    /// Drop decisions the policy had to make.
+    pub verdict_misses: u64,
 }
 
 impl CacheStats {
-    /// Total lookups across both caches.
+    /// Total lookups across the three tables.
     #[must_use]
     pub fn lookups(&self) -> u64 {
-        self.tail_hits + self.tail_misses + self.conv_hits + self.conv_misses
+        self.tail_hits
+            + self.tail_misses
+            + self.conv_hits
+            + self.conv_misses
+            + self.verdict_hits
+            + self.verdict_misses
     }
 }
 
@@ -106,18 +118,32 @@ struct ConvEntry {
     conv: Pmf,
 }
 
-/// Keyed PET×tail cache: per-machine queue tails and per-(machine,
-/// task-type) `tail ⊛ exec` convolutions, with hit/miss accounting.
+/// One machine's keep-all drop verdict: the key of the last decision that
+/// kept the whole queue. The queue revision stands for the pending
+/// entries (as in [`TailEntry`]); the base and the drop context are the
+/// rest of the decision's input. The caller zeroes `ctx.pressure` for a
+/// policy that does not read it.
+#[derive(Debug, Clone)]
+struct VerdictEntry {
+    rev: u64,
+    base: Pmf,
+    ctx: DropContext,
+}
+
+/// Keyed PET×tail cache: per-machine queue tails, per-(machine,
+/// task-type) `tail ⊛ exec` convolutions and per-machine keep-all drop
+/// verdicts, with hit/miss accounting.
 ///
 /// Keys are the complete inputs of the cached computation (`TailEntry`/
-/// `ConvEntry` above), so stale entries can never be served — they
-/// simply fail the comparison and are overwritten. `clear` exists for
-/// callers that want to drop memory, not for correctness.
+/// `ConvEntry`/`VerdictEntry` above), so stale entries can never be
+/// served — they simply fail the comparison and are overwritten. `clear`
+/// exists for callers that want to drop memory, not for correctness.
 #[derive(Debug, Default, Clone)]
 pub struct TailCache {
     tails: Vec<Option<TailEntry>>,
     convs: Vec<Option<ConvEntry>>,
     conv_types: usize,
+    verdicts: Vec<Option<VerdictEntry>>,
     stats: CacheStats,
 }
 
@@ -140,6 +166,7 @@ impl TailCache {
         self.tails.clear();
         self.convs.clear();
         self.conv_types = 0;
+        self.verdicts.clear();
     }
 
     /// Looks up `machine`'s cached queue tail. Hits (and returns a clone)
@@ -180,6 +207,37 @@ impl TailCache {
             self.tails.resize_with(machine + 1, || None);
         }
         self.tails[machine] = Some(TailEntry { rev, compaction, base, tail });
+    }
+
+    /// Whether `machine`'s last drop decision kept its whole queue under
+    /// exactly this key: the queue revision, the base PMF and the drop
+    /// context all match. Every call bumps exactly one verdict counter.
+    pub fn lookup_verdict(
+        &mut self,
+        machine: usize,
+        rev: u64,
+        base: &Pmf,
+        ctx: &DropContext,
+    ) -> bool {
+        let entry = self.verdicts.get(machine).and_then(Option::as_ref);
+        let hit = entry.is_some_and(|e| e.rev == rev && e.ctx == *ctx && e.base == *base);
+        if hit {
+            self.stats.verdict_hits += 1;
+        } else {
+            self.stats.verdict_misses += 1;
+        }
+        hit
+    }
+
+    /// Records that the drop decision for this key kept every task,
+    /// replacing `machine`'s previous verdict.
+    pub fn store_verdict(&mut self, machine: usize, rev: u64, base: Pmf, ctx: DropContext) {
+        if self.verdicts.len() <= machine {
+            self.verdicts.resize_with(machine + 1, || None);
+        }
+        if let Some(slot) = self.verdicts.get_mut(machine) {
+            *slot = Some(VerdictEntry { rev, base, ctx });
+        }
     }
 
     /// The plain convolution `tail ⊛ exec` for the `(machine, task_type)`
@@ -275,6 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn verdict_lookup_hits_only_on_full_key_match() {
+        let mut cache = TailCache::new();
+        let base = Pmf::point(10);
+        let ctx = DropContext::plain(Compaction::None);
+        assert!(!cache.lookup_verdict(2, 1, &base, &ctx));
+        cache.store_verdict(2, 1, base.clone(), ctx);
+        assert!(cache.lookup_verdict(2, 1, &base, &ctx));
+        // Revision, base, pressure or compaction drift each miss.
+        assert!(!cache.lookup_verdict(2, 2, &base, &ctx));
+        assert!(!cache.lookup_verdict(2, 1, &Pmf::point(11), &ctx));
+        assert!(!cache.lookup_verdict(2, 1, &base, &DropContext { pressure: 0.5, ..ctx }));
+        assert!(!cache.lookup_verdict(2, 1, &base, &DropContext::plain(Compaction::BinWidth(4))));
+        // Unknown machine misses without panicking; clear forgets verdicts.
+        assert!(!cache.lookup_verdict(9, 1, &base, &ctx));
+        cache.clear();
+        assert!(!cache.lookup_verdict(2, 1, &base, &ctx));
+        let stats = cache.stats();
+        assert_eq!((stats.verdict_hits, stats.verdict_misses), (1, 7));
+        assert_eq!(stats.lookups(), 8);
+    }
+
+    #[test]
     fn conv_is_cached_per_inputs_and_bit_identical() {
         let mut cache = TailCache::new();
         let tail = Pmf::from_impulses(vec![(10, 0.5), (20, 0.5)]).unwrap();
@@ -319,8 +399,13 @@ mod tests {
 
     #[test]
     fn cache_stats_display_is_zero_safe() {
-        let stats =
-            CacheStats { tail_hits: 1_860, tail_misses: 2_087, conv_hits: 3, conv_misses: 1 };
+        let stats = CacheStats {
+            tail_hits: 1_860,
+            tail_misses: 2_087,
+            conv_hits: 3,
+            conv_misses: 1,
+            ..CacheStats::default()
+        };
         assert_eq!(stats.to_string(), "tail 1860/3947 hits (47.1%), conv 3/4 hits (75.0%)");
         assert_eq!(CacheStats::default().to_string(), "tail 0/0 hits (-), conv 0/0 hits (-)");
     }

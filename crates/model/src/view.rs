@@ -30,7 +30,7 @@ pub struct QueueView<'a> {
 }
 
 /// Context shared by all queues at one dropping invocation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropContext {
     /// Compaction policy for chain computations.
     pub compaction: Compaction,

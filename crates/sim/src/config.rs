@@ -146,14 +146,16 @@ impl DropperKind {
 
     /// Checks the parameters against the conditions of the constructor
     /// [`DropperKind::build`] calls (a kind parsed from a file skipped
-    /// them).
+    /// them), and `Optimal` against the machine-queue capacity
+    /// `queue_size` it will judge ([`OptimalDropper::check_queue_size`]).
     ///
     /// # Errors
     ///
     /// The broken condition, in words.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    pub fn validate(&self, queue_size: usize) -> Result<(), &'static str> {
         match *self {
-            DropperKind::ReactiveOnly | DropperKind::Optimal => Ok(()),
+            DropperKind::ReactiveOnly => Ok(()),
+            DropperKind::Optimal => OptimalDropper::check_queue_size(queue_size),
             DropperKind::Heuristic { beta, eta } => ProactiveDropper::check_settings(beta, eta),
             DropperKind::Threshold { base } => ThresholdDropper::check_settings(base),
         }

@@ -981,34 +981,45 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             keep
         });
 
-        // (2) Proactive dropping policy, queue by queue.
+        // (2) Proactive dropping policy, queue by queue. A queue the policy
+        // last kept whole is not judged again while its revision, its base
+        // and the drop context the policy reads are unchanged: the answer
+        // is a function of exactly those (DESIGN.md §13, keep-all verdict).
         let capacity = scenario.capacity(config.queue_size);
         let drop_ctx = DropContext {
             compaction: config.compaction,
             pressure: batch.len() as f64 / capacity as f64,
             approx: config.approx,
         };
+        let verdict_ctx = if dropper.reads_pressure() {
+            drop_ctx
+        } else {
+            DropContext { pressure: 0.0, ..drop_ctx }
+        };
         for m in machines.iter_mut() {
             if m.pending.is_empty() {
                 continue;
             }
-            let view = QueueView {
-                base: queue_base(pet, approx_pet, now, m, config),
-                tasks: chain_tasks(pet, approx_pet, m),
-                degradable: approx_pet.map_or_else(Vec::new, |apet| {
-                    m.pending
-                        .iter()
-                        .map(|qt| {
-                            (!qt.degraded).then(|| apet.pmf(qt.task.type_id, m.machine.type_id))
-                        })
-                        .collect()
-                }),
-            };
-            let decision = dropper.select_drops(&view, &drop_ctx, ctx);
-            if !decision.is_empty() {
-                // Drops and degrades both change what a tail chain sees.
-                m.queue_rev += 1;
+            let key = m.machine.id.index();
+            let base = queue_base(pet, approx_pet, now, m, config);
+            if ctx.tails.lookup_verdict(key, m.queue_rev, &base, &verdict_ctx) {
+                debug_assert!(
+                    dropper
+                        .select_drops_fresh(&queue_view(pet, approx_pet, m, base), &drop_ctx)
+                        .is_empty(),
+                    "memoised keep-all verdict is stale for {}",
+                    m.machine.id
+                );
+                continue;
             }
+            let view = queue_view(pet, approx_pet, m, base);
+            let decision = dropper.select_drops(&view, &drop_ctx, ctx);
+            if decision.is_empty() {
+                ctx.tails.store_verdict(key, m.queue_rev, view.base, verdict_ctx);
+                continue;
+            }
+            // Drops and degrades both change what a tail chain sees.
+            m.queue_rev += 1;
             let mut last: Option<usize> = None;
             for &idx in &decision.drops {
                 assert!(idx < m.pending.len(), "dropper returned out-of-range index");
@@ -1472,6 +1483,27 @@ fn chain_tasks<'p>(
             }
         })
         .collect()
+}
+
+/// The dropping policy's input for `m`'s queue: its Eq-1 chain from `base`,
+/// plus each pending entry's approximate-variant PMF while it can still be
+/// degraded (empty when approximate computing is off).
+fn queue_view<'p>(
+    pet: &'p PetMatrix,
+    approx_pet: Option<&'p PetMatrix>,
+    m: &MachineSt,
+    base: Pmf,
+) -> QueueView<'p> {
+    QueueView {
+        base,
+        tasks: chain_tasks(pet, approx_pet, m),
+        degradable: approx_pet.map_or_else(Vec::new, |apet| {
+            m.pending
+                .iter()
+                .map(|qt| (!qt.degraded).then(|| apet.pmf(qt.task.type_id, m.machine.type_id)))
+                .collect()
+        }),
+    }
 }
 
 /// The clamp only applies while the kill can still fire (deadline ahead).

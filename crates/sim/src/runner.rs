@@ -71,7 +71,9 @@ impl TrialRunner {
         if !spec.gamma.is_finite() || spec.gamma < 0.0 {
             return Err(SimError::InvalidGamma);
         }
-        spec.dropper.validate().map_err(|problem| SimError::InvalidDropper { problem })?;
+        spec.dropper
+            .validate(spec.config.queue_size)
+            .map_err(|problem| SimError::InvalidDropper { problem })?;
         spec.config.validate()
     }
 
@@ -82,9 +84,10 @@ impl TrialRunner {
     /// [`SimError::ZeroTrials`] for a runner with zero trials,
     /// [`SimError::InvalidGamma`] for a non-finite or negative slack
     /// coefficient, [`SimError::InvalidDropper`] for dropper parameters
-    /// [`DropperKind::validate`] refuses, or any configuration error from
-    /// [`SimConfig::validate`], all before any trial runs; otherwise the first trial's error (in
-    /// trial order) from [`SimCore::new`] or [`SimCore::run_to_completion`].
+    /// (or an `Optimal` queue size) [`DropperKind::validate`] refuses, or
+    /// any configuration error from [`SimConfig::validate`], all before
+    /// any trial runs; otherwise the first trial's error (in trial order)
+    /// from [`SimCore::new`] or [`SimCore::run_to_completion`].
     pub fn run(&self, scenario: &Scenario, spec: &RunSpec) -> Result<SimReport, SimError> {
         self.validate(spec)?;
         let results: Vec<Mutex<Option<Result<TrialResult, SimError>>>> =
@@ -138,6 +141,7 @@ impl TrialRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskdrop_core::OptimalDropper;
     use taskdrop_model::ApproxSpec;
 
     fn spec(tasks: usize, window: u64) -> RunSpec {
@@ -210,6 +214,19 @@ mod tests {
             let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
             assert_eq!(err, Some(SimError::InvalidDropper { problem }), "{dropper:?}");
         }
+    }
+
+    #[test]
+    fn optimal_on_a_queue_too_long_to_search_is_a_typed_error() {
+        let scenario = Scenario::specint(7);
+        let mut s = RunSpec { dropper: DropperKind::Optimal, ..spec(50, 1_000) };
+        s.config.queue_size = OptimalDropper::MAX_DROPPABLE + 2;
+        let err = TrialRunner::new(1, 1).run(&scenario, &s).err();
+        let problem = OptimalDropper::check_queue_size(s.config.queue_size).unwrap_err();
+        assert_eq!(err, Some(SimError::InvalidDropper { problem }));
+        // The longest searchable queue still runs.
+        s.config.queue_size = OptimalDropper::MAX_DROPPABLE + 1;
+        assert!(TrialRunner::new(1, 1).run(&scenario, &s).is_ok());
     }
 
     #[test]

@@ -76,6 +76,13 @@ impl DropPolicy for PanicThreshold {
             links.iter().enumerate().filter(|(_, l)| l.chance < 0.05).map(|(i, _)| i).collect(),
         )
     }
+
+    // The 5 % cut is fixed and the decision reads no `ctx.pressure`, so a
+    // queue kept whole stays kept whole however full the batch queue gets:
+    // saying so lets the engine skip those repeat decisions.
+    fn reads_pressure(&self) -> bool {
+        false
+    }
 }
 
 fn main() -> Result<(), SimError> {

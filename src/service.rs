@@ -250,7 +250,7 @@ impl ServicePlan {
                 .and_then(|()| {
                     AdmissionController::check_settings(shard.ingress_capacity, shard.backpressure)
                 })
-                .and_then(|()| shard.dropper.validate())
+                .and_then(|()| shard.dropper.validate(shard.config.queue_size))
                 .map_err(|problem| ServeError::InvalidPlan {
                     shard: Some(shard.name.clone()),
                     problem,
@@ -340,6 +340,15 @@ mod tests {
         let mut p = plan();
         p.shards[0].dropper = DropperKind::Heuristic { beta: 0.5, eta: 2 };
         assert_refused(&p, Some("bursty"), "beta must be >= 1");
+    }
+
+    #[test]
+    fn a_plan_running_optimal_on_a_queue_too_long_to_search_is_refused() {
+        let mut p = plan();
+        p.shards[1].dropper = DropperKind::Optimal;
+        p.shards[1].config.queue_size = 40;
+        let problem = taskdrop_core::OptimalDropper::check_queue_size(40).unwrap_err();
+        assert_refused(&p, Some("diurnal"), problem);
     }
 
     #[test]

@@ -57,15 +57,21 @@ proptest! {
         seed in 0u64..1_000,
         tasks in 40usize..200,
         steps in 0usize..400,
-        heuristic_dropper in (0u8..2).prop_map(|k| k == 0),
+        dropper_kind in 0u8..3,
     ) {
         let scenario = Scenario::specint(17);
         let window = (tasks as u64) * 12; // ~2x oversubscription
         let level = OversubscriptionLevel::new("cp", tasks, window);
         let workload = Workload::generate(&scenario, &level, 2.0, seed);
         let heuristic = ProactiveDropper::paper_default();
-        let dropper: &dyn taskdrop::core::DropPolicy =
-            if heuristic_dropper { &heuristic } else { &ReactiveOnly };
+        // The threshold dropper reads pressure, so its keep-all verdicts
+        // are keyed on it too; a restore starts that memo cold.
+        let threshold = ThresholdDropper::paper_default();
+        let dropper: &dyn taskdrop::core::DropPolicy = match dropper_kind {
+            0 => &heuristic,
+            1 => &ReactiveOnly,
+            _ => &threshold,
+        };
         let (expected, resumed) = interrupted_vs_straight(
             &scenario, &workload, dropper, quick_config(), seed ^ 0xC0FFEE, steps,
         );
@@ -306,7 +312,7 @@ fn checkpoint_v1_field_set_is_frozen() {
         assert!(json.contains(&format!("\"{field}\":")), "v1 field {field} missing");
     }
     // …and none of the derived-state machinery.
-    for forbidden in ["queue_rev", "tail_hits", "tail_misses", "conv_", "cache", "ctx"] {
+    for forbidden in ["queue_rev", "tail_hits", "tail_misses", "conv_", "verdict", "cache", "ctx"] {
         assert!(!json.contains(forbidden), "derived state {forbidden} leaked into checkpoint v1");
     }
 }

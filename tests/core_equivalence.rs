@@ -229,6 +229,58 @@ fn relay_drained_per_step_matches_an_attached_event_log() {
     }
 }
 
+/// Forwards every call to the wrapped policy but keeps the trait's default
+/// `reads_pressure` (`true`), so the engine keys its keep-all verdict memo
+/// on pressure, as it must for any custom policy.
+struct PressureKeyed<'a>(&'a dyn DropPolicy);
+
+impl DropPolicy for PressureKeyed<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn select_drops(
+        &self,
+        queue: &QueueView<'_>,
+        ctx: &DropContext,
+        scratch: &mut PolicyCtx,
+    ) -> DropDecision {
+        self.0.select_drops(queue, ctx, scratch)
+    }
+}
+
+/// The engine skips a drop decision on a queue it last kept whole while
+/// the decision's inputs are unchanged, and leaves pressure out of that key
+/// for a policy that does not read it. Keying on pressure as well must give
+/// the same trial, event for event; the pressure-blind key must reach the
+/// policy strictly less often.
+#[test]
+fn a_pressure_blind_verdict_memo_changes_nothing_but_the_call_count() {
+    let scenario = scenario();
+    let heuristic = ProactiveDropper::paper_default();
+    let keyed = PressureKeyed(&heuristic);
+    for seed in [1u64, 2, 9] {
+        let w = workload(&scenario, 250, 2_200, seed);
+        for (name, config) in configs() {
+            // (result, event stream, decisions that reached the policy)
+            let run = |dropper: &dyn DropPolicy| {
+                let log = Rc::new(RefCell::new(Vec::new()));
+                let handle = Rc::clone(&log);
+                let mut core = SimCore::new(&scenario, &w, &Pam, dropper, config, seed).unwrap();
+                core.attach(move |ev: &SimEvent| handle.borrow_mut().push(*ev));
+                let result = core.run_to_completion().unwrap();
+                (result, log.take(), core.cache_stats().verdict_misses)
+            };
+            let (blind, blind_events, blind_calls) = run(&heuristic);
+            let (pressure, pressure_events, pressure_calls) = run(&keyed);
+            let at = format!("seed {seed}, config {name}");
+            assert_eq!(blind, pressure, "{at}");
+            assert!(blind_events == pressure_events, "{at}: event streams differ");
+            assert!(blind_calls < pressure_calls, "{at}: {blind_calls} vs {pressure_calls} calls");
+        }
+    }
+}
+
 /// Approximate computing is the heuristic's job once `SimConfig::approx`
 /// is set. These outcomes are the ones the former separate approximate
 /// dropper produced on the same trials, so folding it into

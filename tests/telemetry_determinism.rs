@@ -106,7 +106,14 @@ fn telemetry_attachment_is_observationally_free() {
     assert_eq!(result.robustness_pct(), 53.666666666666664);
     assert_eq!(
         bare.cache_stats(),
-        CacheStats { tail_hits: 1_860, tail_misses: 2_087, conv_hits: 569, conv_misses: 4_196 }
+        CacheStats {
+            tail_hits: 1_860,
+            tail_misses: 2_087,
+            conv_hits: 569,
+            conv_misses: 4_196,
+            verdict_hits: 3_553,
+            verdict_misses: 2_725,
+        }
     );
 }
 
