@@ -26,13 +26,13 @@ use crate::graph::TaskGraph;
 use crate::stats::DagStats;
 use crate::tap::DagTap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use taskdrop_core::DropPolicy;
 use taskdrop_model::{TaskId, TaskTypeId};
 use taskdrop_obs::{DagRecord, Telemetry};
 use taskdrop_pmf::Tick;
 use taskdrop_sched::MappingHeuristic;
-use taskdrop_serve::{AdmissionController, QueueTails};
+use taskdrop_serve::AdmissionController;
 use taskdrop_sim::{Checkpoint, ForfeitKind, SimCore, SimError, SimEvent, TaskFate};
 use taskdrop_workload::{OfferedTask, Scenario};
 
@@ -43,7 +43,7 @@ pub enum PrunePolicy {
     #[default]
     Off,
     /// At release, estimate the node's critical-path subtree chance
-    /// ([`subtree_chances`]) against freshly captured queue tails and
+    /// ([`subtree_chances`]) against the queues as they stand and
     /// forfeit the node *and its whole subtree* below `threshold` — the
     /// paper's probabilistic pruning lifted from tasks to chains: work
     /// whose weakest downstream link is already doomed never wastes a
@@ -257,6 +257,74 @@ impl DagCoordinator {
             && forfeited == self.stats.forfeited()
     }
 
+    /// Checks a coordinator that was not built through its own methods,
+    /// such as one parsed from a checkpoint, for the invariants they keep:
+    /// a prune threshold in `[0, 1]`; every graph as
+    /// [`TaskGraph::from_blueprint`] leaves it; node states and unmet
+    /// counts sized to their graph, with each held node's count equal to
+    /// its predecessors that have not delivered; every in-flight entry, in
+    /// ascending task order, naming distinct in-range nodes injected as
+    /// that task; every merge-index entry still in flight carrying nodes
+    /// of its key's type and slack; and [`DagCoordinator::audit`].
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if let PrunePolicy::PruneSubtree { threshold } = self.prune {
+            if !(0.0..=1.0).contains(&threshold) {
+                return Err("prune threshold must be a probability in [0, 1]");
+            }
+        }
+        for run in &self.graphs {
+            run.graph.validate()?;
+            if run.state.len() != run.graph.len() || run.unmet.len() != run.graph.len() {
+                return Err("node states and unmet counts must be sized to their graph");
+            }
+            let delivered = |p: &&u32| match run.state.get(**p as usize) {
+                Some(NodeState::Resolved(fate)) => produced_output(*fate),
+                _ => false,
+            };
+            // In range: the graph validated and `state` has one entry per node.
+            let waiting =
+                |node: u32| run.graph.preds(node).iter().filter(|p| !delivered(p)).count();
+            if (0u32..).zip(&run.state).zip(&run.unmet).any(|((node, state), &unmet)| {
+                *state == NodeState::Held && waiting(node) != unmet as usize
+            }) {
+                return Err("a held node's unmet count must equal its undelivered predecessors");
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for (task, refs) in &self.in_flight {
+            for &r in refs {
+                if self.node_state(r) != Some(NodeState::Injected(*task)) || !seen.insert(r) {
+                    return Err("an in-flight entry must name distinct nodes injected as its task");
+                }
+            }
+        }
+        if self.in_flight.iter().zip(self.in_flight.iter().skip(1)).any(|(a, b)| a.0 >= b.0) {
+            return Err("in-flight entries must be in ascending task order");
+        }
+        for (key, task) in &self.merge_index {
+            // Riders were checked in range above.
+            let keyed = |r: &NodeRef| {
+                self.graphs.get(r.graph as usize).is_some_and(|run| {
+                    let spec = run.graph.node(r.node);
+                    spec.type_id == key.type_id
+                        && key.arrival.checked_add(spec.slack) == Some(key.deadline)
+                })
+            };
+            let riders = self.in_flight.iter().find(|(t, _)| t == task).map(|(_, refs)| refs);
+            if riders.is_some_and(|refs| !refs.iter().all(keyed)) {
+                return Err("a merge-index entry must key the nodes riding its task");
+            }
+        }
+        if !self.audit() {
+            return Err("node states must agree with the running counters");
+        }
+        Ok(())
+    }
+
     /// Registers a graph and releases its roots at
     /// `max(graph.arrival(), core.now())` (roots may be injected with a
     /// future arrival; the engine holds them until their tick). Returns
@@ -264,10 +332,10 @@ impl DagCoordinator {
     ///
     /// # Errors
     ///
-    /// [`DagError::Sim`] if the engine refuses an injection (e.g. a node
-    /// names a task type the scenario lacks); the coordinator is left
-    /// consistent — the failing node and its subtree are *not* forfeited,
-    /// the error is surfaced for the caller to decide.
+    /// [`DagError::Sim`] if the engine refuses to price or inject a
+    /// release (e.g. a node names a task type the scenario lacks); the
+    /// coordinator is left consistent — the failing node and its subtree
+    /// are *not* forfeited, the error is surfaced for the caller to decide.
     pub fn add_graph(&mut self, core: &mut SimCore<'_>, graph: TaskGraph) -> Result<u32, DagError> {
         let gid = self.graphs.len() as u32;
         let n = graph.len();
@@ -292,7 +360,7 @@ impl DagCoordinator {
     ///
     /// # Errors
     ///
-    /// [`DagError::Sim`] if a release fails to inject; see
+    /// [`DagError::Sim`] if a release fails to price or inject; see
     /// [`DagCoordinator::add_graph`].
     pub fn advance(
         &mut self,
@@ -325,7 +393,7 @@ impl DagCoordinator {
     ///
     /// # Errors
     ///
-    /// [`DagError::Sim`] if a release fails to inject.
+    /// [`DagError::Sim`] if a release fails to price or inject.
     pub fn run_to_drain(&mut self, core: &mut SimCore<'_>, tap: &DagTap) -> Result<(), DagError> {
         self.advance(core, tap, Tick::MAX)
     }
@@ -364,8 +432,6 @@ impl DagCoordinator {
             return;
         };
         let (_, refs) = self.in_flight.remove(pos);
-        let produced_output =
-            matches!(fate, TaskFate::OnTime | TaskFate::OnTimeApprox | TaskFate::Late);
         for r in refs {
             let run = &mut self.graphs[r.graph as usize];
             debug_assert!(
@@ -382,7 +448,7 @@ impl DagCoordinator {
                 // lint:allow(panic-macro): Forfeited is assigned by this coordinator, never by engine resolution; reaching here means the fate plumbing broke and must stop loudly
                 TaskFate::Forfeited => unreachable!("the engine never assigns Forfeited"),
             }
-            if produced_output {
+            if produced_output(fate) {
                 let run = &mut self.graphs[r.graph as usize];
                 let GraphRun { graph, state, unmet } = run;
                 for &s in graph.succs(r.node) {
@@ -466,26 +532,22 @@ impl DagCoordinator {
         if batch.is_empty() {
             return Ok(());
         }
-        // Pruning prices every released node's subtree against one tail
-        // capture (the paper's batch discipline: tails are a function of
-        // the instant, not of the offer).
+        // Pruning prices every released node's subtree against the queues
+        // as they stand at the release instant (the paper's batch
+        // discipline: tails are a function of the instant, not of the
+        // offer); each graph is priced once per batch.
         let survivors: Vec<NodeRef> = match self.prune {
             PrunePolicy::Off => batch.to_vec(),
             PrunePolicy::PruneSubtree { threshold } => {
-                let now = core.now();
-                let mut tails = QueueTails::capture(core);
                 let mut memo: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
                 let mut survivors = Vec::with_capacity(batch.len());
                 let mut pruned = Vec::new();
                 for &r in batch {
-                    let chances = memo.entry(r.graph).or_insert_with(|| {
-                        subtree_chances(
-                            &self.graphs[r.graph as usize].graph,
-                            &mut tails,
-                            &core.scenario().pet,
-                            now,
-                        )
-                    });
+                    let chances = match memo.entry(r.graph) {
+                        Entry::Occupied(priced) => priced.into_mut(),
+                        Entry::Vacant(slot) => slot
+                            .insert(subtree_chances(&self.graphs[r.graph as usize].graph, core)?),
+                    };
                     if chances[r.node as usize] < threshold {
                         pruned.push(r);
                     } else {
@@ -546,6 +608,12 @@ impl DagCoordinator {
     }
 }
 
+/// Whether a node that met `fate` delivered its output to its successors:
+/// it ran to completion, late output included.
+fn produced_output(fate: TaskFate) -> bool {
+    matches!(fate, TaskFate::OnTime | TaskFate::OnTimeApprox | TaskFate::Late)
+}
+
 /// A coordinator checkpoint: the core's [`Checkpoint`] plus the
 /// coordinator's complete state. Everything needed to resume except the
 /// deterministic context a core checkpoint only *names* (scenario and
@@ -567,8 +635,10 @@ impl DagCheckpoint {
     ///
     /// [`SimError::CheckpointMismatch`] with field `"admission"` if the
     /// coordinator's admission controller fails
-    /// [`AdmissionController::validate`], or any [`SimError`] from
-    /// [`SimCore::restore`] (version or structural mismatch).
+    /// [`AdmissionController::validate`], with field `"coordinator"` if
+    /// the coordinator fails [`DagCoordinator::validate`], or any
+    /// [`SimError`] from [`SimCore::restore`] (version or structural
+    /// mismatch).
     pub fn restore<'a>(
         &self,
         scenario: &'a Scenario,
@@ -579,6 +649,13 @@ impl DagCheckpoint {
             return Err(DagError::Sim(SimError::CheckpointMismatch {
                 field: "admission",
                 expected: "admission state its constructor accepts".to_string(),
+                found: format!("one that breaks \"{problem}\""),
+            }));
+        }
+        if let Err(problem) = self.coordinator.validate() {
+            return Err(DagError::Sim(SimError::CheckpointMismatch {
+                field: "coordinator",
+                expected: "coordinator state its own methods keep".to_string(),
                 found: format!("one that breaks \"{problem}\""),
             }));
         }
@@ -715,6 +792,29 @@ mod tests {
         let st = coord.stats();
         assert_eq!(st.injected, 0);
         assert_eq!(st.forfeited_pruned, 3, "root and both descendants shed together");
+    }
+
+    /// A node whose task type the scenario lacks is refused with the same
+    /// typed error whether pruning prices it first or the core refuses it
+    /// at injection.
+    #[test]
+    fn an_unknown_task_type_is_a_typed_error_with_or_without_pruning() {
+        let s = Scenario::specint(11);
+        let unknown = TaskGraph::from_blueprint(&GraphBlueprint {
+            arrival: 0,
+            nodes: vec![BlueprintNode { type_id: TaskTypeId(12), slack: 2_000 }],
+            edges: Vec::new(),
+        })
+        .unwrap();
+        for coord in [DagCoordinator::new(), DagCoordinator::new().with_pruning(0.5)] {
+            let mut coord = coord;
+            let mut core = open_core(&s);
+            assert_eq!(
+                coord.add_graph(&mut core, unknown.clone()),
+                Err(DagError::Sim(SimError::UnknownTaskType { type_id: 12, task_types: 12 }))
+            );
+            assert!(coord.audit() && coord.held() == 1, "the refused node stays held");
+        }
     }
 
     #[test]

@@ -96,6 +96,63 @@ impl TaskGraph {
         Ok(TaskGraph { arrival: bp.arrival, nodes, preds, succs, topo })
     }
 
+    /// Checks a graph that did not come from
+    /// [`TaskGraph::from_blueprint`], such as one parsed from a
+    /// checkpoint, for what that constructor guarantees: at least one
+    /// node, positive slack, adjacency in range with `preds` mirroring
+    /// `succs` and no duplicate edge, and `topo` a permutation of the
+    /// nodes in which every edge points forward (so no cycle either).
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Err("a graph needs at least one node");
+        }
+        if self.nodes.iter().any(|spec| spec.slack == 0) {
+            return Err("every node needs positive slack");
+        }
+        if self.preds.len() != n || self.succs.len() != n || self.topo.len() != n {
+            return Err("adjacency and topological order must cover every node");
+        }
+        let edges = |lists: &[Vec<u32>], forward: bool| {
+            let mut out: Vec<(u32, u32)> = lists
+                .iter()
+                .zip(0u32..)
+                .flat_map(|(ends, at)| {
+                    ends.iter().map(move |&end| if forward { (at, end) } else { (end, at) })
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        let succ_edges = edges(&self.succs, true);
+        if succ_edges.iter().any(|&(_, s)| s as usize >= n) {
+            return Err("an edge names a node out of range");
+        }
+        if succ_edges != edges(&self.preds, false) {
+            return Err("predecessor lists must mirror successor lists");
+        }
+        if succ_edges.iter().zip(succ_edges.iter().skip(1)).any(|(a, b)| a == b) {
+            return Err("an edge appears twice");
+        }
+        let mut position = vec![None; n];
+        for (at, &node) in self.topo.iter().enumerate() {
+            match position.get_mut(node as usize) {
+                Some(slot @ None) => *slot = Some(at),
+                _ => return Err("topological order must list every node once"),
+            }
+        }
+        let forward = |&(p, s): &(u32, u32)| {
+            matches!(
+                (position.get(p as usize), position.get(s as usize)),
+                (Some(Some(a)), Some(Some(b))) if a < b
+            )
+        };
+        if !succ_edges.iter().all(forward) {
+            return Err("every edge must point forward in topological order");
+        }
+        Ok(())
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -1,9 +1,9 @@
 //! The persistent per-engine evaluation context: policy scratch buffers
 //! plus the keyed PET×tail convolution cache (DESIGN.md §13).
 //!
-//! Every scheduling decision — drop policies, mapping tails, admission
-//! estimates — prices queue futures through the Eq (1)/(2) chain. PR 4's
-//! fused [`ChainEvaluator`] removed the per-*step* allocations, but each
+//! Every scheduling decision — drop policies, mapping tails, admission and
+//! pruning estimates — prices queue futures through the Eq (1)/(2) chain.
+//! PR 4's fused [`ChainEvaluator`] removed the per-*step* allocations, but each
 //! policy invocation still constructed fresh evaluators, and the
 //! PET×tail convolutions behind every queue-tail estimate were recomputed
 //! even when a machine's queue had not changed between mapping events —
@@ -33,7 +33,7 @@
 
 use crate::queue::{ChainEvaluator, LazyChain};
 use crate::view::DropContext;
-use taskdrop_pmf::{Compaction, Pmf};
+use taskdrop_pmf::{Compaction, Pmf, Tick};
 
 /// Monotone cache hit/miss counters, deterministic for a given trial
 /// (surfaced through `StepOutcome` work counters; `BENCH_counters.json`
@@ -270,6 +270,24 @@ impl TailCache {
             self.convs[slot] = Some(ConvEntry { tail: tail.clone(), exec: exec.clone(), conv });
         }
         &self.convs[slot].as_ref().expect("entry filled above").conv
+    }
+
+    /// The paper's Eq 2 for a task appended to `machine`'s queue: the mass
+    /// of the cached [`TailCache::conv`] completion PMF before `deadline`.
+    /// The one place a chance of success is priced from a queue tail —
+    /// mapping, admission and pruning all read it here, so each warms the
+    /// convolutions the others reuse.
+    #[inline]
+    pub fn chance(
+        &mut self,
+        machine: usize,
+        task_type: usize,
+        types: usize,
+        tail: &Pmf,
+        exec: &Pmf,
+        deadline: Tick,
+    ) -> f64 {
+        self.conv(machine, task_type, types, tail, exec).mass_before(deadline)
     }
 }
 

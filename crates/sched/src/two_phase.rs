@@ -160,14 +160,14 @@ impl<'a> WorkState<'a> {
 
     fn chance(&mut self, mi: usize, task: &Task) -> f64 {
         let exec = self.pet.pmf(task.type_id, self.machines[mi].machine_type);
-        let conv = self.cache.conv(
+        self.cache.chance(
             self.machines[mi].machine.index(),
             task.type_id.index(),
             self.types,
             &self.machines[mi].tail,
             exec,
-        );
-        conv.mass_before(task.deadline)
+            task.deadline,
+        )
     }
 
     fn assign(&mut self, mi: usize, task: &Task) {

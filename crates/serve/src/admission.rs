@@ -8,12 +8,11 @@
 //! bound is hit — and, for [`BackpressurePolicy::PreDrop`], a probabilistic
 //! gate that refuses tasks whose estimated chance of success is already
 //! below a threshold *before* they consume a queue slot. The estimate is
-//! the paper's Equation (2) applied at the front door: the best machine's
-//! queue-tail completion PMF (via
-//! [`SimCore::queue_tail_estimate`]) chained with the task's execution PMF
-//! through the deadline-aware convolution of Equation (1). This is the
-//! serverless-companion paper's "probabilistic task pruning" moved to
-//! admission time.
+//! the paper's Equation (2) applied at the front door: the best up
+//! machine's queue-tail completion PMF convolved with the task's execution
+//! PMF ([`SimCore::best_chance`], the pricing the PAM mapper and the graph
+//! layer's pruning read too). This is the serverless-companion paper's
+//! "probabilistic task pruning" moved to admission time.
 //!
 //! Every refusal is counted in [`AdmissionStats`] *and* surfaced to the
 //! core's observers as a [`SimEvent::AdmissionDropped`] through
@@ -21,13 +20,13 @@
 //! lifecycle from ingress to fate.
 //!
 //! [`SimCore::inject`]: taskdrop_sim::SimCore::inject
-//! [`SimCore::queue_tail_estimate`]: taskdrop_sim::SimCore::queue_tail_estimate
+//! [`SimCore::best_chance`]: taskdrop_sim::SimCore::best_chance
 //! [`SimCore::notify_observers`]: taskdrop_sim::SimCore::notify_observers
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use taskdrop_model::{MachineTypeId, PetMatrix, TaskId};
-use taskdrop_pmf::{ChainEvaluator, ChainTask, Pmf, Tick};
+use taskdrop_model::TaskId;
+use taskdrop_pmf::Tick;
 use taskdrop_sim::{AdmissionDropKind, ObserverHub, SimCore, SimError, SimEvent};
 use taskdrop_workload::OfferedTask;
 
@@ -198,38 +197,13 @@ impl AdmissionController {
         self.stats
     }
 
-    /// Offers one task. `core` supplies the queue-tail estimates for the
-    /// pre-drop gate and carries the observers that refusals are surfaced
-    /// to; admission never mutates the trial itself. When offering a whole
-    /// batch against an unmoving core (a shard epoch), capture the tails
-    /// once and use [`AdmissionController::offer_with`] instead.
+    /// Offers one task. `core` prices the offer for the pre-drop gate
+    /// ([`SimCore::best_chance`]) and carries the observers that refusals
+    /// are surfaced to; admission never mutates the trial itself.
     pub fn offer<H: ObserverHub>(
         &mut self,
         task: OfferedTask,
         core: &mut SimCore<'_, H>,
-    ) -> AdmissionOutcome {
-        self.offer_impl(task, core, None)
-    }
-
-    /// [`AdmissionController::offer`] with pre-captured [`QueueTails`],
-    /// skipping the per-offer tail-chain recomputation. Sound whenever the
-    /// core has not advanced since [`QueueTails::capture`] — identical
-    /// decisions, O(machines + offers) instead of O(offers × machines)
-    /// chain convolutions per batch.
-    pub fn offer_with<H: ObserverHub>(
-        &mut self,
-        task: OfferedTask,
-        core: &mut SimCore<'_, H>,
-        tails: &mut QueueTails,
-    ) -> AdmissionOutcome {
-        self.offer_impl(task, core, Some(tails))
-    }
-
-    fn offer_impl<H: ObserverHub>(
-        &mut self,
-        task: OfferedTask,
-        core: &mut SimCore<'_, H>,
-        tails: Option<&mut QueueTails>,
     ) -> AdmissionOutcome {
         self.stats.offered += 1;
         if let BackpressurePolicy::PreDrop { threshold } = self.policy {
@@ -237,14 +211,8 @@ impl AdmissionController {
             // offer is admitted without touching the PMF machinery; under
             // pressure it prices each offer the way the paper prices a
             // queued task.
-            if 2 * self.queue.len() >= self.capacity {
-                let chance = match tails {
-                    Some(t) => t.best_chance(&core.scenario().pet, core.now(), &task),
-                    None => best_chance_of_success(core, &task),
-                };
-                if chance < threshold {
-                    return self.turn_away(task, AdmissionDropKind::PreDropped, core);
-                }
+            if 2 * self.queue.len() >= self.capacity && priced_below(core, &task, threshold) {
+                return self.turn_away(task, AdmissionDropKind::PreDropped, core);
             }
         }
         if self.queue.len() >= self.capacity {
@@ -294,7 +262,7 @@ impl AdmissionController {
             return Ok(None);
         }
         if let BackpressurePolicy::PreDrop { threshold } = self.policy {
-            if best_chance_of_success(core, &task) < threshold {
+            if priced_below(core, &task, threshold) {
                 self.record_refusal(&task, AdmissionDropKind::PreDropped, core);
                 return Ok(None);
             }
@@ -425,86 +393,24 @@ fn admission_dropped(task: &OfferedTask, now: Tick, kind: AdmissionDropKind) -> 
     }
 }
 
-/// Queue-tail completion PMFs of every machine that can accept work,
-/// captured at one instant and reusable across a whole offer batch: a
-/// shard processes an epoch's offers against an unmoving core, so
-/// recomputing the tail chains (the engine's most expensive primitive) per
-/// offer would produce the same tails k times over.
+/// Whether the pre-drop gate refuses `task`: its best chance of success
+/// ([`SimCore::best_chance`]) is below `threshold`.
 ///
-/// Down machines are excluded — the mapper exposes no free slots on them,
-/// so pricing an offer against their idle-looking tails would wave
-/// hopeless work through the gate.
-#[derive(Debug, Clone, Default)]
-pub struct QueueTails {
-    tails: Vec<(MachineTypeId, Pmf)>,
-    /// Reusable Eq 1 + Eq 2 evaluator: one per captured tail set instead
-    /// of one allocation per priced offer.
-    eval: ChainEvaluator,
-}
-
-impl QueueTails {
-    /// Captures the tails of every *up* machine in `core`'s cluster. The
-    /// tail chains come from the core's persistent PET×tail cache (hence
-    /// `&mut` — hit/miss counters advance), so capturing against unmoved
-    /// queues re-chains nothing.
-    #[must_use]
-    pub fn capture<H: ObserverHub>(core: &mut SimCore<'_, H>) -> Self {
-        let machines = core.scenario().machines.clone();
-        let mut tails = Vec::new();
-        for m in machines {
-            if core.machine_is_down(m.id) != Some(false) {
-                continue;
-            }
-            if let Some(tail) = core.queue_tail_estimate(m.id) {
-                tails.push((m.type_id, tail));
-            }
-        }
-        QueueTails { tails, eval: ChainEvaluator::new() }
-    }
-
-    /// How many machines were up at capture time.
-    #[must_use]
-    pub fn machines_up(&self) -> usize {
-        self.tails.len()
-    }
-
-    /// The offer's best chance of success across the captured tails: for
-    /// each machine, chain the tail with the task's learned execution PMF
-    /// (Eq 1) and take the Eq 2 mass before the deadline; the mapper would
-    /// send the task to the best queue, so the max is the honest estimate.
-    /// 0 when every machine is down.
-    ///
-    /// The deadline is evaluated as the offer's *slack window opening at*
-    /// `now`, not at its absolute tick: queue tails are only known for the
-    /// present, so judging a late-in-epoch arrival's far-future deadline
-    /// against today's tails would wave everything through. The
-    /// slack-window form asks the question the paper's pruning asks —
-    /// "joining a queue shaped like this, does the task stand a chance?" —
-    /// independently of how far ahead the offer sits.
-    pub fn best_chance(&mut self, pet: &PetMatrix, now: Tick, task: &OfferedTask) -> f64 {
-        let deadline = now + task.deadline.saturating_sub(task.arrival);
-        // Fused Eq 1 + Eq 2: the chance is summed during the convolution
-        // sweep, so no completion PMF is ever materialised; the owned
-        // evaluator serves every cluster scan of the capture's lifetime, so
-        // a whole offer batch prices with zero steady-state allocation.
-        let mut best = 0.0f64;
-        for (machine_type, tail) in &self.tails {
-            let exec = pet.pmf(task.type_id, *machine_type);
-            best = best.max(self.eval.chance_from(tail, ChainTask { deadline, exec }));
-        }
-        best
-    }
-}
-
-/// One-shot form of [`QueueTails::capture`] + [`QueueTails::best_chance`]:
-/// the offer's best chance of success across the cluster right now.
-#[must_use]
-pub fn best_chance_of_success<H: ObserverHub>(
+/// The deadline is evaluated as the offer's *slack window opening at*
+/// `now`, not at its absolute tick: queue tails are only known for the
+/// present, so judging a late-in-epoch arrival's far-future deadline
+/// against today's tails would wave everything through. The slack-window
+/// form asks the question the paper's pruning asks — "joining a queue
+/// shaped like this, does the task stand a chance?" — independently of how
+/// far ahead the offer sits. An offer the core cannot price (a task type
+/// its scenario lacks) passes, and injection refuses it with a typed error.
+fn priced_below<H: ObserverHub>(
     core: &mut SimCore<'_, H>,
     task: &OfferedTask,
-) -> f64 {
-    let mut tails = QueueTails::capture(core);
-    tails.best_chance(&core.scenario().pet, core.now(), task)
+    threshold: f64,
+) -> bool {
+    let deadline = core.now() + task.deadline.saturating_sub(task.arrival);
+    core.best_chance(task.type_id, deadline).is_ok_and(|chance| chance < threshold)
 }
 
 #[cfg(test)]
@@ -625,77 +531,52 @@ mod tests {
             .unwrap(),
             None
         );
+        // An unknown task type passes the gate and is refused by the core.
+        assert_eq!(
+            ctl.admit_now(
+                OfferedTask { type_id: TaskTypeId(12), arrival: 0, deadline: 900 },
+                &mut core
+            ),
+            Err(SimError::UnknownTaskType { type_id: 12, task_types: 12 })
+        );
         let stats = ctl.stats();
-        assert_eq!((stats.offered, stats.admitted, stats.expired), (3, 1, 1));
+        assert_eq!((stats.offered, stats.admitted, stats.expired, stats.invalid), (4, 1, 1, 1));
     }
 
     #[test]
     fn best_chance_is_high_on_an_idle_cluster_with_roomy_deadline() {
         let s = Scenario::specint(5);
         let mut core = open_core(&s);
-        let roomy = best_chance_of_success(&mut core, &offered(0, 5_000));
-        let hopeless = best_chance_of_success(&mut core, &offered(0, 1));
+        let roomy = core.best_chance(TaskTypeId(0), 5_000).unwrap();
+        let hopeless = core.best_chance(TaskTypeId(0), 1).unwrap();
         assert!(roomy > 0.9, "idle cluster, roomy deadline: {roomy}");
         assert!(hopeless < 0.05, "1-tick deadline: {hopeless}");
-        // The batched form prices identically to the one-shot form.
-        let mut tails = QueueTails::capture(&mut core);
-        assert_eq!(tails.machines_up(), s.machine_count());
-        let batched = tails.best_chance(&s.pet, core.now(), &offered(0, 5_000));
-        assert!((batched - roomy).abs() < 1e-15);
     }
 
+    /// An offer of a task type the scenario lacks cannot be priced, so it
+    /// passes the pre-drop gate and is refused at injection exactly as
+    /// under the policies that never price.
     #[test]
-    fn captured_tails_skip_down_machines() {
-        use taskdrop_sim::FailureSpec;
+    fn an_unknown_task_type_is_refused_at_injection_under_every_policy() {
         let s = Scenario::specint(5);
-        // Machines fail almost immediately and repair glacially, so after a
-        // while the cluster is (mostly) down.
-        let config = SimConfig {
-            exclude_boundary: 0,
-            failures: Some(FailureSpec { mtbf: 40, mttr: 1_000_000 }),
-            ..SimConfig::default()
-        };
-        let mut core = SimCore::open(&s, &Pam, &ReactiveOnly, config, 3).unwrap();
-        core.inject(TaskTypeId(0), 8_000, 9_000).unwrap(); // keeps events flowing
-        core.run_until(6_000);
-        let down = s.machines.iter().filter(|m| core.machine_is_down(m.id) == Some(true)).count();
-        assert!(down > 0, "failure spec should have downed at least one machine");
-        let tails = QueueTails::capture(&mut core);
-        assert_eq!(tails.machines_up(), s.machine_count() - down);
-    }
-
-    /// The pre-drop gate stays failure-aware through the persistent tail
-    /// cache: a capture against a warm-cache core (partly-down cluster)
-    /// prices offers bit-identically to a capture against a cold-cache
-    /// restored twin — down machines are skipped either way.
-    #[test]
-    fn warm_and_cold_captures_price_identically_with_down_machines() {
-        use taskdrop_sim::FailureSpec;
-        let s = Scenario::specint(5);
-        let config = SimConfig {
-            exclude_boundary: 0,
-            failures: Some(FailureSpec { mtbf: 200, mttr: 5_000 }),
-            ..SimConfig::default()
-        };
-        let mut warm = SimCore::open(&s, &Pam, &ReactiveOnly, config, 3).unwrap();
-        for k in 0..40u64 {
-            warm.inject(TaskTypeId((k % 12) as u16), 5 * k, 5 * k + 600).unwrap();
-        }
-        warm.run_until(150);
-        // Warm the tail cache, then capture twice: live core vs restored
-        // cold twin.
-        let mut warm_tails = QueueTails::capture(&mut warm);
-        let checkpoint = warm.snapshot();
-        let mut cold = SimCore::restore(&s, &Pam, &ReactiveOnly, &checkpoint).unwrap();
-        let mut cold_tails = QueueTails::capture(&mut cold);
-        assert_eq!(warm_tails.machines_up(), cold_tails.machines_up());
-        let down = s.machines.iter().filter(|m| warm.machine_is_down(m.id) == Some(true)).count();
-        assert_eq!(warm_tails.machines_up(), s.machine_count() - down);
-        for (arrival, deadline) in [(150, 180), (150, 400), (160, 2_000), (200, 210)] {
-            let offer = offered(arrival, deadline);
-            let a = warm_tails.best_chance(&s.pet, warm.now(), &offer);
-            let b = cold_tails.best_chance(&s.pet, cold.now(), &offer);
-            assert_eq!(a.to_bits(), b.to_bits(), "offer ({arrival}, {deadline})");
+        let policies = [
+            BackpressurePolicy::Reject,
+            BackpressurePolicy::ShedOldest,
+            BackpressurePolicy::PreDrop { threshold: 0.25 },
+        ];
+        for policy in policies {
+            let mut core = open_core(&s);
+            let mut ctl = AdmissionController::new(2, policy);
+            ctl.offer(offered(10, 500), &mut core);
+            let unknown = OfferedTask { type_id: TaskTypeId(12), arrival: 20, deadline: 500 };
+            assert_eq!(ctl.offer(unknown, &mut core), AdmissionOutcome::Accepted, "{policy:?}");
+            assert_eq!(
+                ctl.drain_due(&mut core, 100),
+                Err(SimError::UnknownTaskType { type_id: 12, task_types: 12 }),
+                "{policy:?}"
+            );
+            let stats = ctl.stats();
+            assert_eq!((stats.admitted, stats.invalid), (1, 1), "{policy:?}");
         }
     }
 

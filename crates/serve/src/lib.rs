@@ -63,10 +63,7 @@ mod fleet;
 mod shard;
 mod steal;
 
-pub use admission::{
-    best_chance_of_success, AdmissionController, AdmissionOutcome, AdmissionStats,
-    BackpressurePolicy, QueueTails,
-};
+pub use admission::{AdmissionController, AdmissionOutcome, AdmissionStats, BackpressurePolicy};
 pub use fleet::{FleetDriver, Transfer};
 pub use shard::{FleetShard, ShardCheckpoint};
 pub use steal::{plan_steals, ShardLoad, StealDecision, StealPolicy};

@@ -1,7 +1,7 @@
 //! One serving shard: a traffic source feeding an admission controller
 //! feeding a [`SimCore`], with wholesale checkpoint/restore.
 
-use crate::admission::{AdmissionController, BackpressurePolicy, QueueTails};
+use crate::admission::AdmissionController;
 use serde::{Deserialize, Serialize};
 use taskdrop_core::DropPolicy;
 use taskdrop_obs::{FlightRecorder, FlightSnapshot, ShardEpoch, Telemetry};
@@ -180,10 +180,10 @@ impl<'a> FleetShard<'a> {
     /// Advances the shard's pipeline to `until` (the per-worker body of
     /// the parallel phase). Admission decisions for the whole epoch are
     /// made against the queue state at its start — the granularity a real
-    /// front-end batches at — so under a pre-drop policy the machine
-    /// queue tails are captured once per epoch and shared across the
-    /// offer batch (identical decisions, far fewer chain convolutions).
-    /// Two ingress orders:
+    /// front-end batches at: the core does not move while the batch is
+    /// offered, so under a pre-drop policy the offers it prices read the
+    /// machine queue tails, and every convolution already made for their
+    /// task type, from the core's cache. Two ingress orders:
     ///
     /// * **Immediate** (`deferred == false`, stealing off) — offer the
     ///   epoch's arrivals, inject every due offer, run the core: arrivals
@@ -207,18 +207,9 @@ impl<'a> FleetShard<'a> {
         if deferred {
             self.admission.drain_due(&mut self.core, until)?;
         }
-        let mut tails: Option<QueueTails> = None;
         while self.source.peek().is_some_and(|next| next.arrival <= until) {
             let Some(task) = self.source.pop() else { break };
-            if tails.is_none()
-                && matches!(self.admission.policy(), BackpressurePolicy::PreDrop { .. })
-            {
-                tails = Some(QueueTails::capture(&mut self.core));
-            }
-            match &mut tails {
-                Some(t) => self.admission.offer_with(task, &mut self.core, t),
-                None => self.admission.offer(task, &mut self.core),
-            };
+            self.admission.offer(task, &mut self.core);
         }
         if !deferred {
             self.admission.drain_due(&mut self.core, until)?;

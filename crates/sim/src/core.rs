@@ -465,12 +465,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         arrival: Tick,
         deadline: Tick,
     ) -> Result<TaskId, SimError> {
-        if type_id.index() >= self.scenario.task_type_count() {
-            return Err(SimError::UnknownTaskType {
-                type_id: type_id.0,
-                task_types: self.scenario.task_type_count(),
-            });
-        }
+        known_type(self.scenario, type_id)?;
         if arrival < self.now {
             return Err(SimError::InjectedInPast { now: self.now, arrival });
         }
@@ -626,15 +621,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// The policy-facing completion-time estimate of `machine`'s queue tail
     /// — where a task appended *right now* would wait before starting. Built
     /// from the learned PET the same way the mapping phase builds its tails
-    /// (the engine's realised finish times are not leaked), so serving-layer
-    /// admission controllers can reuse the paper's completion-PMF threshold
-    /// without reimplementing the chain. Routed through the core's
+    /// (the engine's realised finish times are not leaked), and the tail
+    /// [`SimCore::best_chance`] prices against. Routed through the core's
     /// persistent [`PolicyCtx`]: repeated calls against an unmoved queue
     /// are served from the PET×tail cache (see [`SimCore::cache_stats`])
     /// instead of re-chaining. Note the mapping phase never consults a
-    /// *down* machine's tail (it exposes no free slots); callers pricing
-    /// placement should skip machines for which [`SimCore::machine_is_down`]
-    /// is true. `None` for an unknown machine id.
+    /// *down* machine's tail (it exposes no free slots). `None` for an
+    /// unknown machine id.
     pub fn queue_tail_estimate(&mut self, machine: MachineId) -> Option<Pmf> {
         let m = self.machines.get(machine.index())?;
         Some(queue_tail(
@@ -645,6 +638,38 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             self.config,
             &mut self.ctx,
         ))
+    }
+
+    /// The paper's Eq 2 for a task of `type_id` appended *right now*: the
+    /// best chance, over the machines that are up, that it completes
+    /// before `deadline`. Each machine's queue tail (as
+    /// [`SimCore::queue_tail_estimate`] gives it) is convolved with the
+    /// task's learned execution PMF through the same cached
+    /// [`TailCache::chance`] the PAM mapper prices with, so admission,
+    /// pruning and mapping share one set of convolutions. Down machines
+    /// are skipped — the mapper gives them no work — so the chance is 0
+    /// when every machine is down.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownTaskType`] for a type the scenario lacks.
+    ///
+    /// [`TailCache::chance`]: taskdrop_model::TailCache::chance
+    pub fn best_chance(&mut self, type_id: TaskTypeId, deadline: Tick) -> Result<f64, SimError> {
+        known_type(self.scenario, type_id)?;
+        let types = self.scenario.task_type_count();
+        let pet = &self.scenario.pet;
+        let mut best = 0.0f64;
+        for m in self.machines.iter().filter(|m| !m.down) {
+            let tail =
+                queue_tail(pet, self.approx_pet.as_ref(), self.now, m, self.config, &mut self.ctx);
+            let exec = pet.pmf(type_id, m.machine.type_id);
+            let machine = m.machine.id.index();
+            let chance =
+                self.ctx.tails.chance(machine, type_id.index(), types, &tail, exec, deadline);
+            best = best.max(chance);
+        }
+        Ok(best)
     }
 
     /// Cumulative hit/miss counters of the persistent PET×tail cache —
@@ -1192,12 +1217,7 @@ fn validate_checkpoint(scenario: &Scenario, checkpoint: &Checkpoint) -> Result<(
         if task.id.index() != index {
             return Err(SimError::MisnumberedWorkload { index, id: task.id.0 });
         }
-        if task.type_id.index() >= scenario.task_type_count() {
-            return Err(SimError::UnknownTaskType {
-                type_id: task.type_id.0,
-                task_types: scenario.task_type_count(),
-            });
-        }
+        known_type(scenario, task.type_id)?;
     }
     let known_task = |task: &Task| {
         checkpoint.tasks.get(task.id.index()).is_some_and(|recorded| recorded == task)
@@ -1509,6 +1529,16 @@ fn queue_view<'p>(
 /// The clamp only applies while the kill can still fire (deadline ahead).
 fn self_kill_applies(config: SimConfig, r: &RunningCheckpoint, now: Tick) -> bool {
     config.kill_running_at_deadline && r.task.deadline > now
+}
+
+/// [`SimError::UnknownTaskType`] unless `scenario` has a task type `type_id`.
+fn known_type(scenario: &Scenario, type_id: TaskTypeId) -> Result<(), SimError> {
+    let task_types = scenario.task_type_count();
+    if type_id.index() < task_types {
+        Ok(())
+    } else {
+        Err(SimError::UnknownTaskType { type_id: type_id.0, task_types })
+    }
 }
 
 /// Completion PMF of the queue tail: where a newly appended task would wait,

@@ -520,3 +520,51 @@ fn a_dag_checkpoint_with_a_broken_admission_controller_is_refused() {
         Err(DagError::Sim(SimError::CheckpointMismatch { field: "admission", .. }))
     ));
 }
+
+/// A DAG checkpoint's coordinator skipped its own methods too. An
+/// in-flight node in a graph that does not exist, a successor out of
+/// range and a prune threshold above one each restored before and then
+/// panicked mid-run (or broke `with_pruning`'s assertion); each is now
+/// refused with a typed error before the core is built.
+#[test]
+fn a_dag_checkpoint_with_a_broken_coordinator_is_refused() {
+    let scenario = Scenario::specint(3);
+    let mut core = SimCore::open(&scenario, &Pam, &ReactiveOnly, quick_config(), 1).unwrap();
+    let tap = DagTap::new();
+    tap.attach(&mut core);
+    let mut coordinator = DagCoordinator::new().with_pruning(0.1);
+    let chain = GraphBlueprint {
+        arrival: 0,
+        nodes: vec![BlueprintNode { type_id: TaskTypeId(0), slack: 2_000 }; 2],
+        edges: vec![(0, 1)],
+    };
+    coordinator.add_graph(&mut core, TaskGraph::from_blueprint(&chain).unwrap()).unwrap();
+    coordinator.advance(&mut core, &tap, 1).unwrap();
+    assert_eq!(coordinator.in_flight(), 1, "the root is in flight");
+    let checkpoint = coordinator.snapshot(&core);
+    let json = serde_json::to_string(&checkpoint.coordinator).unwrap();
+    let edits = [
+        ("[{\"graph\":0,\"node\":0}]", "[{\"graph\":7,\"node\":0}]"),
+        ("\"succs\":[[1],[]]", "\"succs\":[[5],[]]"),
+        ("\"threshold\":0.1", "\"threshold\":7.0"),
+    ];
+    for (field, corrupted) in edits {
+        assert_eq!(json.matches(field).count(), 1, "{json}");
+        let mut broken = checkpoint.clone();
+        broken.coordinator = serde_json::from_str(&json.replace(field, corrupted))
+            .expect("the broken coordinator parses");
+        assert!(
+            matches!(
+                broken.restore(&scenario, &Pam, &ReactiveOnly),
+                Err(DagError::Sim(SimError::CheckpointMismatch { field: "coordinator", .. }))
+            ),
+            "{corrupted}"
+        );
+    }
+    // The untouched snapshot still restores and runs to the end.
+    let (mut core, mut coordinator) = checkpoint.restore(&scenario, &Pam, &ReactiveOnly).unwrap();
+    let tap = DagTap::new();
+    tap.attach(&mut core);
+    coordinator.run_to_drain(&mut core, &tap).unwrap();
+    assert!(coordinator.all_resolved() && coordinator.audit());
+}

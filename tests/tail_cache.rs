@@ -14,8 +14,13 @@
 //!    failure-aware callers see identical state either way.
 //! 3. **Surfacing**: `StepOutcome` work counters equal
 //!    `SimCore::cache_stats()` and lookups are monotone.
+//! 4. **One pricing path**: `SimCore::best_chance` — the Eq 2 chance that
+//!    admission and pruning read — is the cached `tail ⊛ exec` mass before
+//!    the deadline, maximised over the machines that are up, and a cold
+//!    restored twin prices bit-identically.
 
 use proptest::prelude::*;
+use taskdrop::pmf::{ChainEvaluator, ChainTask};
 use taskdrop::prelude::*;
 
 fn cfg() -> SimConfig {
@@ -160,6 +165,95 @@ proptest! {
         // into trial state.
         if warm.total_tasks() > 0 && !warm.is_drained() {
             prop_assert_eq!(warm.run_to_completion(), cold.run_to_completion());
+        }
+    }
+}
+
+/// The reference prices for a task of `type_id` due at `deadline`, maximised
+/// over the machines that are up: the plain `tail ⊛ exec` mass before the
+/// deadline, and the fused Eq 1 + Eq 2 kernel (`chance_from`), which sums
+/// the same products in another order.
+fn reference_chances(core: &mut SimCore<'_>, type_id: TaskTypeId, deadline: Tick) -> (f64, f64) {
+    let scenario = core.scenario().clone();
+    let (mut plain, mut fused) = (0.0f64, 0.0f64);
+    let mut eval = ChainEvaluator::new();
+    for m in &scenario.machines {
+        if core.machine_is_down(m.id) != Some(false) {
+            continue;
+        }
+        let tail = core.queue_tail_estimate(m.id).unwrap();
+        let exec = scenario.pet.pmf(type_id, m.type_id);
+        plain = plain.max(tail.convolve(exec).mass_before(deadline));
+        fused = fused.max(eval.chance_from(&tail, ChainTask { deadline, exec }));
+    }
+    (plain, fused)
+}
+
+/// Down machines are not priced: on a cluster that failures have taken
+/// down, the best chance is the best over the machines still up, and
+/// lower than pricing the down machines' tails too would make it.
+#[test]
+fn best_chance_skips_down_machines() {
+    let s = Scenario::specint(5);
+    // Machines fail almost immediately and repair glacially, so after a
+    // while the cluster is (mostly) down.
+    let config = SimConfig {
+        failures: Some(taskdrop::sim::FailureSpec { mtbf: 40, mttr: 1_000_000 }),
+        ..cfg()
+    };
+    let mut core = SimCore::open(&s, &Pam, &ReactiveOnly, config, 3).unwrap();
+    core.inject(TaskTypeId(0), 8_000, 9_000).unwrap(); // keeps events flowing
+    core.run_until(6_000);
+    let down = s.machines.iter().filter(|m| core.machine_is_down(m.id) == Some(true)).count();
+    assert!(down > 0, "failure spec should have downed at least one machine");
+    let deadline = core.now() + 5_000;
+    let best = core.best_chance(TaskTypeId(0), deadline).unwrap();
+    let (up_only, _) = reference_chances(&mut core, TaskTypeId(0), deadline);
+    assert_eq!(best.to_bits(), up_only.to_bits());
+    let every_machine = s
+        .machines
+        .iter()
+        .map(|m| {
+            let tail = core.queue_tail_estimate(m.id).unwrap();
+            tail.convolve(s.pet.pmf(TaskTypeId(0), m.type_id)).mass_before(deadline)
+        })
+        .fold(0.0f64, f64::max);
+    assert!(best < every_machine, "a down machine was priced: {best} vs {every_machine}");
+}
+
+proptest! {
+    // The default config reads PROPTEST_CASES; CI runs a deep pass.
+
+    /// For any core state reached by the `drive` script, failures on or
+    /// off, `best_chance` equals the max over up machines of the cached
+    /// `tail ⊛ exec` mass before the deadline bit for bit, sits within
+    /// 1e-12 of the fused kernel, and a cold restored twin prices every
+    /// query bit-identically to the warm core.
+    #[test]
+    fn best_chance_is_the_cached_eq2_over_up_machines(
+        seed in 0u64..500,
+        failure_coin in 0u8..2,
+        ops in prop::collection::vec((0u8..6, 0u64..300), 1..12),
+        queries in prop::collection::vec((0u16..12, 1u64..2_000), 1..8),
+    ) {
+        let scenario = Scenario::specint(11);
+        let mut warm = drive(&scenario, failure_coin == 1, seed, &ops);
+        let now = warm.now();
+        let warm_prices: Vec<f64> = queries
+            .iter()
+            .map(|&(t, window)| warm.best_chance(TaskTypeId(t), now + window).unwrap())
+            .collect();
+        for (&(t, window), &price) in queries.iter().zip(&warm_prices) {
+            let (plain, fused) = reference_chances(&mut warm, TaskTypeId(t), now + window);
+            prop_assert_eq!(price.to_bits(), plain.to_bits(), "type {} window {}", t, window);
+            prop_assert!((price - fused).abs() <= 1e-12, "{} vs fused {}", price, fused);
+        }
+        static PAM: Pam = Pam;
+        static DROPPER: ReactiveOnly = ReactiveOnly;
+        let mut cold = SimCore::restore(&scenario, &PAM, &DROPPER, &warm.snapshot()).unwrap();
+        for (&(t, window), &price) in queries.iter().zip(&warm_prices) {
+            let again = cold.best_chance(TaskTypeId(t), now + window).unwrap();
+            prop_assert_eq!(again.to_bits(), price.to_bits(), "type {} window {}", t, window);
         }
     }
 }
