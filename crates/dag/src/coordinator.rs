@@ -332,11 +332,20 @@ impl DagCoordinator {
     ///
     /// # Errors
     ///
-    /// [`DagError::Sim`] if the engine refuses to price or inject a
-    /// release (e.g. a node names a task type the scenario lacks); the
-    /// coordinator is left consistent — the failing node and its subtree
-    /// are *not* forfeited, the error is surfaced for the caller to decide.
+    /// [`DagError::Sim`] with [`SimError::UnknownTaskType`] if any node
+    /// names a task type the scenario lacks: the whole graph is refused
+    /// and the coordinator is left unchanged. Otherwise [`DagError::Sim`]
+    /// if the engine refuses to price or inject a release; the coordinator
+    /// is left consistent — the failing node and its subtree are *not*
+    /// forfeited, the error is surfaced for the caller to decide.
     pub fn add_graph(&mut self, core: &mut SimCore<'_>, graph: TaskGraph) -> Result<u32, DagError> {
+        let task_types = core.scenario().task_type_count();
+        if let Some(type_id) = graph.unknown_type(task_types) {
+            return Err(DagError::Sim(SimError::UnknownTaskType {
+                type_id: type_id.0,
+                task_types,
+            }));
+        }
         let gid = self.graphs.len() as u32;
         let n = graph.len();
         let release = graph.arrival().max(core.now());
@@ -636,7 +645,8 @@ impl DagCheckpoint {
     /// [`SimError::CheckpointMismatch`] with field `"admission"` if the
     /// coordinator's admission controller fails
     /// [`AdmissionController::validate`], with field `"coordinator"` if
-    /// the coordinator fails [`DagCoordinator::validate`], or any
+    /// the coordinator fails [`DagCoordinator::validate`] or a graph
+    /// names a task type `scenario` lacks, or any
     /// [`SimError`] from [`SimCore::restore`] (version or structural
     /// mismatch).
     pub fn restore<'a>(
@@ -657,6 +667,15 @@ impl DagCheckpoint {
                 field: "coordinator",
                 expected: "coordinator state its own methods keep".to_string(),
                 found: format!("one that breaks \"{problem}\""),
+            }));
+        }
+        let task_types = scenario.task_type_count();
+        let graphs = &self.coordinator.graphs;
+        if let Some(type_id) = graphs.iter().find_map(|run| run.graph.unknown_type(task_types)) {
+            return Err(DagError::Sim(SimError::CheckpointMismatch {
+                field: "coordinator",
+                expected: format!("graphs over the scenario's {task_types} task types"),
+                found: format!("a node of task type {}", type_id.0),
             }));
         }
         let core = SimCore::restore(scenario, mapper, dropper, &self.core)?;
@@ -794,27 +813,58 @@ mod tests {
         assert_eq!(st.forfeited_pruned, 3, "root and both descendants shed together");
     }
 
-    /// A node whose task type the scenario lacks is refused with the same
-    /// typed error whether pruning prices it first or the core refuses it
-    /// at injection.
-    #[test]
-    fn an_unknown_task_type_is_a_typed_error_with_or_without_pruning() {
-        let s = Scenario::specint(11);
-        let unknown = TaskGraph::from_blueprint(&GraphBlueprint {
+    /// A graph over the task types `types` (one node each) with `edges`.
+    fn typed_graph(types: &[u16], edges: &[(u32, u32)]) -> TaskGraph {
+        TaskGraph::from_blueprint(&GraphBlueprint {
             arrival: 0,
-            nodes: vec![BlueprintNode { type_id: TaskTypeId(12), slack: 2_000 }],
-            edges: Vec::new(),
+            nodes: types
+                .iter()
+                .map(|&t| BlueprintNode { type_id: TaskTypeId(t), slack: 2_000 })
+                .collect(),
+            edges: edges.to_vec(),
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    /// Adds `graph`, which names task type 12, to a fresh core under each
+    /// pruning setting: it is refused whole with the typed error, nothing
+    /// is registered or injected, and the coordinator still drains a valid
+    /// graph afterwards.
+    fn assert_refused_whole(refused: &TaskGraph) {
+        let s = Scenario::specint(11);
         for coord in [DagCoordinator::new(), DagCoordinator::new().with_pruning(0.5)] {
             let mut coord = coord;
+            let before = coord.clone();
             let mut core = open_core(&s);
+            let tap = DagTap::new();
+            tap.attach(&mut core);
             assert_eq!(
-                coord.add_graph(&mut core, unknown.clone()),
+                coord.add_graph(&mut core, refused.clone()),
                 Err(DagError::Sim(SimError::UnknownTaskType { type_id: 12, task_types: 12 }))
             );
-            assert!(coord.audit() && coord.held() == 1, "the refused node stays held");
+            assert_eq!(coord, before, "a refused graph leaves the coordinator unchanged");
+            assert_eq!((coord.graph_count(), coord.held()), (0, 0));
+            assert!(coord.all_resolved() && coord.audit());
+            assert_eq!(core.total_tasks(), 0, "nothing of the refused graph was injected");
+            coord.add_graph(&mut core, graph(0, &[2_000; 2], &[(0, 1)])).unwrap();
+            coord.run_to_drain(&mut core, &tap).unwrap();
+            assert!(coord.all_resolved() && coord.audit());
         }
+    }
+
+    /// A node whose task type the scenario lacks is refused with the same
+    /// typed error whether pruning is on or off.
+    #[test]
+    fn an_unknown_task_type_is_a_typed_error_with_or_without_pruning() {
+        assert_refused_whole(&typed_graph(&[12], &[]));
+    }
+
+    /// A valid root does not carry an unknown-type successor in: the graph
+    /// is refused before the root is released, so no successor is left
+    /// held behind a root that ran.
+    #[test]
+    fn an_unknown_successor_type_refuses_the_whole_graph() {
+        assert_refused_whole(&typed_graph(&[0, 12], &[(0, 1)]));
     }
 
     #[test]

@@ -202,6 +202,12 @@ impl TaskGraph {
         &self.succs[node as usize]
     }
 
+    /// The first node's task type, in index order, that a scenario with
+    /// `task_types` task types lacks.
+    pub(crate) fn unknown_type(&self, task_types: usize) -> Option<TaskTypeId> {
+        self.nodes.iter().map(|spec| spec.type_id).find(|t| t.index() >= task_types)
+    }
+
     /// Nodes with no predecessors, in index order.
     #[must_use]
     pub fn roots(&self) -> Vec<u32> {

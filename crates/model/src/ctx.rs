@@ -1,5 +1,5 @@
 //! The persistent per-engine evaluation context: policy scratch buffers
-//! plus the keyed PET×tail convolution cache (DESIGN.md §13).
+//! plus the keyed PET×tail cache (DESIGN.md §13).
 //!
 //! Every scheduling decision — drop policies, mapping tails, admission and
 //! pruning estimates — prices queue futures through the Eq (1)/(2) chain.
@@ -18,7 +18,7 @@
 //!   up once per trial instead of once per call), and
 //! * a [`TailCache`]: per-machine queue-tail completion PMFs keyed by
 //!   `(queue revision, base PMF, compaction)`, per-(machine, task-type)
-//!   plain `tail ⊛ exec` convolutions keyed by `(tail, exec)`, and
+//!   running sums of `tail ⊛ exec` keyed by `(tail, exec)`, and
 //!   per-machine keep-all drop verdicts keyed by `(queue revision, base
 //!   PMF, drop context)`, with deterministic hit/miss counters.
 //!
@@ -33,7 +33,7 @@
 
 use crate::queue::{ChainEvaluator, LazyChain};
 use crate::view::DropContext;
-use taskdrop_pmf::{Compaction, Pmf, Tick};
+use taskdrop_pmf::{extend_convolution_sums, Compaction, Pmf, Tick, DENSE_SPAN_LIMIT};
 
 /// Monotone cache hit/miss counters, deterministic for a given trial
 /// (surfaced through `StepOutcome` work counters; `BENCH_counters.json`
@@ -44,9 +44,12 @@ pub struct CacheStats {
     pub tail_hits: u64,
     /// Queue-tail lookups that had to re-chain the queue.
     pub tail_misses: u64,
-    /// PET×tail convolution lookups answered from the cache.
+    /// Eq 2 pricings whose `(tail, exec)` matched their slot's key: the
+    /// chance is read from the slot's running sums, after extending them
+    /// when the deadline is later than any the slot has seen.
     pub conv_hits: u64,
-    /// PET×tail convolution lookups that had to convolve.
+    /// Eq 2 pricings whose `(tail, exec)` did not match: the slot is
+    /// re-keyed and its sums recomputed up to the deadline.
     pub conv_misses: u64,
     /// Drop decisions skipped because the queue was last kept whole under
     /// the same key.
@@ -106,16 +109,58 @@ struct TailEntry {
     tail: Pmf,
 }
 
-/// One cached plain convolution `tail ⊛ exec` for a (machine, task type)
-/// slot. Both inputs are stored and compared on lookup: the tail changes
-/// whenever the machine's queue does, and comparing the exec PMF keeps a
-/// context safe even if it is (incorrectly but harmlessly) reused across
-/// scenarios with different PET matrices.
-#[derive(Debug, Clone)]
+/// One (machine, task type) slot of Eq 2 pricing: the running sums of
+/// `tail ⊛ exec`, one per tick from its lowest, computed up to the latest
+/// deadline the slot has been asked about. Both inputs are stored and
+/// compared on lookup: the tail changes whenever the machine's queue
+/// does, and comparing the exec PMF keeps a context safe even if it is
+/// (incorrectly but harmlessly) reused across scenarios with different
+/// PET matrices.
+#[derive(Debug, Clone, Default)]
 struct ConvEntry {
     tail: Pmf,
     exec: Pmf,
-    conv: Pmf,
+    /// Lowest tick of `tail ⊛ exec`.
+    lo: Tick,
+    /// Ticks from `lo` through the highest tick of `tail ⊛ exec`; 0 when
+    /// either input is empty.
+    span: u64,
+    /// [`extend_convolution_sums`] over the first `sums.len()` ticks.
+    sums: Vec<f64>,
+}
+
+impl ConvEntry {
+    /// Re-keys `cell` to `(tail, exec)` with no sums, reusing its buffers.
+    fn refill<'c>(cell: &'c mut Option<ConvEntry>, tail: &Pmf, exec: &Pmf) -> &'c mut ConvEntry {
+        let entry = cell.get_or_insert_with(ConvEntry::default);
+        entry.tail.clone_from(tail);
+        entry.exec.clone_from(exec);
+        entry.sums.clear();
+        // `tail ⊛ exec` covers the ticks `[lo, end)`, none if an input is empty.
+        let ends = |p: &Pmf| p.support_min().zip(p.support_max());
+        let (lo, end) = match (ends(tail), ends(exec)) {
+            (Some((t_lo, t_hi)), Some((e_lo, e_hi))) => (t_lo + e_lo, t_hi + e_hi + 1),
+            _ => (0, 0),
+        };
+        (entry.lo, entry.span) = (lo, end - lo);
+        entry
+    }
+
+    /// `tail.convolve(exec).mass_before(deadline)`, bit for bit: the
+    /// running sum of the ticks before `deadline`, extending the sums
+    /// first if they stop short of it. A span past [`DENSE_SPAN_LIMIT`]
+    /// convolves whole, since the sparse path's order depends on every
+    /// pair.
+    fn chance(&mut self, deadline: Tick) -> f64 {
+        if self.span > DENSE_SPAN_LIMIT {
+            return self.tail.convolve(&self.exec).mass_before(deadline);
+        }
+        let cut = deadline.saturating_sub(self.lo).min(self.span) as usize;
+        if self.sums.len() < cut {
+            extend_convolution_sums(&self.tail, &self.exec, cut, &mut self.sums);
+        }
+        cut.checked_sub(1).and_then(|last| self.sums.get(last)).copied().unwrap_or(0.0)
+    }
 }
 
 /// One machine's keep-all drop verdict: the key of the last decision that
@@ -131,8 +176,9 @@ struct VerdictEntry {
 }
 
 /// Keyed PET×tail cache: per-machine queue tails, per-(machine,
-/// task-type) `tail ⊛ exec` convolutions and per-machine keep-all drop
-/// verdicts, with hit/miss accounting.
+/// task-type) running sums of `tail ⊛ exec` (the Eq 2 pricing of
+/// [`TailCache::chance`]) and per-machine keep-all drop verdicts, with
+/// hit/miss accounting.
 ///
 /// Keys are the complete inputs of the cached computation (`TailEntry`/
 /// `ConvEntry`/`VerdictEntry` above), so stale entries can never be
@@ -240,43 +286,19 @@ impl TailCache {
         }
     }
 
-    /// The plain convolution `tail ⊛ exec` for the `(machine, task_type)`
-    /// slot, served from the cache when both stored inputs match and
-    /// computed via `convolve` (then cached) otherwise. `types` is the
-    /// PET's task-type count (the slot stride); a context that sees a
-    /// different stride drops the table rather than alias slots.
-    pub fn conv(
-        &mut self,
-        machine: usize,
-        task_type: usize,
-        types: usize,
-        tail: &Pmf,
-        exec: &Pmf,
-    ) -> &Pmf {
-        if self.conv_types != types {
-            self.convs.clear();
-            self.conv_types = types;
-        }
-        let slot = machine * types + task_type;
-        if self.convs.len() <= slot {
-            self.convs.resize_with(slot + 1, || None);
-        }
-        let hit = self.convs[slot].as_ref().is_some_and(|e| e.tail == *tail && e.exec == *exec);
-        if hit {
-            self.stats.conv_hits += 1;
-        } else {
-            self.stats.conv_misses += 1;
-            let conv = tail.convolve(exec);
-            self.convs[slot] = Some(ConvEntry { tail: tail.clone(), exec: exec.clone(), conv });
-        }
-        &self.convs[slot].as_ref().expect("entry filled above").conv
-    }
-
     /// The paper's Eq 2 for a task appended to `machine`'s queue: the mass
-    /// of the cached [`TailCache::conv`] completion PMF before `deadline`.
-    /// The one place a chance of success is priced from a queue tail —
-    /// mapping, admission and pruning all read it here, so each warms the
-    /// convolutions the others reuse.
+    /// of `tail ⊛ exec` before `deadline`, bit-identical to
+    /// `tail.convolve(exec).mass_before(deadline)`. The one place a chance
+    /// of success is priced from a queue tail — mapping, admission and
+    /// pruning all read it here, so each warms the slots the others reuse.
+    ///
+    /// The `(machine, task_type)` slot keeps the running sums of its last
+    /// `(tail, exec)`: a call whose inputs match it is a conv hit, and
+    /// reads one sum (after extending the sums if this deadline is later
+    /// than any before); any other call is a conv miss and re-keys the
+    /// slot. `types` is the PET's task-type count (the slot stride); a
+    /// context that sees a different stride drops the table rather than
+    /// alias slots.
     #[inline]
     pub fn chance(
         &mut self,
@@ -287,7 +309,28 @@ impl TailCache {
         exec: &Pmf,
         deadline: Tick,
     ) -> f64 {
-        self.conv(machine, task_type, types, tail, exec).mass_before(deadline)
+        let TailCache { convs, conv_types, stats, .. } = self;
+        if *conv_types != types {
+            convs.clear();
+            *conv_types = types;
+        }
+        let slot = machine * types + task_type;
+        if convs.len() <= slot {
+            convs.resize_with(slot + 1, || None);
+        }
+        convs.get_mut(slot).map_or(0.0, |cell| {
+            let entry = match cell {
+                Some(e) if e.tail == *tail && e.exec == *exec => {
+                    stats.conv_hits += 1;
+                    e
+                }
+                _ => {
+                    stats.conv_misses += 1;
+                    ConvEntry::refill(cell, tail, exec)
+                }
+            };
+            entry.chance(deadline)
+        })
     }
 }
 
@@ -378,16 +421,17 @@ mod tests {
         let tail = Pmf::from_impulses(vec![(10, 0.5), (20, 0.5)]).unwrap();
         let exec = Pmf::from_impulses(vec![(5, 0.25), (9, 0.75)]).unwrap();
         let fresh = tail.convolve(&exec);
-        let first = cache.conv(1, 0, 3, &tail, &exec).clone();
-        let again = cache.conv(1, 0, 3, &tail, &exec).clone();
-        assert_eq!(first, fresh);
-        assert_eq!(again, fresh);
+        // A later deadline extends the slot's sums; an earlier one reads them.
+        for deadline in [19, 30, 15, 100] {
+            let chance = cache.chance(1, 0, 3, &tail, &exec, deadline);
+            assert_eq!(chance.to_bits(), fresh.mass_before(deadline).to_bits(), "{deadline}");
+        }
         let stats = cache.stats();
-        assert_eq!((stats.conv_hits, stats.conv_misses), (1, 1));
+        assert_eq!((stats.conv_hits, stats.conv_misses), (3, 1));
         // A different tail in the same slot recomputes.
         let moved = Pmf::point(40);
-        let recomputed = cache.conv(1, 0, 3, &moved, &exec).clone();
-        assert_eq!(recomputed, moved.convolve(&exec));
+        let recomputed = cache.chance(1, 0, 3, &moved, &exec, 48);
+        assert_eq!(recomputed.to_bits(), moved.convolve(&exec).mass_before(48).to_bits());
         assert_eq!(cache.stats().conv_misses, 2);
     }
 
@@ -396,9 +440,9 @@ mod tests {
         let mut cache = TailCache::new();
         let tail = Pmf::point(10);
         let exec = Pmf::point(5);
-        let _ = cache.conv(0, 1, 4, &tail, &exec);
+        assert_eq!(cache.chance(0, 1, 4, &tail, &exec, 16), 1.0);
         // Same (machine, type) under a different stride must not alias.
-        let _ = cache.conv(0, 1, 2, &tail, &exec);
+        assert_eq!(cache.chance(0, 1, 2, &tail, &exec, 16), 1.0);
         assert_eq!(cache.stats().conv_misses, 2);
     }
 

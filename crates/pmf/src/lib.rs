@@ -57,7 +57,9 @@ pub use chain::{ChainEvaluator, ChainLink, ChainTask};
 pub use compact::Compaction;
 pub use deadline::{chance_of_success, deadline_convolve};
 pub use error::PmfError;
-pub use ops::{convolve_dense_forced, convolve_sparse_forced, DENSE_SPAN_LIMIT};
+pub use ops::{
+    convolve_dense_forced, convolve_sparse_forced, extend_convolution_sums, DENSE_SPAN_LIMIT,
+};
 pub use pmf::{Impulse, Pmf, MASS_EPSILON};
 
 /// Discrete simulation time, in ticks (1 tick = 1 ms in the simulator).

@@ -130,6 +130,56 @@ fn convolve_dense(a: &[Impulse], b: &[Impulse], lo: Tick, span: usize) -> Pmf {
     Pmf::from_sorted_unchecked(impulses)
 }
 
+/// Extends `sums` to the running sums of cells `[0, to)` of the dense
+/// accumulator that [`Pmf::convolve`] fills for `a ⊛ b`, where cell `k`
+/// holds the mass at tick `lo + k` and `lo` is the sum of the two lowest
+/// ticks. `sums` must already hold this pair's first `sums.len()` running
+/// sums (none to start); only the cells after them are accumulated. Cells
+/// past the span hold no mass, and an empty input leaves `sums` as is.
+///
+/// Eq 2 reads only the mass before one deadline, so a caller can stop at
+/// the deadline's cell and extend later. When the span is within
+/// [`DENSE_SPAN_LIMIT`], `sums[k - 1]` has the bits of
+/// `a.convolve(b).mass_before(lo + k)`: the outer loop is picked as in
+/// `convolve_dense`, so every cell gets the same products in the same
+/// order, and the sum runs in tick order from `-0.0` as `mass_before`'s
+/// does. The zero cells that `convolve` drops change nothing: one added
+/// to a positive sum leaves it as it is, and one added to `-0.0` gives
+/// the `0.0` that `mass_before`'s final `+ 0.0` gives an empty sum. Past
+/// the limit `convolve` coalesces in an order that depends on every
+/// pair, so the identity does not hold there.
+pub fn extend_convolution_sums(a: &Pmf, b: &Pmf, to: usize, sums: &mut Vec<f64>) {
+    let from = sums.len();
+    let (outer, inner) =
+        if a.len() <= b.len() { (&a.impulses, &b.impulses) } else { (&b.impulses, &a.impulses) };
+    let (Some(o0), Some(i0)) = (outer.first(), inner.first()) else {
+        return;
+    };
+    if to <= from {
+        return;
+    }
+    sums.resize(to, 0.0);
+    // Cell of an (outer, inner) pair: its tick minus `lo`.
+    let cell = |o: &Impulse, i: &Impulse| (o.t - o0.t + (i.t - i0.t)) as usize;
+    for o in outer {
+        if cell(o, i0) >= to {
+            break;
+        }
+        let first = inner.partition_point(|i| cell(o, i) < from);
+        let end = inner.partition_point(|i| cell(o, i) < to);
+        for i in inner.iter().take(end).skip(first) {
+            if let Some(c) = sums.get_mut(cell(o, i)) {
+                *c += o.p * i.p;
+            }
+        }
+    }
+    let mut run = from.checked_sub(1).and_then(|k| sums.get(k)).copied().unwrap_or(-0.0);
+    for c in sums.iter_mut().skip(from) {
+        run += *c;
+        *c = run;
+    }
+}
+
 fn convolve_sparse(a: &[Impulse], b: &[Impulse]) -> Pmf {
     let mut pairs: Vec<(Tick, f64)> = Vec::with_capacity(product_capacity(a.len(), b.len()));
     for ai in a {

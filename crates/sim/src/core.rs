@@ -643,12 +643,12 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// The paper's Eq 2 for a task of `type_id` appended *right now*: the
     /// best chance, over the machines that are up, that it completes
     /// before `deadline`. Each machine's queue tail (as
-    /// [`SimCore::queue_tail_estimate`] gives it) is convolved with the
-    /// task's learned execution PMF through the same cached
-    /// [`TailCache::chance`] the PAM mapper prices with, so admission,
-    /// pruning and mapping share one set of convolutions. Down machines
-    /// are skipped — the mapper gives them no work — so the chance is 0
-    /// when every machine is down.
+    /// [`SimCore::queue_tail_estimate`] gives it) is priced against the
+    /// task's learned execution PMF by the same [`TailCache::chance`] the
+    /// PAM mapper uses, so admission, pruning and mapping share one table
+    /// of `tail ⊛ exec` running sums. Down machines are skipped — the
+    /// mapper gives them no work — so the chance is 0 when every machine
+    /// is down.
     ///
     /// # Errors
     ///

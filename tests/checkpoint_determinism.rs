@@ -568,3 +568,38 @@ fn a_dag_checkpoint_with_a_broken_coordinator_is_refused() {
     coordinator.run_to_drain(&mut core, &tap).unwrap();
     assert!(coordinator.all_resolved() && coordinator.audit());
 }
+
+/// `DagCheckpoint::restore` refuses a coordinator whose held successor
+/// names a task type the scenario lacks, which would otherwise fail only
+/// when its root completes and leave it held for good.
+#[test]
+fn a_dag_checkpoint_naming_an_unknown_task_type_is_refused() {
+    let scenario = Scenario::specint(3);
+    let mut core = SimCore::open(&scenario, &Pam, &ReactiveOnly, quick_config(), 1).unwrap();
+    let tap = DagTap::new();
+    tap.attach(&mut core);
+    let mut coordinator = DagCoordinator::new();
+    let chain = GraphBlueprint {
+        arrival: 0,
+        nodes: vec![
+            BlueprintNode { type_id: TaskTypeId(0), slack: 2_000 },
+            BlueprintNode { type_id: TaskTypeId(1), slack: 2_000 },
+        ],
+        edges: vec![(0, 1)],
+    };
+    coordinator.add_graph(&mut core, TaskGraph::from_blueprint(&chain).unwrap()).unwrap();
+    coordinator.advance(&mut core, &tap, 1).unwrap();
+    assert_eq!((coordinator.in_flight(), coordinator.held()), (1, 1));
+    let checkpoint = coordinator.snapshot(&core);
+    let json = serde_json::to_string(&checkpoint.coordinator).unwrap();
+    let field = "{\"type_id\":1,";
+    assert_eq!(json.matches(field).count(), 1, "{json}");
+    let mut broken = checkpoint.clone();
+    broken.coordinator = serde_json::from_str(&json.replace(field, "{\"type_id\":12,"))
+        .expect("the edited coordinator parses");
+    assert!(matches!(
+        broken.restore(&scenario, &Pam, &ReactiveOnly),
+        Err(DagError::Sim(SimError::CheckpointMismatch { field: "coordinator", .. }))
+    ));
+    assert!(checkpoint.restore(&scenario, &Pam, &ReactiveOnly).is_ok());
+}

@@ -18,8 +18,13 @@
 //!    admission and pruning read — is the cached `tail ⊛ exec` mass before
 //!    the deadline, maximised over the machines that are up, and a cold
 //!    restored twin prices bit-identically.
+//! 5. **Running sums price exactly**: `TailCache::chance`, which keeps the
+//!    running sums of `tail ⊛ exec` only up to the latest deadline asked,
+//!    equals `tail.convolve(exec).mass_before(deadline)` bit for bit in
+//!    any deadline order, and counts one conv hit or miss per call.
 
 use proptest::prelude::*;
+use taskdrop::model::TailCache;
 use taskdrop::pmf::{ChainEvaluator, ChainTask};
 use taskdrop::prelude::*;
 
@@ -254,6 +259,84 @@ proptest! {
         for (&(t, window), &price) in queries.iter().zip(&warm_prices) {
             let again = cold.best_chance(TaskTypeId(t), now + window).unwrap();
             prop_assert_eq!(again.to_bits(), price.to_bits(), "type {} window {}", t, window);
+        }
+    }
+}
+
+/// A random tail or exec PMF of mass `mass` (a sub-distribution below 1):
+/// empty, one impulse, six impulses seven ticks apart (two of them tie on
+/// length, where the tail is the outer loop), or up to 40 impulses,
+/// strided 2 000 ticks apart for one kind in eight so that most such
+/// pairs span past `DENSE_SPAN_LIMIT`.
+fn arb_pmf() -> impl Strategy<Value = Pmf> {
+    let cells = prop::collection::vec((0u64..500, 1u32..1_000), 1..40);
+    (0u8..8, 0u64..3_000, 0.05f64..=1.0, cells).prop_map(|(kind, base, mass, cells)| {
+        let cells: Vec<(u64, u32)> = match kind {
+            0 => Vec::new(),
+            1 => cells.into_iter().take(1).collect(),
+            2 => (0..6).zip(cells.iter().cycle()).map(|(k, &(_, w))| (k * 7, w)).collect(),
+            _ => cells,
+        };
+        let stride = if kind == 7 { 2_000 } else { 1 };
+        let total: f64 = cells.iter().map(|&(_, w)| f64::from(w)).sum();
+        let pairs =
+            cells.iter().map(|&(off, w)| (base + off * stride, mass * f64::from(w) / total));
+        Pmf::from_impulses(pairs.collect()).unwrap()
+    })
+}
+
+proptest! {
+    // The default config reads PROPTEST_CASES; CI runs a deep pass.
+
+    /// `TailCache::chance` equals `tail.convolve(exec).mass_before(d)` by
+    /// `to_bits` for every deadline of a sequence — below the support,
+    /// inside it and past its end, in the generated order, ascending (each
+    /// new maximum extends the slot's sums), descending and repeated, each
+    /// order in its own slot — and then again after the first slot is
+    /// re-keyed with the roles swapped and the second with the tail as
+    /// its own exec. Every call counts exactly one conv hit (the slot's
+    /// key matched) or miss.
+    #[test]
+    fn chance_is_convolve_then_mass_before_bit_for_bit(
+        tail in arb_pmf(),
+        exec in arb_pmf(),
+        fractions in prop::collection::vec(0u64..=1_200, 1..10),
+    ) {
+        let conv = tail.convolve(&exec);
+        let (lo, hi) = (conv.support_min().unwrap_or(0), conv.support_max().unwrap_or(0));
+        // From 5 ticks before the support to a fifth of its span past the end.
+        let mut deadlines: Vec<Tick> = fractions
+            .iter()
+            .map(|&f| (lo + f * (hi - lo + 10) / 1_000).saturating_sub(5))
+            .collect();
+        deadlines.extend([0, Tick::MAX]);
+        let mut ascending = deadlines.clone();
+        ascending.sort_unstable();
+        let descending: Vec<Tick> = ascending.iter().rev().copied().collect();
+        let repeated: Vec<Tick> = deadlines.iter().flat_map(|&d| [d, d]).collect();
+        let runs = [
+            (0, &tail, &exec, &deadlines),
+            (1, &tail, &exec, &ascending),
+            (2, &tail, &exec, &descending),
+            (3, &tail, &exec, &repeated),
+            (0, &exec, &tail, &deadlines),
+            (1, &tail, &tail, &deadlines),
+        ];
+        let mut cache = TailCache::new();
+        let mut keys: Vec<Option<(&Pmf, &Pmf)>> = vec![None; 4];
+        for (machine, t, e, order) in runs {
+            for &d in order {
+                let before = cache.stats();
+                let chance = cache.chance(machine, 1, 3, t, e, d);
+                let expected = t.convolve(e).mass_before(d);
+                prop_assert_eq!(chance.to_bits(), expected.to_bits(), "slot {} deadline {}", machine, d);
+                let after = cache.stats();
+                let hit = keys[machine] == Some((t, e));
+                let counted = (after.conv_hits - before.conv_hits, after.conv_misses - before.conv_misses);
+                prop_assert_eq!(counted, if hit { (1, 0) } else { (0, 1) });
+                prop_assert_eq!(after.lookups(), before.lookups() + 1);
+                keys[machine] = Some((t, e));
+            }
         }
     }
 }
