@@ -32,15 +32,17 @@ fn an_unreadable_or_invalid_spec_exits_1() {
     assert_eq!(missing.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read no-such-spec.json"));
 
-    // A spec missing fields; complete specs whose dropper parameter or
-    // approximate-computing factor breaks its constructor's condition; a
-    // spec naming a dropper kind that no longer exists; and the optimal
-    // search on queues too long to enumerate.
-    let complete = |dropper: &str, queue_size: usize, approx: &str| {
+    // A spec missing fields; complete specs whose dropper parameter,
+    // approximate-computing factor or compaction policy breaks its
+    // constructor's condition; a spec naming a dropper kind that no longer
+    // exists; and the optimal search on queues too long to enumerate.
+    let heuristic = r#"{"Heuristic": {"beta": 1.0, "eta": 2}}"#;
+    let capped = r#"{"MaxImpulses": 64}"#;
+    let complete = |dropper: &str, queue_size: usize, compaction: &str, approx: &str| {
         format!(
             r#"{{"level": {{"label": "tiny", "tasks": 20, "window": 500}}, "gamma": 1.0,
             "mapper": "Pam", "dropper": {dropper},
-            "config": {{"queue_size": {queue_size}, "compaction": {{"MaxImpulses": 64}},
+            "config": {{"queue_size": {queue_size}, "compaction": {compaction},
             "exclude_boundary": 0, "kill_running_at_deadline": true, "failures": null,
             "approx": {approx}}}}}"#
         )
@@ -48,20 +50,24 @@ fn an_unreadable_or_invalid_spec_exits_1() {
     for (spec, problem) in [
         ("{\"gamma\": 1.0}".to_string(), "invalid spec"),
         (
-            complete(r#"{"Heuristic": {"beta": 0.5, "eta": 2}}"#, 6, "null"),
+            complete(r#"{"Heuristic": {"beta": 0.5, "eta": 2}}"#, 6, capped, "null"),
             "invalid dropper: beta must be >= 1",
         ),
         (
-            complete(
-                r#"{"Heuristic": {"beta": 1.0, "eta": 2}}"#,
-                6,
-                r#"{"time_factor": 0.0, "value": 0.6}"#,
-            ),
+            complete(heuristic, 6, capped, r#"{"time_factor": 0.0, "value": 0.6}"#),
             "invalid approximate computing: approx time factor must be in (0, 1)",
         ),
-        (complete(r#"{"Approx": {"beta": 1.0, "eta": 2}}"#, 6, "null"), "invalid spec"),
         (
-            complete(r#""Optimal""#, 40, "null"),
+            complete(heuristic, 6, r#"{"MaxImpulses": 1}"#, "null"),
+            "invalid compaction: MaxImpulses requires max >= 2",
+        ),
+        (
+            complete(heuristic, 6, r#"{"BinWidth": 0}"#, "null"),
+            "invalid compaction: BinWidth requires width >= 1",
+        ),
+        (complete(r#"{"Approx": {"beta": 1.0, "eta": 2}}"#, 6, capped, "null"), "invalid spec"),
+        (
+            complete(r#""Optimal""#, 40, capped, "null"),
             "invalid dropper: queue_size must be at most 25 for Optimal's exhaustive search",
         ),
     ] {

@@ -12,12 +12,17 @@
 //!
 //! Done naively that is three materialisations per step: a raw pair vector
 //! that gets sorted, a coalesced [`Pmf`], and a compacted clone. The
-//! [`ChainEvaluator`] here makes one pass instead: raw `(tick, mass)`
-//! products are appended by the same generator as [`crate::deadline_convolve`],
-//! accumulated into a reusable **dense tick-indexed buffer** (no sort), the
-//! chance is summed during the sweep, and compaction rebins straight into a
-//! ping-pong output buffer that becomes the next step's predecessor. No
-//! allocation occurs after the buffers reach their steady-state sizes.
+//! [`ChainEvaluator`] here makes one pass instead. The lowest and highest
+//! product tick are read off the ends of the two sorted inputs split at the
+//! deadline; when that span fits [`crate::DENSE_SPAN_LIMIT`] the products
+//! go straight into a reusable **dense tick-indexed accumulator** (no pair
+//! buffer, no sort), the raw impulses are built and the chance summed in
+//! one ascending sweep, and compaction rebins straight into a ping-pong
+//! output buffer that becomes the next step's predecessor. A step whose
+//! completion is never read (a one-shot chance, the last task of a chance
+//! sum) scatters only the products that land before the deadline and
+//! builds nothing. No allocation occurs after the buffers reach their
+//! steady-state sizes.
 //!
 //! # Determinism contract
 //!
@@ -26,11 +31,11 @@
 //! canonical order is **generation order**: ascending predecessor tick,
 //! then ascending execution tick (the order `push_products` appends). The
 //! dense accumulator preserves it by construction, and the sparse fallback
-//! (support span above [`crate::DENSE_SPAN_LIMIT`]) is the shared
-//! [`coalesce`](crate::ops) path, so [`crate::deadline_convolve`] and every
-//! [`ChainEvaluator`] method produce **bit-identical** results — the
-//! reference chain functions in `taskdrop_model::queue` and the
-//! differential suite beside them enforce this.
+//! (support span above [`crate::DENSE_SPAN_LIMIT`]) is the pair path of
+//! [`crate::deadline_convolve`] itself, so it and every [`ChainEvaluator`]
+//! method produce **bit-identical** results — the reference chain functions
+//! in `taskdrop_model::queue` and the differential suite beside them
+//! enforce this.
 
 use crate::compact::Compaction;
 use crate::ops::{coalesce_into, product_capacity, DENSE_SPAN_LIMIT};
@@ -45,7 +50,7 @@ use crate::Tick;
 /// generation order for colliding ticks; otherwise the pairs are sorted and
 /// merged (the pre-existing sparse path). `pairs` is consumed (left empty),
 /// `out` receives the result.
-pub(crate) fn accumulate(pairs: &mut Vec<(Tick, f64)>, acc: &mut Vec<f64>, out: &mut Vec<Impulse>) {
+fn accumulate(pairs: &mut Vec<(Tick, f64)>, acc: &mut Vec<f64>, out: &mut Vec<Impulse>) {
     out.clear();
     let Some(&(first_t, _)) = pairs.first() else {
         return;
@@ -89,14 +94,9 @@ fn chance_before(raw: &[Impulse], deadline: Tick) -> f64 {
 
 /// Appends the raw Eq (1) products of `prev ⊛ exec` under `deadline` into
 /// `out` (cleared first), in the canonical generation order: the product
-/// generator behind both [`crate::deadline_convolve`] and
-/// [`ChainEvaluator`].
-pub(crate) fn push_products(
-    prev: &[Impulse],
-    exec: &[Impulse],
-    deadline: Tick,
-    out: &mut Vec<(Tick, f64)>,
-) {
+/// generator behind [`crate::deadline_convolve`] and the sparse fallback
+/// of [`ChainEvaluator`].
+fn push_products(prev: &[Impulse], exec: &[Impulse], deadline: Tick, out: &mut Vec<(Tick, f64)>) {
     out.clear();
     for pi in prev {
         if pi.t < deadline {
@@ -109,6 +109,131 @@ pub(crate) fn push_products(
             out.push((pi.t, pi.p));
         }
     }
+}
+
+/// The cells a dense Eq (1) step scatters into: every product lands in
+/// the `span` ticks from `lo`, and the predecessor impulses before `split`
+/// start the task while the rest pass through.
+struct Window {
+    split: usize,
+    lo: Tick,
+    span: usize,
+}
+
+/// Reads the lowest and highest product tick of `prev ⊛ exec` under
+/// `deadline` off the ends of the two sorted inputs split at the deadline:
+/// the bounds [`accumulate`] finds by scanning the pairs. `None` when there
+/// is no product at all or the span exceeds [`DENSE_SPAN_LIMIT`]; the pair
+/// path takes both cases, exactly as [`accumulate`] would.
+fn dense_window(prev: &[Impulse], exec: &[Impulse], deadline: Tick) -> Option<Window> {
+    let split = prev.partition_point(|i| i.t < deadline);
+    let (on_time, late) = prev.split_at(split);
+    let ran = on_time
+        .first()
+        .zip(on_time.last())
+        .zip(exec.first().zip(exec.last()))
+        .map(|((first, last), (shortest, longest))| (first.t + shortest.t, last.t + longest.t));
+    let passed = late.first().zip(late.last()).map(|(first, last)| (first.t, last.t));
+    let (lo, hi) = match (ran, passed) {
+        (Some((lo, hi)), Some((p_lo, p_hi))) => (lo.min(p_lo), hi.max(p_hi)),
+        (bounds, None) | (None, bounds) => bounds?,
+    };
+    let span = hi - lo + 1;
+    (span <= DENSE_SPAN_LIMIT).then_some(Window { split, lo, span: span as usize })
+}
+
+/// Adds the products of the on-time predecessor impulses and `exec` into
+/// `acc` (cell `k` holds tick `lo + k`) in generation order. A row stops at
+/// its first product past the end of `acc`: execution ticks ascend, so the
+/// rest of the row lands later still.
+fn scatter(on_time: &[Impulse], exec: &[Impulse], lo: Tick, acc: &mut [f64]) {
+    for pi in on_time {
+        for ei in exec {
+            let Some(cell) = acc.get_mut((pi.t + ei.t - lo) as usize) else {
+                break;
+            };
+            *cell += pi.p * ei.p;
+        }
+    }
+}
+
+/// The sparse fallback: the pair path of [`crate::deadline_convolve`]
+/// into `raw`, and the chance read off it.
+fn pair_path(
+    prev: &[Impulse],
+    task: ChainTask<'_>,
+    pairs: &mut Vec<(Tick, f64)>,
+    acc: &mut Vec<f64>,
+    raw: &mut Vec<Impulse>,
+) -> f64 {
+    push_products(prev, &task.exec.impulses, task.deadline, pairs);
+    accumulate(pairs, acc, raw);
+    chance_before(raw, task.deadline)
+}
+
+/// One Eq (1) step of `task` behind `prev` into `raw` (cleared first;
+/// sorted and coalesced), returning its Eq (2) chance. Bit-identical to
+/// [`pair_path`]: every cell gets the same products in the same order, and
+/// the chance sums the same impulses in the same ascending order.
+fn convolve_into(
+    prev: &[Impulse],
+    task: ChainTask<'_>,
+    pairs: &mut Vec<(Tick, f64)>,
+    acc: &mut Vec<f64>,
+    raw: &mut Vec<Impulse>,
+) -> f64 {
+    let Some(Window { split, lo, span }) = dense_window(prev, &task.exec.impulses, task.deadline)
+    else {
+        return pair_path(prev, task, pairs, acc, raw);
+    };
+    let (on_time, late) = prev.split_at(split);
+    acc.clear();
+    acc.resize(span, 0.0);
+    scatter(on_time, &task.exec.impulses, lo, acc);
+    for pi in late {
+        // Reactive drop: machine is free at the predecessor's completion.
+        if let Some(cell) = acc.get_mut((pi.t - lo) as usize) {
+            *cell += pi.p;
+        }
+    }
+    raw.clear();
+    let mut chance = 0.0f64;
+    for (off, &p) in acc.iter().enumerate() {
+        if p > 0.0 {
+            let t = lo + off as Tick;
+            if t < task.deadline {
+                chance += p;
+            }
+            raw.push(Impulse { t, p });
+        }
+    }
+    chance
+}
+
+/// The Eq (2) chance of [`convolve_into`] without its completion: on the
+/// dense path only the products landing before the deadline are scattered,
+/// and nothing is built. The cells before the deadline get exactly the
+/// products and order they get in the full step (pass-through mass lands
+/// at or after the deadline), and the sum runs over the same non-empty
+/// cells in the same order, so the bits match. The path is still chosen
+/// by the full product span, because past [`DENSE_SPAN_LIMIT`] the sort
+/// order of every pair decides how colliding products are summed.
+fn chance_into(
+    prev: &[Impulse],
+    task: ChainTask<'_>,
+    pairs: &mut Vec<(Tick, f64)>,
+    acc: &mut Vec<f64>,
+    raw: &mut Vec<Impulse>,
+) -> f64 {
+    let Some(Window { split, lo, span }) = dense_window(prev, &task.exec.impulses, task.deadline)
+    else {
+        return pair_path(prev, task, pairs, acc, raw);
+    };
+    let before = task.deadline.saturating_sub(lo).min(span as Tick) as usize;
+    acc.clear();
+    acc.resize(before, 0.0);
+    scatter(prev.split_at(split).0, &task.exec.impulses, lo, acc);
+    acc.iter().filter(|&&p| p > 0.0).fold(0.0f64, |sum, &p| sum + p)
 }
 
 /// One pending task as seen by the chain: its deadline and its
@@ -136,7 +261,8 @@ pub struct ChainLink {
 /// ([`ChainEvaluator::chance_sum`]), queue tails ([`ChainEvaluator::tail`])
 /// and incremental stepping, all from one reusable set of buffers.
 ///
-/// Owns five buffers: the raw product pairs, the dense accumulator, the
+/// Owns five buffers: the raw product pairs (used only past
+/// [`DENSE_SPAN_LIMIT`]), the dense accumulator, the
 /// uncompacted result, and a ping-pong pair (`cur`/`next`) holding the
 /// current and upcoming predecessor completion. All buffers are cleared and
 /// refilled per step but never shrink, so a steady-state chain evaluation
@@ -146,10 +272,13 @@ pub struct ChainLink {
 ///
 /// Ownership rule: `cur` (read via [`ChainEvaluator::completion_pmf`]) is
 /// only valid between [`ChainEvaluator::begin`]/[`ChainEvaluator::step`]
-/// calls, and the whole-chain methods re-`begin`. The one-shot helpers
-/// ([`ChainEvaluator::step_from`], [`ChainEvaluator::chance_from`]) clobber
-/// the internal work buffers but leave `cur` untouched, so they can be
-/// interleaved with an in-progress chain.
+/// calls, and the whole-chain methods re-`begin`. After
+/// [`ChainEvaluator::chance_sum`] the incremental chain is unspecified (its
+/// last step reads only the chance), so call `begin` before stepping again.
+/// The one-shot helpers ([`ChainEvaluator::step_from`],
+/// [`ChainEvaluator::chance_from`]) clobber the internal work buffers but
+/// leave `cur` untouched, so they can be interleaved with an in-progress
+/// chain.
 #[derive(Debug, Default, Clone)]
 pub struct ChainEvaluator {
     pairs: Vec<(Tick, f64)>,
@@ -178,9 +307,7 @@ impl ChainEvaluator {
     /// new predecessor. Returns the chance of success.
     pub fn step(&mut self, task: ChainTask<'_>, compaction: Compaction) -> f64 {
         let ChainEvaluator { pairs, acc, raw, cur, next } = self;
-        push_products(cur, &task.exec.impulses, task.deadline, pairs);
-        accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, task.deadline);
+        let chance = convolve_into(cur, task, pairs, acc, raw);
         compaction.apply_into(raw, next);
         std::mem::swap(cur, next);
         chance
@@ -203,21 +330,18 @@ impl ChainEvaluator {
         compaction: Compaction,
     ) -> (f64, Pmf) {
         let ChainEvaluator { pairs, acc, raw, next, .. } = self;
-        push_products(&prev.impulses, &task.exec.impulses, task.deadline, pairs);
-        accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, task.deadline);
+        let chance = convolve_into(&prev.impulses, task, pairs, acc, raw);
         compaction.apply_into(raw, next);
         (chance, Pmf::from_sorted_unchecked(next.clone()))
     }
 
     /// Chance of success of `task` queued directly behind `prev` (Eq 1 +
     /// Eq 2 fused) without materialising the completion at all — the
-    /// admission gate's and the optimal search's bound primitive.
+    /// optimal search's bound primitive. Within [`DENSE_SPAN_LIMIT`] only
+    /// the products that land before the deadline are multiplied.
     pub fn chance_from(&mut self, prev: &Pmf, task: ChainTask<'_>) -> f64 {
         let ChainEvaluator { pairs, acc, raw, .. } = self;
-        push_products(&prev.impulses, &task.exec.impulses, task.deadline, pairs);
-        accumulate(pairs, acc, raw);
-        chance_before(raw, task.deadline)
+        chance_into(&prev.impulses, task, pairs, acc, raw)
     }
 
     /// Applies Eq (1) along the whole queue behind `base`: one
@@ -240,7 +364,10 @@ impl ChainEvaluator {
 
     /// Sum of the chances of success of the first `take` tasks of the
     /// chain (Eq 3 restricted to a prefix), without materialising the
-    /// links — the hot primitive of the Eq (8) droppers.
+    /// links — the hot primitive of the Eq (8) droppers. The last task
+    /// feeds no later step, so only its chance is computed, as in
+    /// [`ChainEvaluator::chance_from`]; the incremental chain is left
+    /// unspecified.
     pub fn chance_sum(
         &mut self,
         base: &Pmf,
@@ -248,12 +375,16 @@ impl ChainEvaluator {
         take: usize,
         compaction: Compaction,
     ) -> f64 {
+        let Some((&last, init)) = tasks.get(..take).unwrap_or(tasks).split_last() else {
+            return 0.0;
+        };
         self.begin(base);
         let mut sum = 0.0;
-        for &t in tasks.iter().take(take) {
+        for &t in init {
             sum += self.step(t, compaction);
         }
-        sum
+        let ChainEvaluator { pairs, acc, raw, cur, .. } = self;
+        sum + chance_into(cur, last, pairs, acc, raw)
     }
 
     /// Completion PMF of the queue tail — where a task appended after
@@ -269,9 +400,10 @@ impl ChainEvaluator {
     }
 }
 
-/// Computes Eq (1) into a freshly allocated [`Pmf`] via the shared kernel.
-/// This is the body of [`crate::deadline_convolve`]; it lives here so the
-/// naive entry point and [`ChainEvaluator`] cannot drift apart.
+/// Computes Eq (1) into a freshly allocated [`Pmf`] through the pair path:
+/// the body of [`crate::deadline_convolve`]. It lives beside
+/// [`ChainEvaluator`], whose sparse fallback it shares, and the
+/// differential suites hold the evaluator's dense path to it bit for bit.
 pub(crate) fn deadline_convolve_impl(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
     let mut pairs: Vec<(Tick, f64)> =
         Vec::with_capacity(product_capacity(prev.len(), exec.len().max(1)));
@@ -352,6 +484,23 @@ mod tests {
         assert_eq!(before, eval.completion_pmf());
         assert_eq!(eval.step(task(100, &exec), Compaction::None), 1.0);
         assert_eq!(eval.completion_pmf(), Pmf::point(25));
+    }
+
+    #[test]
+    fn stepping_after_chance_sum_matches_a_fresh_evaluator_bitwise() {
+        let base = Pmf::uniform(0, 40);
+        let exec = Pmf::from_impulses(vec![(8, 0.5), (16, 0.5)]).unwrap();
+        let tasks = [task(60, &exec), task(70, &exec), task(95, &exec)];
+        let compaction = Compaction::MaxImpulses(16);
+        let mut used = ChainEvaluator::new();
+        let _ = used.chance_sum(&base, &tasks, 3, compaction);
+        let mut fresh = ChainEvaluator::new();
+        used.begin(&base);
+        fresh.begin(&base);
+        for &t in &tasks {
+            assert_eq!(used.step(t, compaction).to_bits(), fresh.step(t, compaction).to_bits());
+            assert_eq!(bits(&used.completion_pmf()), bits(&fresh.completion_pmf()));
+        }
     }
 
     #[test]

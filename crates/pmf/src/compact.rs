@@ -41,6 +41,10 @@ impl Default for Compaction {
 
 impl Compaction {
     /// Applies the policy to `pmf`, returning a possibly-smaller PMF.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Compaction::check_settings`] refuses the policy.
     #[must_use]
     pub fn apply(self, pmf: &Pmf) -> Pmf {
         let mut out: Vec<Impulse> = Vec::with_capacity(pmf.len());
@@ -48,15 +52,34 @@ impl Compaction {
         Pmf::from_sorted_unchecked(out)
     }
 
+    /// Checks the conditions [`Compaction::apply`] needs: `MaxImpulses`
+    /// keeps at least 2 impulses and `BinWidth` is at least 1 tick wide. A
+    /// policy decoded from a file has not been checked yet.
+    ///
+    /// # Errors
+    ///
+    /// The broken condition, in words.
+    pub fn check_settings(self) -> Result<(), &'static str> {
+        match self {
+            Compaction::MaxImpulses(max) if max < 2 => Err("MaxImpulses requires max >= 2"),
+            Compaction::BinWidth(0) => Err("BinWidth requires width >= 1"),
+            _ => Ok(()),
+        }
+    }
+
     /// Buffer-reusing twin of [`Compaction::apply`]: compacts the sorted,
     /// coalesced `raw` impulses into `out` (cleared first). Shared by the
     /// fused chain kernel ([`crate::ChainEvaluator`]) so the fused and naive
     /// paths compact with bit-identical arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Compaction::check_settings`] refuses the policy.
     pub(crate) fn apply_into(self, raw: &[Impulse], out: &mut Vec<Impulse>) {
+        assert_eq!(self.check_settings(), Ok(()), "invalid compaction");
         match self {
             Compaction::None => copy_into(raw, out),
             Compaction::MaxImpulses(max) => {
-                assert!(max >= 2, "MaxImpulses requires max >= 2");
                 if raw.len() <= max {
                     return copy_into(raw, out);
                 }
@@ -68,7 +91,6 @@ impl Compaction {
                 rebin_into(raw, width, out);
             }
             Compaction::BinWidth(width) => {
-                assert!(width >= 1, "BinWidth requires width >= 1");
                 if width == 1 {
                     return copy_into(raw, out);
                 }
@@ -87,13 +109,19 @@ fn copy_into(raw: &[Impulse], out: &mut Vec<Impulse>) {
 /// minimum; each bin collapses to its mass-weighted mean tick (rounded to the
 /// nearest tick, which stays inside the bin). Writes into `out` (cleared
 /// first).
+///
+/// A bin's index is `(t - lo) / width`, but the division runs only when a
+/// tick passes the current bin's last tick: ticks ascend, so every tick up
+/// to that one shares the bin, and the grouping is the one a division per
+/// impulse gives. The last tick saturates at `Tick::MAX`, where the bin's
+/// end lies past the tick range.
 fn rebin_into(raw: &[Impulse], width: Tick, out: &mut Vec<Impulse>) {
     out.clear();
     let Some(first) = raw.first() else {
         return;
     };
     let lo = first.t;
-    let mut bin_idx: Tick = 0;
+    let mut bin_last = lo.saturating_add(width - 1);
     let mut bin_mass = 0.0f64;
     let mut bin_moment = 0.0f64; // sum of (t - lo) * p, kept small for accuracy
     let flush = |out: &mut Vec<Impulse>, mass: f64, moment: f64| {
@@ -103,10 +131,10 @@ fn rebin_into(raw: &[Impulse], width: Tick, out: &mut Vec<Impulse>) {
         }
     };
     for i in raw {
-        let idx = (i.t - lo) / width;
-        if idx != bin_idx {
+        if i.t > bin_last {
             flush(out, bin_mass, bin_moment);
-            bin_idx = idx;
+            let bin_first = i.t - (i.t - lo) % width;
+            bin_last = bin_first.saturating_add(width - 1);
             bin_mass = 0.0;
             bin_moment = 0.0;
         }

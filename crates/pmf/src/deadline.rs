@@ -46,9 +46,10 @@ use crate::Tick;
 /// a proper `exec`, scaled on the on-time branch for a sub-normalised one.
 ///
 /// Colliding products are summed in *generation order* (ascending
-/// predecessor tick, then ascending execution tick) through the same fused
-/// kernel as [`crate::ChainEvaluator`], so naive and evaluator-based chain
-/// evaluations are bit-identical.
+/// predecessor tick, then ascending execution tick) through the pair path
+/// that is also [`crate::ChainEvaluator`]'s sparse fallback; the
+/// evaluator's dense path keeps the same order, so naive and
+/// evaluator-based chain evaluations are bit-identical.
 #[must_use]
 pub fn deadline_convolve(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
     deadline_convolve_impl(prev, exec, deadline)

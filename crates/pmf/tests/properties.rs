@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use taskdrop_pmf::{
     chance_of_success, convolve_dense_forced, convolve_sparse_forced, deadline_convolve,
-    Compaction, Pmf, Tick, DENSE_SPAN_LIMIT,
+    ChainEvaluator, ChainTask, Compaction, Impulse, Pmf, Tick, DENSE_SPAN_LIMIT,
 };
 
 const EPS: f64 = 1e-9;
@@ -29,6 +29,173 @@ fn arb_wide_pmf() -> impl Strategy<Value = Pmf> {
 /// Strategy: a sub-normalised PMF (mass in (0, 1]).
 fn arb_sub_pmf() -> impl Strategy<Value = Pmf> {
     (arb_pmf(), 1u32..=100).prop_map(|(p, pct)| p.scale_mass(pct as f64 / 100.0))
+}
+
+/// Strategy: a sub-distribution whose masses mix ordinary values with
+/// near-underflow (about 1e-165) and subnormal (about 1e-320) ones, so
+/// some products round to zero and leave their accumulator cells empty.
+fn arb_tiny_pmf() -> impl Strategy<Value = Pmf> {
+    prop::collection::vec((0u64..=500, 1u32..=1000, 0u8..3), 1..=10).prop_map(|impulses| {
+        let pairs = impulses
+            .into_iter()
+            .map(|(t, w, scale)| (t, w as f64 * [1e-4, 1e-165, 1e-320][scale as usize]))
+            .collect();
+        Pmf::from_impulses(pairs).expect("mass at most 1")
+    })
+}
+
+/// Strategy: a cluster of impulses on ticks 0..=30 plus one past
+/// `DENSE_SPAN_LIMIT`, so products collide often while the span takes the
+/// sparse path, whose sort decides the order colliding products are
+/// summed in.
+fn arb_split_pmf() -> impl Strategy<Value = Pmf> {
+    (
+        prop::collection::vec((0u64..=30, 1u32..=1000), 2..=12),
+        DENSE_SPAN_LIMIT..=DENSE_SPAN_LIMIT + 1_000,
+        1u32..=1000,
+    )
+        .prop_map(|(cluster, far, w)| {
+            let mut weights: Vec<(Tick, f64)> =
+                cluster.into_iter().map(|(t, w)| (t, w as f64)).collect();
+            weights.push((far, w as f64));
+            Pmf::from_weights(weights).expect("positive weights")
+        })
+}
+
+/// Strategy: any PMF the chain kernel can meet — normalised, a
+/// sub-distribution, a support reaching past `DENSE_SPAN_LIMIT` (spread
+/// out or clustered), masses that underflow, or empty.
+fn arb_any_pmf() -> impl Strategy<Value = Pmf> {
+    (0u8..6, (arb_pmf(), arb_sub_pmf()), arb_wide_pmf(), arb_split_pmf(), arb_tiny_pmf()).prop_map(
+        |(kind, (normal, sub), wide, split, tiny)| match kind {
+            0 => normal,
+            1 => sub,
+            2 => wide,
+            3 => split,
+            4 => tiny,
+            _ => Pmf::empty(),
+        },
+    )
+}
+
+/// Strategy: a deadline relative to a predecessor's support, as `(where,
+/// distance, fraction)`; see [`deadline_near`].
+fn arb_deadline() -> impl Strategy<Value = (u8, u64, f64)> {
+    (0u8..5, 0u64..=2 * DENSE_SPAN_LIMIT, 0.0f64..=1.0)
+}
+
+/// A deadline before (0), inside (1) or past (2) the support of `prev`,
+/// which passes all of `prev` through; within 64 ticks of its start (3),
+/// where the chance sums only a few cells and one ulp in a cell shows; or
+/// anywhere in the dense and sparse range (4, and for an empty `prev`).
+fn deadline_near(prev: &Pmf, (place, distance, fraction): (u8, u64, f64)) -> Tick {
+    match (prev.support_min(), prev.support_max(), place) {
+        (Some(lo), _, 0) => lo.saturating_sub(distance % (lo + 1)),
+        (Some(lo), Some(hi), 1) => lo + ((hi - lo) as f64 * fraction) as Tick,
+        (_, Some(hi), 2) => hi + 1 + distance,
+        (Some(lo), _, 3) => lo + 1 + distance % 64,
+        _ => distance,
+    }
+}
+
+/// Strategy: any of the three policies, with small parameters.
+fn arb_compaction() -> impl Strategy<Value = Compaction> {
+    (0u8..3, 2usize..=32, 1u64..=64).prop_map(|(kind, max, width)| match kind {
+        0 => Compaction::None,
+        1 => Compaction::MaxImpulses(max),
+        _ => Compaction::BinWidth(width),
+    })
+}
+
+fn pmf_bits(p: &Pmf) -> Vec<(Tick, u64)> {
+    p.iter().map(|i| (i.t, i.p.to_bits())).collect()
+}
+
+/// The chance sum by the pair path: `deadline_convolve`, `mass_before` and
+/// `Compaction::apply`, one step at a time.
+fn reference_chance_sum(
+    base: &Pmf,
+    tasks: &[ChainTask<'_>],
+    take: usize,
+    compaction: Compaction,
+) -> f64 {
+    let mut sum = 0.0;
+    let mut prev = base.clone();
+    for t in tasks.iter().take(take) {
+        let raw = deadline_convolve(&prev, t.exec, t.deadline);
+        sum += raw.mass_before(t.deadline);
+        prev = compaction.apply(&raw);
+    }
+    sum
+}
+
+/// The rebin `Compaction` used before it divided only on a bin change:
+/// one division per impulse, the independent reference for the binned
+/// policies.
+fn reference_rebin(raw: &[Impulse], width: Tick) -> Vec<Impulse> {
+    let mut out = Vec::new();
+    let Some(first) = raw.first() else {
+        return out;
+    };
+    let lo = first.t;
+    let mut bin_idx: Tick = 0;
+    let mut bin_mass = 0.0f64;
+    let mut bin_moment = 0.0f64;
+    let flush = |out: &mut Vec<Impulse>, mass: f64, moment: f64| {
+        if mass > 0.0 {
+            let mean_off = (moment / mass).round() as Tick;
+            out.push(Impulse { t: lo + mean_off, p: mass });
+        }
+    };
+    for i in raw {
+        let idx = (i.t - lo) / width;
+        if idx != bin_idx {
+            flush(&mut out, bin_mass, bin_moment);
+            bin_idx = idx;
+            bin_mass = 0.0;
+            bin_moment = 0.0;
+        }
+        bin_mass += i.p;
+        bin_moment += (i.t - lo) as f64 * i.p;
+    }
+    flush(&mut out, bin_mass, bin_moment);
+    out
+}
+
+/// `compaction` applied to `pmf` through [`reference_rebin`], as bits.
+fn reference_compaction(pmf: &Pmf, compaction: Compaction) -> Vec<(Tick, u64)> {
+    let raw: Vec<Impulse> = pmf.iter().copied().collect();
+    let compacted = match (compaction, pmf.support_min(), pmf.support_max()) {
+        (Compaction::MaxImpulses(max), Some(lo), Some(hi)) if raw.len() > max => {
+            reference_rebin(&raw, (hi - lo + 1).div_ceil(max as Tick).max(1))
+        }
+        (Compaction::BinWidth(width), _, _) if width > 1 => reference_rebin(&raw, width),
+        _ => raw,
+    };
+    compacted.iter().map(|i| (i.t, i.p.to_bits())).collect()
+}
+
+/// Strategy: a normalised PMF of up to 40 impulses in a 2 000-tick window
+/// that starts at 0 or ends at `Tick::MAX`, so bins near the top of the
+/// tick range end past it.
+fn arb_rebin_pmf() -> impl Strategy<Value = Pmf> {
+    (0u8..2, prop::collection::vec((0u64..=2_000, 1u32..=1000), 1..=40)).prop_map(|(top, pairs)| {
+        let offset = if top == 1 { Tick::MAX - 2_000 } else { 0 };
+        let weights = pairs.into_iter().map(|(t, w)| (offset + t, w as f64)).collect();
+        Pmf::from_weights(weights).expect("positive weights")
+    })
+}
+
+/// Strategy: a binned policy — an impulse cap, a narrow bin width or any
+/// width up to `Tick::MAX`.
+fn arb_binned_compaction() -> impl Strategy<Value = Compaction> {
+    (0u8..3, 2usize..=32, 2u64..=64, 0u64..=Tick::MAX).prop_map(
+        |(kind, max, width, any)| match kind {
+            0 => Compaction::MaxImpulses(max),
+            1 => Compaction::BinWidth(width),
+            _ => Compaction::BinWidth(any.max(1)),
+        },
+    )
 }
 
 proptest! {
@@ -181,6 +348,67 @@ proptest! {
     fn quantile_is_consistent_with_cdf(p in arb_pmf(), q in 0.0f64..=1.0) {
         let t = p.quantile(q).unwrap();
         prop_assert!(p.cdf(t) + EPS >= q * p.total_mass());
+    }
+
+    /// The evaluator's one-shot step, chance and chance sum equal the pair
+    /// path (`deadline_convolve`, `mass_before`, `Compaction::apply`) bit
+    /// for bit on the inputs the dense kernel treats specially:
+    /// sub-distributions, an empty predecessor or execution PMF, deadlines
+    /// before, inside and past the predecessor's support, spans on both
+    /// sides of `DENSE_SPAN_LIMIT`, and products that underflow to empty
+    /// cells. A clustered pair past the limit is also priced at every
+    /// deadline over its first 64 ticks.
+    #[test]
+    fn kernel_edge_cases_match_the_pair_path_bit_for_bit(
+        prev in arb_any_pmf(),
+        exec in arb_any_pmf(),
+        deadline in arb_deadline(),
+        queue in prop::collection::vec((arb_any_pmf(), arb_deadline()), 1..=4),
+        compaction in arb_compaction(),
+        take in 0usize..=5,
+        clustered in (arb_split_pmf(), arb_split_pmf()),
+    ) {
+        let mut eval = ChainEvaluator::new();
+        // Past the span limit the pair path's sort orders colliding
+        // products, so a chance read from a dense scatter of only the cells
+        // before the deadline would differ in the last bits; a chance of a
+        // few cells shows that.
+        let (cluster, cluster_exec) = &clustered;
+        let start = cluster.support_min().expect("non-empty");
+        for d in start + 1..=start + 64 {
+            let chance = deadline_convolve(cluster, cluster_exec, d).mass_before(d);
+            let task = ChainTask { deadline: d, exec: cluster_exec };
+            prop_assert_eq!(eval.chance_from(cluster, task).to_bits(), chance.to_bits());
+        }
+
+        let d = deadline_near(&prev, deadline);
+        let task = ChainTask { deadline: d, exec: &exec };
+        let raw = deadline_convolve(&prev, &exec, d);
+        let chance = raw.mass_before(d);
+        let (stepped, completion) = eval.step_from(&prev, task, compaction);
+        prop_assert_eq!(stepped.to_bits(), chance.to_bits());
+        prop_assert_eq!(pmf_bits(&completion), pmf_bits(&compaction.apply(&raw)));
+        prop_assert_eq!(eval.chance_from(&prev, task).to_bits(), chance.to_bits());
+
+        let tasks: Vec<ChainTask<'_>> = queue
+            .iter()
+            .map(|(exec, deadline)| ChainTask { deadline: deadline_near(&prev, *deadline), exec })
+            .collect();
+        prop_assert_eq!(
+            eval.chance_sum(&prev, &tasks, take, compaction).to_bits(),
+            reference_chance_sum(&prev, &tasks, take, compaction).to_bits()
+        );
+    }
+
+    /// `MaxImpulses` and `BinWidth` rebin exactly as the division-per-impulse
+    /// reference does, bit for bit, including bins whose end lies past
+    /// `Tick::MAX`.
+    #[test]
+    fn rebin_matches_the_division_reference_bit_for_bit(
+        pmf in arb_rebin_pmf(),
+        compaction in arb_binned_compaction(),
+    ) {
+        prop_assert_eq!(pmf_bits(&compaction.apply(&pmf)), reference_compaction(&pmf, compaction));
     }
 
     #[test]

@@ -88,12 +88,14 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Validates invariants (queue size at least 1, failure and
-    /// approximate-computing specs sane).
+    /// Validates invariants (queue size at least 1, compaction policy,
+    /// failure and approximate-computing specs sane).
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroQueueSize`] if `queue_size == 0`,
+    /// [`SimError::InvalidCompaction`] if the compaction policy breaks a
+    /// condition of [`Compaction::check_settings`],
     /// [`SimError::DegenerateFailureSpec`] if the failure spec is
     /// degenerate, [`SimError::InvalidApprox`] if the approximate-computing
     /// spec breaks a condition of [`taskdrop_model::ApproxSpec::check_settings`].
@@ -101,6 +103,9 @@ impl SimConfig {
         if self.queue_size == 0 {
             return Err(SimError::ZeroQueueSize);
         }
+        self.compaction
+            .check_settings()
+            .map_err(|problem| SimError::InvalidCompaction { problem })?;
         if let Some(f) = &self.failures {
             f.validate()?;
         }

@@ -275,9 +275,9 @@ impl<'a> SimCore<'a> {
     ///
     /// # Errors
     ///
-    /// [`SimError::ZeroQueueSize`] / [`SimError::DegenerateFailureSpec`] for
-    /// an invalid `config`; [`SimError::MisnumberedWorkload`] if the
-    /// workload's task ids are not the dense sequence `0..len`.
+    /// Any error of [`SimConfig::validate`] for an invalid `config`;
+    /// [`SimError::MisnumberedWorkload`] if the workload's task ids are not
+    /// the dense sequence `0..len`.
     pub fn new(
         scenario: &'a Scenario,
         workload: &Workload,
@@ -1579,6 +1579,7 @@ mod tests {
     use crate::config::FailureSpec;
     use taskdrop_core::{ProactiveDropper, ReactiveOnly};
     use taskdrop_model::ApproxSpec;
+    use taskdrop_pmf::Compaction;
     use taskdrop_sched::{Fcfs, MinMin, Pam};
     use taskdrop_workload::OversubscriptionLevel;
 
@@ -1616,6 +1617,28 @@ mod tests {
         let bad = SimConfig { queue_size: 0, ..cfg() };
         let err = SimCore::new(&s, &w, &Pam, &ReactiveOnly, bad, 1).err();
         assert_eq!(err, Some(SimError::ZeroQueueSize));
+    }
+
+    /// A compaction policy that `Compaction::apply` would panic on is
+    /// refused up front, before any chain step runs.
+    #[test]
+    fn invalid_compaction_is_a_typed_error() {
+        let s = scenario();
+        let w = workload(&s, 40, 1_000);
+        let dropper = ProactiveDropper::paper_default();
+        for (compaction, problem) in [
+            (Compaction::MaxImpulses(0), "MaxImpulses requires max >= 2"),
+            (Compaction::MaxImpulses(1), "MaxImpulses requires max >= 2"),
+            (Compaction::BinWidth(0), "BinWidth requires width >= 1"),
+        ] {
+            let bad = SimConfig { compaction, ..cfg() };
+            let err = SimCore::new(&s, &w, &Pam, &dropper, bad, 1).err();
+            assert_eq!(err, Some(SimError::InvalidCompaction { problem }), "{compaction:?}");
+        }
+        for compaction in [Compaction::MaxImpulses(2), Compaction::BinWidth(1)] {
+            let fine = SimConfig { compaction, ..cfg() };
+            assert_eq!(run(&s, &w, &Pam, &dropper, fine, 1).total_tasks, 40, "{compaction:?}");
+        }
     }
 
     #[test]

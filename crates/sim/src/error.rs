@@ -35,6 +35,12 @@ pub enum SimError {
         /// The broken condition, in words.
         problem: &'static str,
     },
+    /// A `SimConfig::compaction` policy breaks a condition of
+    /// `Compaction::check_settings`.
+    InvalidCompaction {
+        /// The broken condition, in words.
+        problem: &'static str,
+    },
     /// A `TrialRunner` was asked to run zero trials.
     ZeroTrials,
     /// A `SimReport` aggregate was requested over zero trials.
@@ -113,6 +119,7 @@ impl std::fmt::Display for SimError {
             SimError::InvalidApprox { problem } => {
                 write!(f, "invalid approximate computing: {problem}")
             }
+            SimError::InvalidCompaction { problem } => write!(f, "invalid compaction: {problem}"),
             SimError::ZeroTrials => write!(f, "need at least one trial"),
             SimError::EmptyReport => write!(f, "report aggregate requested over zero trials"),
             SimError::MisnumberedWorkload { index, id } => {

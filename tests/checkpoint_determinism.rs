@@ -224,6 +224,26 @@ fn a_checkpoint_with_a_zero_approx_time_factor_is_refused() {
     );
 }
 
+/// The compaction policy in a checkpoint is untrusted input too: one that
+/// keeps a single impulse is refused with the broken condition instead of
+/// panicking at the first chain step after the restore.
+#[test]
+fn a_checkpoint_with_a_one_impulse_compaction_is_refused() {
+    let scenario = Scenario::specint(0xA5);
+    let level = OversubscriptionLevel::new("cpc", 200, 2_000);
+    let workload = Workload::generate(&scenario, &level, 1.0, 3);
+    let dropper = ProactiveDropper::paper_default();
+    let mut core = SimCore::new(&scenario, &workload, &Pam, &dropper, quick_config(), 3).unwrap();
+    core.run_until(600);
+    let mut checkpoint = core.snapshot();
+    assert!(SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).is_ok());
+    checkpoint.config.compaction = Compaction::MaxImpulses(1);
+    assert_eq!(
+        SimCore::restore(&scenario, &Pam, &dropper, &checkpoint).err(),
+        Some(SimError::InvalidCompaction { problem: "MaxImpulses requires max >= 2" })
+    );
+}
+
 /// The engine degrades a task only while approximate computing is on, so a
 /// checkpoint holding degraded entries without `config.approx` is refused.
 #[test]
