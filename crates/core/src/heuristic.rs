@@ -47,19 +47,27 @@
 //! never trades away the paper's full-fidelity robustness. With
 //! `degradable` empty the pass is the paper's, step for step.
 //!
-//! Implementation: two fused [`ChainEvaluator`]s (DESIGN.md §12). The
-//! *baseline* evaluator extends the no-further-drops chain lazily, only as
-//! far as the current keep-window needs — so a confirmed drop invalidates
-//! and re-chains at most the next window instead of the whole `O(q)`
-//! suffix (prefix reuse: candidate *i+1* starts from the surviving prefix
-//! already evaluated for candidate *i*). The *probe* evaluator prices the
-//! η-deep drop-window of Eq 8. Decisions are bit-identical to the naive
-//! formulation; only allocation and re-chaining are removed.
+//! Implementation (DESIGN.md §12): the keep-futures read straight from the
+//! view's keep-all chain ([`QueueView::keep_all`], built once and shared
+//! with the engine, which reuses its last link as the queue's tail) until
+//! the first confirmed drop or degrade. From then on a *baseline*
+//! [`LazyChain`](taskdrop_model::queue::LazyChain) re-chains from the
+//! surviving predecessor, only as far as the current keep-window needs,
+//! so a confirmed drop re-chains at most the next window instead of the
+//! whole `O(q)` suffix. A *probe* [`ChainEvaluator`] prices the η-deep
+//! drop-window of Eq 8, unless a bound proves Eq 8 cannot fire: each
+//! drop-future chance is at most the mass that reaches it, so when β times
+//! the keep-future already covers the sum of those masses the task is kept
+//! without the probe. Decisions are bit-identical to the naive
+//! formulation; only allocation, re-chaining and provably losing prices
+//! are removed.
 
 use crate::{DropDecision, DropPolicy};
+use std::borrow::Cow;
 use taskdrop_model::ctx::PolicyCtx;
-use taskdrop_model::queue::ChainTask;
+use taskdrop_model::queue::{ChainEvaluator, ChainLink, ChainTask};
 use taskdrop_model::view::{DropContext, QueueView};
+use taskdrop_pmf::{Pmf, ROUNDING_MARGIN};
 
 /// The autonomous proactive dropping heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,6 +124,29 @@ impl ProactiveDropper {
     pub fn eta(&self) -> usize {
         self.eta
     }
+
+    /// Whether Eq 8 provably keeps the task whose keep-future is `keep`,
+    /// with `prev` the predecessor its drop-future chains `behind` from.
+    ///
+    /// The drop-future sums the chances of the first
+    /// `m = min(η, |behind|)` tasks of that chain, and each chance is at
+    /// most the mass that reaches its task: Eq 1 passes late mass through
+    /// and scales on-time mass by the execution PMF's mass, so the mass
+    /// reaching the k-th is at most
+    /// `mass(prev) · Π_{j≤k} max(1, mass(exec_j))`. Actual masses are used
+    /// because a PET cell may carry up to `1 + MASS_EPSILON`. When β times
+    /// the keep-future, plus Eq 8's `f64::EPSILON`, covers the sum of
+    /// those ceilings scaled by `1 + ROUNDING_MARGIN` (the rounding between
+    /// the chain's sums and this one), the drop-future cannot beat it.
+    fn eq8_cannot_fire(&self, keep: f64, prev: &Pmf, behind: &[ChainTask<'_>]) -> bool {
+        let mut reach = prev.total_mass();
+        let mut ceiling = 0.0;
+        for t in behind.iter().take(self.eta) {
+            reach *= t.exec.total_mass().max(1.0);
+            ceiling += reach;
+        }
+        self.beta * keep + f64::EPSILON >= ceiling * (1.0 + ROUNDING_MARGIN)
+    }
 }
 
 impl Default for ProactiveDropper {
@@ -135,7 +166,7 @@ impl DropPolicy for ProactiveDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let tasks = &queue.tasks;
+        let tasks = queue.tasks();
         let n = tasks.len();
         if n < 2 {
             // A single pending task is the last task: influence zone empty.
@@ -145,50 +176,87 @@ impl DropPolicy for ProactiveDropper {
         // `degradable` is empty).
         let value = ctx.approx.map_or(0.0, |a| a.value);
         let mut decision = DropDecision::none();
-        // Baseline chain (no further drops): the keep-future of position i
-        // reads straight from it, so each position costs η extra
+        // The keep-future of position i reads from a baseline chain (no
+        // further drops), so each position costs at most η extra
         // convolutions (the drop-branch) instead of 2η+2 — the O(η·q)
-        // bound of Section IV-F. `LazyChain` extends it only as far as the
-        // current keep-window needs, so a confirmed drop re-chains at most
-        // one window instead of the whole suffix. Both evaluators come from
-        // the persistent context: the buffers are warm from previous calls,
-        // the arithmetic is untouched.
-        let PolicyCtx { baseline, probe, .. } = scratch;
-        baseline.reset(&queue.base);
-        // Completion PMF of the latest surviving predecessor.
-        let mut prev = queue.base.clone();
+        // bound of Section IV-F. Until the first drop or degrade that
+        // chain is the view's keep-all chain. After it, `baseline` holds
+        // the chain from the surviving predecessor, with its link 0 at
+        // position `rechained_at`, extended only as far as the current
+        // keep-window needs, so each confirmed drop re-chains at most one
+        // window. The evaluators come from the persistent context: the
+        // buffers are warm from previous calls, the arithmetic is
+        // untouched.
+        let PolicyCtx { eval, probe, baseline, .. } = scratch;
+        debug_assert_eq!(
+            queue.compaction(),
+            ctx.compaction,
+            "the view chains under another compaction"
+        );
+        let keep_all = queue.keep_all(eval);
+        let mut rechained_at: Option<usize> = None;
+        // Completion PMF of the latest surviving predecessor: borrowed
+        // from the keep-all chain until the first drop or degrade.
+        let mut prev: Cow<'_, Pmf> = Cow::Borrowed(queue.base());
         for i in 0..n - 1 {
             let window_end = (i + 1 + self.eta).min(n);
-            baseline.ensure(tasks, window_end, ctx.compaction);
-            // Keep-future: chances of i and up to η successors, from the
-            // baseline chain.
-            let keep: f64 = baseline.links()[i..window_end].iter().map(|l| l.chance).sum();
-            // Drop-future: chances of up to η successors with i removed.
-            let drop = probe.chance_sum(&prev, &tasks[i + 1..], self.eta, ctx.compaction);
-            if drop > self.beta * keep + f64::EPSILON {
+            let window: &[ChainLink] = match rechained_at {
+                None => keep_all.get(i..window_end),
+                Some(at) => {
+                    let rest = tasks.get(at..).unwrap_or_default();
+                    baseline.ensure(rest, window_end - at, ctx.compaction);
+                    baseline.links().get(i - at..window_end - at)
+                }
+            }
+            .unwrap_or_default();
+            debug_assert_eq!(window.len(), window_end - i, "no keep window at position {i}");
+            // Keep-future: chances of i and up to η successors.
+            let keep: f64 = window.iter().map(|l| l.chance).sum();
+            // The up to η successors the drop-future chains behind prev.
+            let behind = tasks.get(i + 1..).unwrap_or_default();
+            let fires = if self.eq8_cannot_fire(keep, &prev, behind) {
+                debug_assert!(
+                    ChainEvaluator::new().chance_sum(&prev, behind, self.eta, ctx.compaction)
+                        <= self.beta * keep + f64::EPSILON,
+                    "the Eq 8 bound skipped a drop-future that fires at position {i}"
+                );
+                None
+            } else {
+                // Drop-future: chances of up to η successors with i removed.
+                let drop = probe.chance_sum(&prev, behind, self.eta, ctx.compaction);
+                (drop > self.beta * keep + f64::EPSILON).then_some(drop)
+            };
+            if let Some(drop) = fires {
                 // Eq 8 clears the slot. Degrade-future: i runs its
                 // approximate variant and the same η successors chain
                 // behind it; degrade when that is worth at least the drop.
-                let degraded = queue.degradable.get(i).copied().flatten().and_then(|exec| {
-                    let head = ChainTask { deadline: tasks[i].deadline, exec };
+                let degraded = queue.degradable().get(i).copied().flatten().and_then(|exec| {
+                    let head = ChainTask { deadline: tasks.get(i)?.deadline, exec };
                     let (chance, completion) = probe.step_from(&prev, head, ctx.compaction);
-                    let rest =
-                        probe.chance_sum(&completion, &tasks[i + 1..], self.eta, ctx.compaction);
+                    let rest = probe.chance_sum(&completion, behind, self.eta, ctx.compaction);
                     (value * chance + rest >= drop).then_some(completion)
                 });
                 match degraded {
                     Some(completion) => {
                         decision.degrades.push(i);
-                        prev = completion;
+                        prev = Cow::Owned(completion);
                     }
                     // prev unchanged: the chain now skips task i.
                     None => decision.drops.push(i),
                 }
-                // Positions past i re-chain from prev on demand (links[i]
-                // is never read again).
-                baseline.rewind(&prev, i + 1);
+                // Positions past i re-chain from prev on demand.
+                match rechained_at {
+                    None => baseline.reset(&prev),
+                    Some(at) => baseline.rewind(&prev, i + 1 - at),
+                }
+                rechained_at = rechained_at.or(Some(i + 1));
             } else {
-                prev = baseline.links()[i].completion.clone();
+                let kept = match rechained_at {
+                    None => keep_all.get(i).map(|kept| Cow::Borrowed(&kept.completion)),
+                    Some(_) => window.first().map(|kept| Cow::Owned(kept.completion.clone())),
+                };
+                debug_assert!(kept.is_some(), "no link for the task kept at position {i}");
+                prev = kept.unwrap_or(prev);
             }
         }
         decision
@@ -225,20 +293,21 @@ mod tests {
         pending: &[(u16, u64, bool)],
     ) -> QueueView<'a> {
         let exec = |source: &'a PetMatrix, ttype| source.pmf(TaskTypeId(ttype), MachineTypeId(0));
-        QueueView {
-            base: Pmf::point(0),
-            tasks: pending
+        QueueView::new(
+            Pmf::point(0),
+            pending
                 .iter()
                 .map(|&(ttype, deadline, degraded)| ChainTask {
                     deadline,
                     exec: exec(if degraded { apet } else { pet }, ttype),
                 })
                 .collect(),
-            degradable: pending
+            pending
                 .iter()
                 .map(|&(ttype, _, degraded)| (!degraded).then(|| exec(apet, ttype)))
                 .collect(),
-        }
+            Compaction::None,
+        )
     }
 
     #[test]

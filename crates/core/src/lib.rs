@@ -141,7 +141,7 @@ pub(crate) mod testutil {
     use taskdrop_model::queue::ChainTask;
     use taskdrop_model::view::QueueView;
     use taskdrop_model::{MachineTypeId, PetMatrix, TaskTypeId};
-    use taskdrop_pmf::{Pmf, Tick};
+    use taskdrop_pmf::{Compaction, Pmf, Tick};
 
     /// A 3-type x 1-machine PET: type 0 = 10 ticks, type 1 = 50 ticks,
     /// type 2 = {20 w.p. 0.5, 80 w.p. 0.5}.
@@ -166,7 +166,7 @@ pub(crate) mod testutil {
                 exec: pet.pmf(TaskTypeId(ttype), MachineTypeId(0)),
             })
             .collect();
-        QueueView { base, tasks, degradable: Vec::new() }
+        QueueView::new(base, tasks, Vec::new(), Compaction::None)
     }
 
     /// Queue on an idle machine at `now`.

@@ -143,7 +143,7 @@ impl DropPolicy for OptimalDropper {
         ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let (base, tasks) = (&queue.base, &queue.tasks);
+        let (base, tasks) = (queue.base(), queue.tasks());
         let n = tasks.len();
         if n < 2 {
             return DropDecision::none();
@@ -202,7 +202,7 @@ mod tests {
     /// Oracle: enumerate all masks with `chain_with_drops` and return the
     /// best robustness value.
     fn oracle_best(queue: &QueueView<'_>) -> f64 {
-        let n = queue.tasks.len();
+        let n = queue.tasks().len();
         let mut best = f64::NEG_INFINITY;
         for mask in 0u32..(1 << n) {
             // Last task not droppable.
@@ -210,18 +210,18 @@ mod tests {
                 continue;
             }
             let dropped: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-            let links = chain_with_drops(&queue.base, &queue.tasks, &dropped, Compaction::None);
+            let links = chain_with_drops(queue.base(), queue.tasks(), &dropped, Compaction::None);
             best = best.max(instantaneous_robustness(&links));
         }
         best
     }
 
     fn achieved(queue: &QueueView<'_>, drops: &[usize]) -> f64 {
-        let mut mask = vec![false; queue.tasks.len()];
+        let mut mask = vec![false; queue.tasks().len()];
         for &d in drops {
             mask[d] = true;
         }
-        let links = chain_with_drops(&queue.base, &queue.tasks, &mask, Compaction::None);
+        let links = chain_with_drops(queue.base(), queue.tasks(), &mask, Compaction::None);
         instantaneous_robustness(&links)
     }
 

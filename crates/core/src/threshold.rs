@@ -99,8 +99,8 @@ impl DropPolicy for ThresholdDropper {
         let threshold = self.effective_threshold(ctx.pressure);
         let mut drops = Vec::new();
         let eval = &mut scratch.eval;
-        let mut prev = queue.base.clone();
-        for (i, &t) in queue.tasks.iter().enumerate() {
+        let mut prev = queue.base().clone();
+        for (i, &t) in queue.tasks().iter().enumerate() {
             let (chance, completion) = eval.step_from(&prev, t, ctx.compaction);
             if chance < threshold {
                 drops.push(i);

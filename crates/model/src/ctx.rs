@@ -136,13 +136,19 @@ impl ConvEntry {
         entry.tail.clone_from(tail);
         entry.exec.clone_from(exec);
         entry.sums.clear();
-        // `tail ⊛ exec` covers the ticks `[lo, end)`, none if an input is empty.
+        // `tail ⊛ exec` covers the ticks `[lo, end)`, none if an input is
+        // empty. An `end` past `Tick::MAX` reads as a span past
+        // `DENSE_SPAN_LIMIT`, so `chance` convolves whole, where `convolve`
+        // pins such completions at `Tick::MAX`.
         let ends = |p: &Pmf| p.support_min().zip(p.support_max());
-        let (lo, end) = match (ends(tail), ends(exec)) {
-            (Some((t_lo, t_hi)), Some((e_lo, e_hi))) => (t_lo + e_lo, t_hi + e_hi + 1),
+        (entry.lo, entry.span) = match (ends(tail), ends(exec)) {
+            (Some((t_lo, t_hi)), Some((e_lo, e_hi))) => {
+                let lo = t_lo.saturating_add(e_lo);
+                let end = t_hi.checked_add(e_hi).and_then(|hi| hi.checked_add(1));
+                (lo, end.map_or(Tick::MAX, |end| end - lo))
+            }
             _ => (0, 0),
         };
-        (entry.lo, entry.span) = (lo, end - lo);
         entry
     }
 
@@ -215,22 +221,24 @@ impl TailCache {
         self.verdicts.clear();
     }
 
-    /// Looks up `machine`'s cached queue tail. Hits (and returns a clone)
-    /// only when the queue revision, predecessor completion and compaction
-    /// policy all match the entry's key; every call bumps exactly one
-    /// counter.
-    pub fn lookup_tail(
+    /// Looks up `machine`'s cached queue tail and moves it out of the
+    /// cache. Hits only when the queue revision, predecessor completion and
+    /// compaction policy all match the entry's key; every call bumps exactly
+    /// one counter. The entry leaves the cache either way, so a caller
+    /// that wants it kept stores it back with [`TailCache::store_tail`]
+    /// (the base it compared equal is the key), which copies nothing.
+    pub fn take_tail(
         &mut self,
         machine: usize,
         rev: u64,
         base: &Pmf,
         compaction: Compaction,
     ) -> Option<Pmf> {
-        let entry = self.tails.get(machine).and_then(Option::as_ref);
+        let entry = self.tails.get_mut(machine).and_then(Option::take);
         match entry {
             Some(e) if e.rev == rev && e.compaction == compaction && e.base == *base => {
                 self.stats.tail_hits += 1;
-                Some(e.tail.clone())
+                Some(e.tail)
             }
             _ => {
                 self.stats.tail_misses += 1;
@@ -347,11 +355,12 @@ impl TailCache {
 #[derive(Debug, Default, Clone)]
 pub struct PolicyCtx {
     /// General-purpose fused evaluator (threshold pass, optimal DFS,
-    /// queue-tail chains, ordered mappers).
+    /// queue-tail and keep-all chains, ordered mappers).
     pub eval: ChainEvaluator,
     /// Probe evaluator pricing the Eq (8) drop-future windows.
     pub probe: ChainEvaluator,
-    /// Lazily-extended baseline chain of the Eq (8) droppers.
+    /// Lazily-extended baseline chain of the Eq (8) dropper after its
+    /// first drop or degrade.
     pub baseline: LazyChain,
     /// The keyed PET×tail cache.
     pub tails: TailCache,
@@ -380,17 +389,25 @@ mod tests {
         let mut cache = TailCache::new();
         let base = Pmf::point(10);
         let tail = Pmf::point(30);
-        assert!(cache.lookup_tail(2, 1, &base, Compaction::None).is_none());
+        assert!(cache.take_tail(2, 1, &base, Compaction::None).is_none());
         cache.store_tail(2, 1, base.clone(), Compaction::None, tail.clone());
-        assert_eq!(cache.lookup_tail(2, 1, &base, Compaction::None), Some(tail.clone()));
+        assert_eq!(cache.take_tail(2, 1, &base, Compaction::None), Some(tail.clone()));
+        // The hit moved the entry out: until it is stored back, it misses.
+        assert!(cache.take_tail(2, 1, &base, Compaction::None).is_none());
         // Revision, base or compaction drift each miss.
-        assert!(cache.lookup_tail(2, 2, &base, Compaction::None).is_none());
-        assert!(cache.lookup_tail(2, 1, &Pmf::point(11), Compaction::None).is_none());
-        assert!(cache.lookup_tail(2, 1, &base, Compaction::BinWidth(4)).is_none());
+        let drifts = [
+            (2, base.clone(), Compaction::None),
+            (1, Pmf::point(11), Compaction::None),
+            (1, base.clone(), Compaction::BinWidth(4)),
+        ];
+        for (rev, drifted, compaction) in drifts {
+            cache.store_tail(2, 1, base.clone(), Compaction::None, tail.clone());
+            assert!(cache.take_tail(2, rev, &drifted, compaction).is_none());
+        }
         // Unknown machine misses without panicking.
-        assert!(cache.lookup_tail(9, 1, &base, Compaction::None).is_none());
+        assert!(cache.take_tail(9, 1, &base, Compaction::None).is_none());
         let stats = cache.stats();
-        assert_eq!((stats.tail_hits, stats.tail_misses), (1, 5));
+        assert_eq!((stats.tail_hits, stats.tail_misses), (1, 6));
     }
 
     #[test]
@@ -451,9 +468,10 @@ mod tests {
         let mut cache = TailCache::new();
         let base = Pmf::point(1);
         cache.store_tail(0, 0, base.clone(), Compaction::None, Pmf::point(2));
-        assert!(cache.lookup_tail(0, 0, &base, Compaction::None).is_some());
+        let tail = cache.take_tail(0, 0, &base, Compaction::None).expect("stored");
+        cache.store_tail(0, 0, base.clone(), Compaction::None, tail);
         cache.clear();
-        assert!(cache.lookup_tail(0, 0, &base, Compaction::None).is_none());
+        assert!(cache.take_tail(0, 0, &base, Compaction::None).is_none());
         let stats = cache.stats();
         assert_eq!((stats.tail_hits, stats.tail_misses), (1, 1));
         assert_eq!(stats.lookups(), 2);

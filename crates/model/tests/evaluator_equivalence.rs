@@ -141,25 +141,30 @@ impl QueueSim {
     /// The policy-facing view, built the way the engine builds it: degraded
     /// entries chain with the degraded PET `apet` when approximate computing
     /// is on (`Some`), and every other entry is degradable then.
-    fn view<'a>(&self, pet: &'a PetMatrix, apet: Option<&'a PetMatrix>) -> QueueView<'a> {
+    fn view<'a>(
+        &self,
+        pet: &'a PetMatrix,
+        apet: Option<&'a PetMatrix>,
+        compaction: Compaction,
+    ) -> QueueView<'a> {
         let exec = |source: &'a PetMatrix, tt| source.pmf(TaskTypeId(tt), MachineTypeId(0));
-        QueueView {
-            base: self.running.as_ref().map_or_else(|| Pmf::point(self.now), |(c, _)| c.clone()),
-            tasks: self
-                .pending
+        QueueView::new(
+            self.running.as_ref().map_or_else(|| Pmf::point(self.now), |(c, _)| c.clone()),
+            self.pending
                 .iter()
                 .map(|&(tt, deadline, degraded)| ChainTask {
                     deadline,
                     exec: exec(if degraded { apet.unwrap_or(pet) } else { pet }, tt),
                 })
                 .collect(),
-            degradable: apet.map_or_else(Vec::new, |apet| {
+            apet.map_or_else(Vec::new, |apet| {
                 self.pending
                     .iter()
                     .map(|&(tt, _, degraded)| (!degraded).then(|| exec(apet, tt)))
                     .collect()
             }),
-        }
+            compaction,
+        )
     }
 }
 
@@ -258,10 +263,12 @@ proptest! {
                     pressure,
                     approx: if with_approx { Some(spec) } else { None },
                 };
-                let view = sim.view(&pet, with_approx.then_some(&apet));
+                // Each path gets its own view, so a keep-all chain one
+                // path built cannot stand in for the other's.
+                let view = || sim.view(&pet, with_approx.then_some(&apet), compaction);
                 for p in &policies {
-                    let warm = p.select_drops(&view, &dctx, &mut persistent);
-                    let cold = p.select_drops_fresh(&view, &dctx);
+                    let warm = p.select_drops(&view(), &dctx, &mut persistent);
+                    let cold = p.select_drops_fresh(&view(), &dctx);
                     prop_assert_eq!(
                         &warm, &cold,
                         "{} diverged under persistent ctx (op {} tt {} val {})",
@@ -269,11 +276,13 @@ proptest! {
                     );
                 }
             }
-            // The persistent scratch's chain arithmetic stays bit-identical
-            // to the naive reference after arbitrary interleaved reuse.
-            let view = sim.view(&pet, None);
-            let naive = chain(&view.base, &view.tasks, compaction);
-            let fused = persistent.eval.chain(&view.base, &view.tasks, compaction);
+            // The view's keep-all chain, built with the persistent scratch,
+            // stays bit-identical to the naive reference after arbitrary
+            // interleaved reuse.
+            let view = sim.view(&pet, None, compaction);
+            let naive = chain(view.base(), view.tasks(), compaction);
+            let fused = view.keep_all(&mut persistent.eval);
+            prop_assert_eq!(naive.len(), fused.len());
             for (n, f) in naive.iter().zip(fused.iter()) {
                 prop_assert_eq!(n.chance.to_bits(), f.chance.to_bits());
                 prop_assert_eq!(pmf_bits(&n.completion), pmf_bits(&f.completion));

@@ -61,10 +61,9 @@ fn accumulate(pairs: &mut Vec<(Tick, f64)>, acc: &mut Vec<f64>, out: &mut Vec<Im
         lo = lo.min(t);
         hi = hi.max(t);
     }
-    let span = hi - lo + 1;
-    if span <= DENSE_SPAN_LIMIT {
+    if hi - lo < DENSE_SPAN_LIMIT {
         acc.clear();
-        acc.resize(span as usize, 0.0);
+        acc.resize((hi - lo) as usize + 1, 0.0);
         for &(t, p) in pairs.iter() {
             acc[(t - lo) as usize] += p;
         }
@@ -95,14 +94,15 @@ fn chance_before(raw: &[Impulse], deadline: Tick) -> f64 {
 /// Appends the raw Eq (1) products of `prev ⊛ exec` under `deadline` into
 /// `out` (cleared first), in the canonical generation order: the product
 /// generator behind [`crate::deadline_convolve`] and the sparse fallback
-/// of [`ChainEvaluator`].
+/// of [`ChainEvaluator`]. A completion past `Tick::MAX` is pinned at
+/// `Tick::MAX`, which no deadline precedes.
 fn push_products(prev: &[Impulse], exec: &[Impulse], deadline: Tick, out: &mut Vec<(Tick, f64)>) {
     out.clear();
     for pi in prev {
         if pi.t < deadline {
             // Task starts at pi.t; completion = start + execution time.
             for ei in exec {
-                out.push((pi.t + ei.t, pi.p * ei.p));
+                out.push((pi.t.saturating_add(ei.t), pi.p * ei.p));
             }
         } else {
             // Reactive drop: machine is free at the predecessor's completion.
@@ -123,23 +123,25 @@ struct Window {
 /// Reads the lowest and highest product tick of `prev ⊛ exec` under
 /// `deadline` off the ends of the two sorted inputs split at the deadline:
 /// the bounds [`accumulate`] finds by scanning the pairs. `None` when there
-/// is no product at all or the span exceeds [`DENSE_SPAN_LIMIT`]; the pair
-/// path takes both cases, exactly as [`accumulate`] would.
+/// is no product at all, the span exceeds [`DENSE_SPAN_LIMIT`] or a
+/// completion would pass `Tick::MAX`; the pair path takes all three cases,
+/// exactly as [`accumulate`] would (saturating the last, as
+/// [`push_products`] documents).
 fn dense_window(prev: &[Impulse], exec: &[Impulse], deadline: Tick) -> Option<Window> {
     let split = prev.partition_point(|i| i.t < deadline);
     let (on_time, late) = prev.split_at(split);
-    let ran = on_time
-        .first()
-        .zip(on_time.last())
-        .zip(exec.first().zip(exec.last()))
-        .map(|((first, last), (shortest, longest))| (first.t + shortest.t, last.t + longest.t));
+    let ran = match (on_time.first().zip(on_time.last()), exec.first().zip(exec.last())) {
+        (Some((first, last)), Some((shortest, longest))) => {
+            Some((first.t.checked_add(shortest.t)?, last.t.checked_add(longest.t)?))
+        }
+        _ => None,
+    };
     let passed = late.first().zip(late.last()).map(|(first, last)| (first.t, last.t));
     let (lo, hi) = match (ran, passed) {
         (Some((lo, hi)), Some((p_lo, p_hi))) => (lo.min(p_lo), hi.max(p_hi)),
         (bounds, None) | (None, bounds) => bounds?,
     };
-    let span = hi - lo + 1;
-    (span <= DENSE_SPAN_LIMIT).then_some(Window { split, lo, span: span as usize })
+    (hi - lo < DENSE_SPAN_LIMIT).then_some(Window { split, lo, span: (hi - lo) as usize + 1 })
 }
 
 /// Adds the products of the on-time predecessor impulses and `exec` into

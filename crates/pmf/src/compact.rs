@@ -85,9 +85,9 @@ impl Compaction {
                 }
                 let lo = raw[0].t;
                 let hi = raw[raw.len() - 1].t;
-                let span = hi - lo + 1;
-                // ceil(span / max) guarantees at most `max` bins.
-                let width = span.div_ceil(max as Tick).max(1);
+                // ceil((hi - lo + 1) / max) guarantees at most `max` bins;
+                // this form of it cannot overflow on a span of every tick.
+                let width = (hi - lo) / max as Tick + 1;
                 rebin_into(raw, width, out);
             }
             Compaction::BinWidth(width) => {
@@ -127,7 +127,7 @@ fn rebin_into(raw: &[Impulse], width: Tick, out: &mut Vec<Impulse>) {
     let flush = |out: &mut Vec<Impulse>, mass: f64, moment: f64| {
         if mass > 0.0 {
             let mean_off = (moment / mass).round() as Tick;
-            out.push(Impulse { t: lo + mean_off, p: mass });
+            out.push(Impulse { t: lo.saturating_add(mean_off), p: mass });
         }
     };
     for i in raw {
@@ -219,6 +219,13 @@ mod tests {
         let p = Pmf::point(1234);
         assert_eq!(Compaction::MaxImpulses(2).apply(&p), p);
         assert_eq!(Compaction::BinWidth(100).apply(&p), p);
+    }
+
+    #[test]
+    fn max_impulses_spans_the_whole_tick_range() {
+        let p = Pmf::from_impulses(vec![(0, 0.25), (1, 0.25), (Tick::MAX, 0.5)]).unwrap();
+        let c = Compaction::MaxImpulses(2).apply(&p);
+        assert_eq!(c.to_pairs(), vec![(1, 0.5), (Tick::MAX, 0.5)]);
     }
 
     #[test]

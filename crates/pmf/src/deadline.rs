@@ -187,4 +187,26 @@ mod tests {
             assert!(p_fast >= p_slow - 1e-12, "deadline={deadline}");
         }
     }
+
+    /// A completion past `Tick::MAX` is pinned there, where no deadline
+    /// precedes it, on the pair path and through the chain evaluator.
+    #[test]
+    fn completions_past_the_last_tick_saturate() {
+        let prev = Pmf::point(Tick::MAX - 2);
+        let exec = Pmf::point(5);
+        let c = deadline_convolve(&prev, &exec, Tick::MAX);
+        assert_eq!(c.to_pairs(), vec![(Tick::MAX, 1.0)]);
+        assert_eq!(c.mass_before(Tick::MAX), 0.0);
+        let mut eval = crate::ChainEvaluator::new();
+        let task = crate::ChainTask { deadline: Tick::MAX, exec: &exec };
+        let (chance, completion) = eval.step_from(&prev, task, crate::Compaction::None);
+        assert_eq!((chance, completion), (0.0, c));
+        assert_eq!(eval.chance_from(&prev, task), 0.0);
+        // Products on both sides of the end: those that fit keep their tick.
+        let prev = Pmf::from_impulses(vec![(0, 0.5), (Tick::MAX - 2, 0.5)]).unwrap();
+        let c = deadline_convolve(&prev, &exec, Tick::MAX);
+        assert_eq!(c.to_pairs(), vec![(5, 0.5), (Tick::MAX, 0.5)]);
+        assert_eq!(prev.convolve(&exec), c);
+        assert_eq!(prev.shift(5), c);
+    }
 }

@@ -58,7 +58,8 @@ pub use compact::Compaction;
 pub use deadline::{chance_of_success, deadline_convolve};
 pub use error::PmfError;
 pub use ops::{
-    convolve_dense_forced, convolve_sparse_forced, extend_convolution_sums, DENSE_SPAN_LIMIT,
+    convolve_dense_forced, convolve_sparse_forced, convolved_mass_before, extend_convolution_sums,
+    running_masses, DENSE_SPAN_LIMIT,
 };
 pub use pmf::{Impulse, Pmf, MASS_EPSILON};
 
@@ -67,3 +68,15 @@ pub type Tick = u64;
 
 /// Probability value in `[0, 1]`.
 pub type Prob = f64;
+
+/// Relative slack that covers the rounding between two float sums of the
+/// same non-negative products taken in different orders (or through
+/// different groupings, such as a convolution's cells against its masses).
+///
+/// A sum of `n` non-negative terms rounds by at most `(n − 1)·u` relative
+/// to the exact sum, with `u = 2⁻⁵³`, and each product by `u`; two orders
+/// of one sum therefore differ by about `2n·u` relatively. `1e-6` covers
+/// that for every `n` below about 4·10⁹ products. The bounds that skip
+/// pricing (DESIGN.md §12 and §13) scale by `1 + ROUNDING_MARGIN`, and add
+/// `f64::EPSILON` for subnormal products, whose rounding is absolute.
+pub const ROUNDING_MARGIN: f64 = 1e-6;

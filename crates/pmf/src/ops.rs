@@ -26,6 +26,8 @@ impl Pmf {
     ///
     /// Total mass multiplies: convolving two sub-distributions yields a
     /// sub-distribution. Convolving with the empty PMF yields the empty PMF.
+    /// A sum past `Tick::MAX` is pinned at `Tick::MAX`, which no deadline
+    /// precedes.
     #[must_use]
     pub fn convolve(&self, other: &Pmf) -> Pmf {
         if self.is_empty() || other.is_empty() {
@@ -33,23 +35,25 @@ impl Pmf {
         }
         // Convolve the smaller outer loop over the larger inner loop.
         let (a, b) = (&self.impulses, &other.impulses);
-        let lo = a[0].t + b[0].t;
-        let hi = a[a.len() - 1].t + b[b.len() - 1].t;
-        let span = hi - lo + 1;
-        if span <= DENSE_SPAN_LIMIT {
-            convolve_dense(a, b, lo, span as usize)
-        } else {
-            convolve_sparse(a, b)
+        let lo = a[0].t.saturating_add(b[0].t);
+        match a[a.len() - 1].t.checked_add(b[b.len() - 1].t) {
+            Some(hi) if hi - lo < DENSE_SPAN_LIMIT => {
+                convolve_dense(a, b, lo, (hi - lo) as usize + 1)
+            }
+            _ => convolve_sparse(a, b),
         }
     }
 
     /// Shifts every impulse `delta` ticks later: the distribution of
-    /// `X + delta`.
+    /// `X + delta`. Ticks past `Tick::MAX` are pinned there and coalesce.
     #[must_use]
     pub fn shift(&self, delta: Tick) -> Pmf {
-        Pmf::from_sorted_unchecked(
-            self.impulses.iter().map(|i| Impulse { t: i.t + delta, p: i.p }).collect(),
-        )
+        if self.support_max().is_none_or(|hi| hi.checked_add(delta).is_some()) {
+            return Pmf::from_sorted_unchecked(
+                self.impulses.iter().map(|i| Impulse { t: i.t + delta, p: i.p }).collect(),
+            );
+        }
+        coalesce(self.impulses.iter().map(|i| (i.t.saturating_add(delta), i.p)).collect())
     }
 
     /// The distribution of `max(1, round(factor · X))`: every impulse's tick
@@ -180,11 +184,53 @@ pub fn extend_convolution_sums(a: &Pmf, b: &Pmf, to: usize, sums: &mut Vec<f64>)
     }
 }
 
+/// Running sums of `pmf`'s masses in tick order, into `sums` (cleared
+/// first): `sums[k]` is the mass of the first `k + 1` impulses. The input
+/// [`convolved_mass_before`] reads its `tail` through.
+pub fn running_masses(pmf: &Pmf, sums: &mut Vec<f64>) {
+    sums.clear();
+    let mut run = 0.0f64;
+    sums.extend(pmf.impulses.iter().map(|i| {
+        run += i.p;
+        run
+    }));
+}
+
+/// The mass of `tail ⊛ exec` before `deadline`, summed by execution tick:
+/// `Σ_j q_j · P(tail < deadline − e_j)` over the impulses `(e_j, q_j)` of
+/// `exec`, where `tail_sums` is [`running_masses`] of `tail`.
+///
+/// In exact arithmetic this is `tail.convolve(exec).mass_before(deadline)`.
+/// The two add the same non-negative products in different orders, so they
+/// differ by rounding alone: each is within [`crate::ROUNDING_MARGIN`] of the
+/// other relatively, plus `f64::EPSILON` absolutely (the slack for
+/// subnormal products). It costs `O(|exec| + |tail|)`: the cut
+/// `deadline − e_j` falls as `e_j` rises, so one index walks the tail down,
+/// and an execution tick at or past the deadline ends the sum.
+pub fn convolved_mass_before(tail: &Pmf, tail_sums: &[f64], exec: &Pmf, deadline: Tick) -> f64 {
+    let mut cut = tail.impulses.len();
+    let mut sum = 0.0f64;
+    for e in &exec.impulses {
+        let Some(limit) = deadline.checked_sub(e.t) else {
+            break;
+        };
+        while cut > 0 && tail.impulses.get(cut - 1).is_some_and(|i| i.t >= limit) {
+            cut -= 1;
+        }
+        match cut.checked_sub(1).and_then(|k| tail_sums.get(k)) {
+            Some(&before) => sum += e.p * before,
+            None => break,
+        }
+    }
+    sum
+}
+
+/// The sort-and-merge convolution. Sums past `Tick::MAX` saturate.
 fn convolve_sparse(a: &[Impulse], b: &[Impulse]) -> Pmf {
     let mut pairs: Vec<(Tick, f64)> = Vec::with_capacity(product_capacity(a.len(), b.len()));
     for ai in a {
         for bi in b {
-            pairs.push((ai.t + bi.t, ai.p * bi.p));
+            pairs.push((ai.t.saturating_add(bi.t), ai.p * bi.p));
         }
     }
     coalesce(pairs)

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use taskdrop_pmf::{
-    chance_of_success, convolve_dense_forced, convolve_sparse_forced, deadline_convolve,
-    ChainEvaluator, ChainTask, Compaction, Impulse, Pmf, Tick, DENSE_SPAN_LIMIT,
+    chance_of_success, convolve_dense_forced, convolve_sparse_forced, convolved_mass_before,
+    deadline_convolve, running_masses, ChainEvaluator, ChainTask, Compaction, Impulse, Pmf, Tick,
+    DENSE_SPAN_LIMIT, ROUNDING_MARGIN,
 };
 
 const EPS: f64 = 1e-9;
@@ -409,6 +410,37 @@ proptest! {
         compaction in arb_binned_compaction(),
     ) {
         prop_assert_eq!(pmf_bits(&compaction.apply(&pmf)), reference_compaction(&pmf, compaction));
+    }
+
+    /// The mass before a deadline summed by execution tick stays within
+    /// its stated margin of `convolve` then `mass_before`, on both sides:
+    /// `ROUNDING_MARGIN` relatively plus `f64::EPSILON`. Deadlines fall
+    /// before, inside and past the convolution, at the end of the tick
+    /// range, and at every tick over the first 64 of a clustered pair.
+    #[test]
+    fn convolved_mass_before_is_within_its_margin_of_the_convolution(
+        tail in arb_any_pmf(),
+        exec in arb_any_pmf(),
+        deadline in arb_deadline(),
+        clustered in (arb_split_pmf(), arb_split_pmf()),
+    ) {
+        let within = |tail: &Pmf, exec: &Pmf, d: Tick| {
+            let mut sums = Vec::new();
+            running_masses(tail, &mut sums);
+            let summed = convolved_mass_before(tail, &sums, exec, d);
+            let exact = tail.convolve(exec).mass_before(d);
+            let margin = |x: f64| x * (1.0 + ROUNDING_MARGIN) + f64::EPSILON;
+            summed <= margin(exact) && exact <= margin(summed)
+        };
+        let whole = tail.convolve(&exec);
+        for d in [deadline_near(&whole, deadline), Tick::MAX, Tick::MAX - 1, 0] {
+            prop_assert!(within(&tail, &exec, d), "deadline {}", d);
+        }
+        let (cluster, cluster_exec) = &clustered;
+        let start = cluster.support_min().expect("non-empty");
+        for d in start + 1..=start + 64 {
+            prop_assert!(within(cluster, cluster_exec, d), "clustered deadline {}", d);
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use taskdrop_model::ctx::{PolicyCtx, TailCache};
 use taskdrop_model::queue::{ChainEvaluator, ChainTask};
 use taskdrop_model::view::{Assignment, MachineView, MappingInput};
 use taskdrop_model::{PetMatrix, Task};
-use taskdrop_pmf::Compaction;
+use taskdrop_pmf::{convolved_mass_before, running_masses, Compaction, Tick, ROUNDING_MARGIN};
 
 /// Which two-phase heuristic to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +129,9 @@ struct WorkState<'a> {
     compaction: Compaction,
     machines: Vec<MachineView>,
     tail_means: Vec<f64>,
+    /// PAM only: [`running_masses`] of each machine's tail, the input of
+    /// [`WorkState::chance_ceiling`]; empty for the other kinds.
+    tail_sums: Vec<Vec<f64>>,
     types: usize,
     /// Fused tail-extension scratch (one materialisation per assignment).
     eval: &'a mut ChainEvaluator,
@@ -137,18 +140,34 @@ struct WorkState<'a> {
 }
 
 impl<'a> WorkState<'a> {
-    fn new(input: &MappingInput<'a>, scratch: &'a mut PolicyCtx) -> Self {
-        let machines = input.machines.clone();
+    fn new(
+        pet: &'a PetMatrix,
+        now: Tick,
+        machines: Vec<MachineView>,
+        compaction: Compaction,
+        kind: Kind,
+        scratch: &'a mut PolicyCtx,
+    ) -> Self {
         let tail_means: Vec<f64> =
-            machines.iter().map(|m| m.tail.mean().unwrap_or(input.now as f64)).collect();
-        let types = input.pet.task_types();
+            machines.iter().map(|m| m.tail.mean().unwrap_or(now as f64)).collect();
+        let tail_sums = if kind == Kind::Pam {
+            let sums = |m: &MachineView| {
+                let mut sums = Vec::new();
+                running_masses(&m.tail, &mut sums);
+                sums
+            };
+            machines.iter().map(sums).collect()
+        } else {
+            Vec::new()
+        };
         let PolicyCtx { eval, tails, .. } = scratch;
         WorkState {
-            pet: input.pet,
-            compaction: input.compaction,
+            pet,
+            compaction,
             machines,
             tail_means,
-            types,
+            tail_sums,
+            types: pet.task_types(),
             eval,
             cache: tails,
         }
@@ -170,11 +189,27 @@ impl<'a> WorkState<'a> {
         )
     }
 
+    /// [`WorkState::chance`] summed by execution tick from the tail's
+    /// running masses ([`convolved_mass_before`]): within
+    /// [`ROUNDING_MARGIN`] plus `f64::EPSILON` of the chance, at
+    /// `O(|exec| + |tail|)` and with no cache lookup. Infinite, which
+    /// bounds nothing, without the running masses.
+    fn chance_ceiling(&self, mi: usize, task: &Task) -> f64 {
+        let (Some(m), Some(sums)) = (self.machines.get(mi), self.tail_sums.get(mi)) else {
+            return f64::INFINITY;
+        };
+        let exec = self.pet.pmf(task.type_id, m.machine_type);
+        convolved_mass_before(&m.tail, sums, exec, task.deadline)
+    }
+
     fn assign(&mut self, mi: usize, task: &Task) {
         let exec = self.pet.pmf(task.type_id, self.machines[mi].machine_type);
         let step = ChainTask { deadline: task.deadline, exec };
         let (_, tail) = self.eval.step_from(&self.machines[mi].tail, step, self.compaction);
         self.tail_means[mi] = tail.mean().unwrap_or(self.tail_means[mi]);
+        if let Some(sums) = self.tail_sums.get_mut(mi) {
+            running_masses(&tail, sums);
+        }
         self.machines[mi].tail = tail;
         self.machines[mi].free_slots -= 1;
         // No cache invalidation needed: the tail just changed, so stale
@@ -194,9 +229,10 @@ struct Pair {
 }
 
 fn run_two_phase(input: MappingInput<'_>, kind: Kind, scratch: &mut PolicyCtx) -> Vec<Assignment> {
-    let mut state = WorkState::new(&input, scratch);
+    let MappingInput { now, pet, machines, unmapped, compaction } = input;
+    let mut state = WorkState::new(pet, now, machines, compaction, kind, scratch);
     // (original index, task) of still-unmapped tasks.
-    let mut remaining: Vec<(usize, Task)> = input.unmapped.iter().copied().enumerate().collect();
+    let mut remaining: Vec<(usize, Task)> = unmapped.iter().copied().enumerate().collect();
     let mut out = Vec::new();
 
     loop {
@@ -220,9 +256,15 @@ fn run_two_phase(input: MappingInput<'_>, kind: Kind, scratch: &mut PolicyCtx) -
                 let completion = state.expected_completion(mi, task);
                 // Lower key is better; PAM maximises chance with completion
                 // as tie-breaker, folded into a lexicographic pair.
-                let key = match kind {
-                    Kind::MinMin | Kind::MaxMin | Kind::Msd | Kind::Sufferage => completion,
-                    Kind::Pam => -state.chance(mi, task),
+                let key = match (kind, best) {
+                    (Kind::Pam, Some((_, bk, _))) if pam_cannot_win(&state, mi, task, bk) => {
+                        // Neither better than the best so far nor tied
+                        // with it: the not-better branch below, unpriced.
+                        runner_up = runner_up.min(completion);
+                        continue;
+                    }
+                    (Kind::Pam, _) => -state.chance(mi, task),
+                    _ => completion,
                 };
                 let better = match best {
                     None => true,
@@ -292,6 +334,30 @@ fn run_two_phase(input: MappingInput<'_>, kind: Kind, scratch: &mut PolicyCtx) -
         remaining = keep;
     }
     out
+}
+
+/// Whether PAM's phase 1 provably keeps its best key `best_key` (the
+/// negated best chance so far, in machine order) against machine `mi`.
+///
+/// The machine beats the best when its chance exceeds the best's by more
+/// than `f64::EPSILON`, and ties within `f64::EPSILON`. Its chance is at
+/// most the ceiling scaled by `1 + ROUNDING_MARGIN` plus `f64::EPSILON`
+/// (see [`convolved_mass_before`]), so a ceiling that, with that margin
+/// and one more `f64::EPSILON`, stays below the best cannot win or tie.
+/// Skipping it leaves the best unchanged, which is why the comparison must
+/// be against the best so far: the ε tie rule is not transitive.
+fn pam_cannot_win(state: &WorkState<'_>, mi: usize, task: &Task, best_key: f64) -> bool {
+    let ceiling = state.chance_ceiling(mi, task);
+    let skip = ceiling * (1.0 + ROUNDING_MARGIN) + 2.0 * f64::EPSILON < -best_key;
+    debug_assert!(
+        !skip
+            || state.machines.get(mi).is_some_and(|m| {
+                let exec = state.pet.pmf(task.type_id, m.machine_type);
+                -m.tail.convolve(exec).mass_before(task.deadline) - best_key > f64::EPSILON
+            }),
+        "the PAM bound skipped a price that wins or ties on machine {mi}"
+    );
+    skip
 }
 
 /// Phase-2 comparison: does `a` beat `b` for the same machine?

@@ -36,7 +36,7 @@ use crate::observer::{DropKind, ObserverHub, SimEvent, SimObserver};
 use std::collections::VecDeque;
 use taskdrop_core::DropPolicy;
 use taskdrop_model::ctx::{CacheStats, PolicyCtx};
-use taskdrop_model::queue::ChainTask;
+use taskdrop_model::queue::{ChainEvaluator, ChainTask};
 use taskdrop_model::view::{DropContext, MachineView, MappingInput, QueueView};
 use taskdrop_model::{Machine, MachineId, PetMatrix, Task, TaskId, TaskTypeId};
 use taskdrop_pmf::{Pmf, Tick};
@@ -661,12 +661,18 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         let pet = &self.scenario.pet;
         let mut best = 0.0f64;
         for m in self.machines.iter().filter(|m| !m.down) {
-            let tail =
-                queue_tail(pet, self.approx_pet.as_ref(), self.now, m, self.config, &mut self.ctx);
             let exec = pet.pmf(type_id, m.machine.type_id);
             let machine = m.machine.id.index();
-            let chance =
-                self.ctx.tails.chance(machine, type_id.index(), types, &tail, exec, deadline);
+            let approx_pet = self.approx_pet.as_ref();
+            let chance = with_queue_tail(
+                pet,
+                approx_pet,
+                self.now,
+                m,
+                self.config,
+                &mut self.ctx,
+                |tail, ctx| ctx.tails.chance(machine, type_id.index(), types, tail, exec, deadline),
+            );
             best = best.max(chance);
         }
         Ok(best)
@@ -1030,17 +1036,43 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             if ctx.tails.lookup_verdict(key, m.queue_rev, &base, &verdict_ctx) {
                 debug_assert!(
                     dropper
-                        .select_drops_fresh(&queue_view(pet, approx_pet, m, base), &drop_ctx)
+                        .select_drops_fresh(
+                            &queue_view(pet, approx_pet, m, base, config),
+                            &drop_ctx
+                        )
                         .is_empty(),
                     "memoised keep-all verdict is stale for {}",
                     m.machine.id
                 );
                 continue;
             }
-            let view = queue_view(pet, approx_pet, m, base);
+            let view = queue_view(pet, approx_pet, m, base, config);
             let decision = dropper.select_drops(&view, &drop_ctx, ctx);
             if decision.is_empty() {
-                ctx.tails.store_verdict(key, m.queue_rev, view.base, verdict_ctx);
+                // The queue stays as the policy saw it, so the last link of
+                // a keep-all chain it read is the queue's tail under the
+                // same key: the mapping phase's `queue_tail` then hits.
+                let (base, chain) = view.into_parts();
+                if let Some(last) = chain.and_then(|mut links| links.pop()) {
+                    debug_assert_eq!(
+                        last.completion,
+                        ChainEvaluator::new().tail(
+                            &base,
+                            &chain_tasks(pet, approx_pet, m),
+                            config.compaction
+                        ),
+                        "the keep-all chain's last link is not {}'s tail",
+                        m.machine.id
+                    );
+                    ctx.tails.store_tail(
+                        key,
+                        m.queue_rev,
+                        base.clone(),
+                        config.compaction,
+                        last.completion,
+                    );
+                }
+                ctx.tails.store_verdict(key, m.queue_rev, base, verdict_ctx);
                 continue;
             }
             // Drops and degrades both change what a tail chain sees.
@@ -1439,7 +1471,7 @@ fn start_next<H: ObserverHub>(
         } else {
             full_exec
         };
-        let finish = now + exec;
+        let finish = now.saturating_add(exec);
         m.epoch += 1;
         if config.kill_running_at_deadline && finish >= task.deadline {
             // The execution will overshoot (or exactly meet) the
@@ -1479,9 +1511,10 @@ fn queue_base(
     };
     let source = if r.degraded { approx_pet.unwrap_or(pet) } else { pet };
     let shifted = source.pmf(r.task.type_id, m.machine.type_id).shift(r.start);
-    let mut completion = shifted.condition_at_least(now + 1).unwrap_or_else(|| Pmf::point(now + 1));
+    let next = now.saturating_add(1);
+    let mut completion = shifted.condition_at_least(next).unwrap_or_else(|| Pmf::point(next));
     if self_kill_applies(config, r, now) {
-        completion = completion.clamp_max(r.task.deadline.max(now + 1));
+        completion = completion.clamp_max(r.task.deadline.max(next));
     }
     completion
 }
@@ -1505,25 +1538,28 @@ fn chain_tasks<'p>(
         .collect()
 }
 
-/// The dropping policy's input for `m`'s queue: its Eq-1 chain from `base`,
-/// plus each pending entry's approximate-variant PMF while it can still be
-/// degraded (empty when approximate computing is off).
+/// The dropping policy's input for `m`'s queue: its Eq-1 chain from `base`
+/// under the run's compaction, plus each pending entry's approximate-variant
+/// PMF while it can still be degraded (empty when approximate computing is
+/// off).
 fn queue_view<'p>(
     pet: &'p PetMatrix,
     approx_pet: Option<&'p PetMatrix>,
     m: &MachineSt,
     base: Pmf,
+    config: SimConfig,
 ) -> QueueView<'p> {
-    QueueView {
+    QueueView::new(
         base,
-        tasks: chain_tasks(pet, approx_pet, m),
-        degradable: approx_pet.map_or_else(Vec::new, |apet| {
+        chain_tasks(pet, approx_pet, m),
+        approx_pet.map_or_else(Vec::new, |apet| {
             m.pending
                 .iter()
                 .map(|qt| (!qt.degraded).then(|| apet.pmf(qt.task.type_id, m.machine.type_id)))
                 .collect()
         }),
-    }
+        config.compaction,
+    )
 }
 
 /// The clamp only applies while the kill can still fire (deadline ahead).
@@ -1544,14 +1580,6 @@ fn known_type(scenario: &Scenario, type_id: TaskTypeId) -> Result<(), SimError> 
 /// Completion PMF of the queue tail: where a newly appended task would wait,
 /// chained from the same [`queue_base`] and [`chain_tasks`] inputs a
 /// dropping policy reads.
-///
-/// Served through the persistent [`PolicyCtx`]: the cache key is the
-/// complete input of the chain — the machine's queue revision (pending
-/// content), the predecessor completion `base` (running task + clock) and
-/// the compaction policy — so a hit is bit-identical to recomputation.
-/// Empty queues return `base` directly without touching the cache (no
-/// chain work to save). Misses re-chain with the shared evaluator scratch
-/// and refill the entry.
 fn queue_tail(
     pet: &PetMatrix,
     approx_pet: Option<&PetMatrix>,
@@ -1560,17 +1588,40 @@ fn queue_tail(
     config: SimConfig,
     ctx: &mut PolicyCtx,
 ) -> Pmf {
+    with_queue_tail(pet, approx_pet, now, m, config, ctx, |tail, _| tail.clone())
+}
+
+/// Runs `read` on `m`'s queue tail without copying it.
+///
+/// The tail is served through the persistent [`PolicyCtx`]: the cache key
+/// is the complete input of the chain — the machine's queue revision
+/// (pending content), the predecessor completion `base` (running task +
+/// clock) and the compaction policy — so a hit is bit-identical to
+/// recomputation. A hit lends the cached tail and a miss re-chains with the
+/// shared evaluator scratch; either way the tail goes back into the cache
+/// under its key. Empty queues read `base` directly without touching the
+/// cache (no chain work to save).
+fn with_queue_tail<R>(
+    pet: &PetMatrix,
+    approx_pet: Option<&PetMatrix>,
+    now: Tick,
+    m: &MachineSt,
+    config: SimConfig,
+    ctx: &mut PolicyCtx,
+    read: impl FnOnce(&Pmf, &mut PolicyCtx) -> R,
+) -> R {
     let base = queue_base(pet, approx_pet, now, m, config);
     if m.pending.is_empty() {
-        return base;
+        return read(&base, ctx);
     }
     let key = m.machine.id.index();
-    if let Some(tail) = ctx.tails.lookup_tail(key, m.queue_rev, &base, config.compaction) {
-        return tail;
-    }
-    let tail = ctx.eval.tail(&base, &chain_tasks(pet, approx_pet, m), config.compaction);
-    ctx.tails.store_tail(key, m.queue_rev, base, config.compaction, tail.clone());
-    tail
+    let tail = match ctx.tails.take_tail(key, m.queue_rev, &base, config.compaction) {
+        Some(tail) => tail,
+        None => ctx.eval.tail(&base, &chain_tasks(pet, approx_pet, m), config.compaction),
+    };
+    let out = read(&tail, ctx);
+    ctx.tails.store_tail(key, m.queue_rev, base, config.compaction, tail);
+    out
 }
 
 #[cfg(test)]
@@ -1727,6 +1778,23 @@ mod tests {
         for id in ids {
             assert!(core.fate(id).is_some());
         }
+    }
+
+    /// Tasks whose arrival and deadline sit at the end of the tick range
+    /// are priced, queued, dropped or run, and resolved: completions past
+    /// `Tick::MAX` saturate there instead of overflowing.
+    #[test]
+    fn tasks_at_the_end_of_the_tick_range_resolve() {
+        let s = Scenario::specint(5);
+        let dropper = ProactiveDropper::paper_default();
+        let mut core = SimCore::open(&s, &Pam, &dropper, cfg(), 1).unwrap();
+        let ids: Vec<TaskId> = (0..3 * s.machine_count() as u64)
+            .map(|k| core.inject(TaskTypeId((k % 12) as u16), u64::MAX - 10, u64::MAX).unwrap())
+            .collect();
+        core.step();
+        let r = core.run_to_completion().unwrap();
+        assert!(r.is_conserved());
+        assert!(ids.iter().all(|&id| core.fate(id).is_some()));
     }
 
     #[test]

@@ -65,13 +65,15 @@ impl DropPolicy for PanicThreshold {
     fn select_drops(
         &self,
         queue: &QueueView<'_>,
-        ctx: &DropContext,
+        _ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        // The view holds the queue's Eq-1 chain inputs; the engine-provided
-        // scratch keeps even a custom policy allocation-free: the fused
-        // evaluator's buffers persist across mapping events.
-        let links = scratch.eval.chain(&queue.base, &queue.tasks, ctx.compaction);
+        // The view holds the queue's Eq-1 chain inputs and evaluates the
+        // keep-all chain once on first read, with the engine-provided
+        // scratch: the fused evaluator's buffers persist across mapping
+        // events. A queue this policy keeps whole then lends the engine
+        // its tail for free.
+        let links = queue.keep_all(&mut scratch.eval);
         DropDecision::drops(
             links.iter().enumerate().filter(|(_, l)| l.chance < 0.05).map(|(i, _)| i).collect(),
         )

@@ -81,7 +81,7 @@ fn main() {
 
     let dropper = ProactiveDropper::paper_default();
     // A policy reads exactly these chain inputs.
-    let queue = QueueView { base, tasks, degradable: Vec::new() };
+    let queue = QueueView::new(base, tasks, Vec::new(), Compaction::None);
     let ctx = DropContext::plain(Compaction::None);
     println!("\n  ProactiveDropper agrees: {:?}", dropper.select_drops_fresh(&queue, &ctx).drops);
     println!("  (position 0 = task A is proactively dropped)");

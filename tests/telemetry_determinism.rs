@@ -107,10 +107,10 @@ fn telemetry_attachment_is_observationally_free() {
     assert_eq!(
         bare.cache_stats(),
         CacheStats {
-            tail_hits: 1_860,
-            tail_misses: 2_087,
-            conv_hits: 569,
-            conv_misses: 4_196,
+            tail_hits: 3_238,
+            tail_misses: 709,
+            conv_hits: 135,
+            conv_misses: 1_554,
             verdict_hits: 3_553,
             verdict_misses: 2_725,
         }
