@@ -3,7 +3,7 @@
 //!
 //! A single task's chance of success is the mass of its completion PMF
 //! before its deadline — the best up machine's queue tail convolved with
-//! the task's execution PMF, priced by [`SimCore::best_chance`] from the
+//! the task's execution PMF, priced by [`SimCore::best_chances`] from the
 //! core's persistent PET×tail cache (the convolutions the PAM mapper and
 //! admission read too). A graph *node*'s output is only useful if its
 //! descendants deliver too, so the graph layer prices the **subtree**:
@@ -24,10 +24,26 @@
 //! with its slack as the deadline window — release times of deep
 //! descendants are unknowable before their predecessors finish, so "could
 //! this node make it if released into queues shaped like this?" is the
-//! honest question.
+//! honest question. A release batch prices only the released nodes and
+//! their descendants, each distinct `(type, deadline)` once, in one walk
+//! over the machines ([`released_subtree_chances`]).
 
 use crate::graph::TaskGraph;
+use std::collections::BTreeMap;
+use taskdrop_model::TaskTypeId;
+use taskdrop_pmf::Tick;
 use taskdrop_sim::{ObserverHub, SimCore, SimError};
+
+/// One node's pricing query: its type, and its slack from now as the
+/// deadline (saturating at `Tick::MAX`).
+fn own_query<H: ObserverHub>(
+    graph: &TaskGraph,
+    node: u32,
+    core: &SimCore<'_, H>,
+) -> (TaskTypeId, Tick) {
+    let spec = graph.node(node);
+    (spec.type_id, core.now().saturating_add(spec.slack))
+}
 
 /// One node's own chance: released now, with its slack as the window.
 fn own_chance<H: ObserverHub>(
@@ -35,14 +51,14 @@ fn own_chance<H: ObserverHub>(
     node: u32,
     core: &mut SimCore<'_, H>,
 ) -> Result<f64, SimError> {
-    let spec = graph.node(node);
-    let deadline = core.now() + spec.slack;
-    core.best_chance(spec.type_id, deadline)
+    let (type_id, deadline) = own_query(graph, node, core);
+    core.best_chance(type_id, deadline)
 }
 
 /// Per-node critical-path subtree chances for the whole graph, indexed by
 /// node: entry `n` is the chance that node `n` *and* its weakest
-/// descendant chain all succeed, priced against `core`'s queues now.
+/// descendant chain all succeed, priced against `core`'s queues now. The
+/// whole-graph case of [`released_subtree_chances`].
 ///
 /// # Errors
 ///
@@ -52,15 +68,89 @@ pub fn subtree_chances<H: ObserverHub>(
     graph: &TaskGraph,
     core: &mut SimCore<'_, H>,
 ) -> Result<Vec<f64>, SimError> {
-    let mut chance = vec![0.0f64; graph.len()];
-    // Reverse topological order: successors are always priced first.
-    for &node in graph.topo().iter().rev() {
-        let own = own_chance(graph, node, core)?;
-        let downstream =
-            graph.succs(node).iter().map(|&s| chance[s as usize]).fold(1.0f64, f64::min);
-        chance[node as usize] = own * downstream;
+    let every: Vec<(&TaskGraph, u32)> = (0..graph.len() as u32).map(|node| (graph, node)).collect();
+    released_subtree_chances(&every, core)
+}
+
+/// The critical-path subtree chance of each released `(graph, node)`, in
+/// order, priced against `core`'s queues now: for each node, the value
+/// [`subtree_chances`] gives it, bit for bit.
+///
+/// A subtree chance reads only the node and its descendants, so only the
+/// released nodes and their descendants are priced. Equal `(type,
+/// deadline)` pairs among them are priced once, and every pair in one
+/// [`SimCore::best_chances`] walk over the machines. Entries that name the
+/// same graph (the same `&TaskGraph`) share one fold.
+///
+/// # Errors
+///
+/// [`SimError::UnknownTaskType`] if a priced node names a task type the
+/// core's scenario lacks; then nothing is priced.
+///
+/// # Panics
+///
+/// Panics if a released node is out of range for its graph.
+pub fn released_subtree_chances<H: ObserverHub>(
+    released: &[(&TaskGraph, u32)],
+    core: &mut SimCore<'_, H>,
+) -> Result<Vec<f64>, SimError> {
+    let mut queries = Vec::new();
+    let mut query_of = BTreeMap::new();
+    // Per graph, each node's query, or `None` outside the released subtrees.
+    let mut folds: Vec<(&TaskGraph, Vec<Option<usize>>)> = Vec::new();
+    let mut fold_of = Vec::with_capacity(released.len());
+    for &(graph, node) in released {
+        let at = folds.iter().position(|(g, _)| std::ptr::eq(*g, graph)).unwrap_or_else(|| {
+            folds.push((graph, vec![None; graph.len()]));
+            folds.len() - 1
+        });
+        fold_of.push(at);
+        let Some((_, own)) = folds.get_mut(at) else { continue };
+        let mut stack = vec![node];
+        while let Some(next) = stack.pop() {
+            let query = own_query(graph, next, core);
+            let Some(slot @ None) = own.get_mut(next as usize) else { continue };
+            let fresh = queries.len();
+            *slot = Some(*query_of.entry(query).or_insert_with(|| {
+                queries.push(query);
+                fresh
+            }));
+            stack.extend_from_slice(graph.succs(next));
+        }
     }
-    Ok(chance)
+    let prices = core.best_chances(&queries)?;
+    let chances: Vec<Vec<f64>> =
+        folds.iter().map(|(graph, own)| fold_subtrees(graph, own, &prices)).collect();
+    Ok(released
+        .iter()
+        .zip(fold_of)
+        .map(|(&(_, node), at)| {
+            chances.get(at).and_then(|c| c.get(node as usize)).copied().unwrap_or_default()
+        })
+        .collect())
+}
+
+/// `subtree(n) = own(n) × min over successors s of subtree(s)` for every
+/// node with a query in `own`, indexed by node (0 for the rest). Reverse
+/// topological order prices successors first; a priced node's successors
+/// are all priced, since the released subtrees are closed under descent.
+fn fold_subtrees(graph: &TaskGraph, own: &[Option<usize>], prices: &[f64]) -> Vec<f64> {
+    let mut chance = vec![0.0f64; graph.len()];
+    for &node in graph.topo().iter().rev() {
+        let Some(&price) = own.get(node as usize).copied().flatten().and_then(|q| prices.get(q))
+        else {
+            continue;
+        };
+        let downstream = graph
+            .succs(node)
+            .iter()
+            .map(|&s| chance.get(s as usize).copied().unwrap_or_default())
+            .fold(1.0f64, f64::min);
+        if let Some(slot) = chance.get_mut(node as usize) {
+            *slot = price * downstream;
+        }
+    }
+    chance
 }
 
 /// The exhaustive counterpart of [`subtree_chances`] for one node: the

@@ -20,13 +20,12 @@
 //! resuming from [`DagCheckpoint::restore`] is byte-identical to never
 //! having stopped (the tap is derived state: attach a fresh one).
 
-use crate::chance::subtree_chances;
+use crate::chance::released_subtree_chances;
 use crate::error::DagError;
 use crate::graph::TaskGraph;
 use crate::stats::DagStats;
 use crate::tap::DagTap;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::{BTreeMap, Entry};
 use taskdrop_core::DropPolicy;
 use taskdrop_model::{TaskId, TaskTypeId};
 use taskdrop_obs::{DagRecord, Telemetry};
@@ -43,11 +42,11 @@ pub enum PrunePolicy {
     #[default]
     Off,
     /// At release, estimate the node's critical-path subtree chance
-    /// ([`subtree_chances`]) against the queues as they stand and
-    /// forfeit the node *and its whole subtree* below `threshold` — the
-    /// paper's probabilistic pruning lifted from tasks to chains: work
-    /// whose weakest downstream link is already doomed never wastes a
-    /// queue slot.
+    /// ([`subtree_chances`](crate::subtree_chances)) against the queues as
+    /// they stand and forfeit the node *and its whole subtree* below
+    /// `threshold` — the paper's probabilistic pruning lifted from tasks
+    /// to chains: work whose weakest downstream link is already doomed
+    /// never wastes a queue slot.
     PruneSubtree {
         /// Minimum acceptable subtree chance in `[0, 1]`.
         threshold: f64,
@@ -311,7 +310,7 @@ impl DagCoordinator {
                 self.graphs.get(r.graph as usize).is_some_and(|run| {
                     let spec = run.graph.node(r.node);
                     spec.type_id == key.type_id
-                        && key.arrival.checked_add(spec.slack) == Some(key.deadline)
+                        && key.arrival.saturating_add(spec.slack) == key.deadline
                 })
             };
             let riders = self.in_flight.iter().find(|(t, _)| t == task).map(|(_, refs)| refs);
@@ -544,20 +543,17 @@ impl DagCoordinator {
         // Pruning prices every released node's subtree against the queues
         // as they stand at the release instant (the paper's batch
         // discipline: tails are a function of the instant, not of the
-        // offer); each graph is priced once per batch.
+        // offer), the whole batch in one walk over the machines.
         let survivors: Vec<NodeRef> = match self.prune {
             PrunePolicy::Off => batch.to_vec(),
             PrunePolicy::PruneSubtree { threshold } => {
-                let mut memo: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+                let released: Vec<(&TaskGraph, u32)> =
+                    batch.iter().map(|r| (&self.graphs[r.graph as usize].graph, r.node)).collect();
+                let chances = released_subtree_chances(&released, core)?;
                 let mut survivors = Vec::with_capacity(batch.len());
                 let mut pruned = Vec::new();
-                for &r in batch {
-                    let chances = match memo.entry(r.graph) {
-                        Entry::Occupied(priced) => priced.into_mut(),
-                        Entry::Vacant(slot) => slot
-                            .insert(subtree_chances(&self.graphs[r.graph as usize].graph, core)?),
-                    };
-                    if chances[r.node as usize] < threshold {
+                for (&r, chance) in batch.iter().zip(chances) {
+                    if chance < threshold {
                         pruned.push(r);
                     } else {
                         survivors.push(r);
@@ -573,7 +569,7 @@ impl DagCoordinator {
         self.merge_index.retain(|(key, _)| key.arrival >= release);
         for r in survivors {
             let spec = self.graphs[r.graph as usize].graph.node(r.node);
-            let deadline = release + spec.slack;
+            let deadline = release.saturating_add(spec.slack);
             let key = MergeKey { arrival: release, type_id: spec.type_id, deadline };
             if self.merging {
                 // An identical request already in flight? Ride it. (The
@@ -897,6 +893,31 @@ mod tests {
         assert_eq!(result.forfeited, 2);
         assert!(result.is_conserved());
         assert_eq!(result.total_tasks, 2 + 2, "2 injected + 2 forfeited ride the totals");
+    }
+
+    /// A chain whose deadlines fall past `Tick::MAX` is released with its
+    /// deadlines saturated there, and drains with every node resolved,
+    /// under plain release, merging, pruning and pre-drop admission.
+    #[test]
+    fn deadlines_past_the_last_tick_saturate_and_the_chain_drains() {
+        use taskdrop_serve::BackpressurePolicy;
+        let s = Scenario::specint(11);
+        let pre_drop = AdmissionController::new(4, BackpressurePolicy::PreDrop { threshold: 0.25 });
+        let coordinators = [
+            DagCoordinator::new(),
+            DagCoordinator::new().with_merging(),
+            DagCoordinator::new().with_pruning(0.25),
+            DagCoordinator::new().with_admission(pre_drop),
+        ];
+        for mut coord in coordinators {
+            let mut core = open_core(&s);
+            let tap = DagTap::new();
+            tap.attach(&mut core);
+            coord.add_graph(&mut core, graph(Tick::MAX - 50, &[100, 100], &[(0, 1)])).unwrap();
+            coord.run_to_drain(&mut core, &tap).unwrap();
+            assert!(coord.all_resolved() && coord.audit(), "{coord:?}");
+            assert_eq!(coord.stats().nodes, 2);
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod graph;
 mod stats;
 mod tap;
 
-pub use chance::{exhaustive_subtree_chance, subtree_chances};
+pub use chance::{exhaustive_subtree_chance, released_subtree_chances, subtree_chances};
 pub use coordinator::{DagCheckpoint, DagCoordinator, NodeRef, NodeState, PrunePolicy};
 pub use error::DagError;
 pub use graph::{NodeSpec, TaskGraph};

@@ -46,7 +46,9 @@ pub struct CacheStats {
     pub tail_misses: u64,
     /// Eq 2 pricings whose `(tail, exec)` matched their slot's key: the
     /// chance is read from the slot's running sums, after extending them
-    /// when the deadline is later than any the slot has seen.
+    /// when the deadline is later than any the slot has seen. Prices
+    /// against a unit-point tail take no slot and count in neither
+    /// counter.
     pub conv_hits: u64,
     /// Eq 2 pricings whose `(tail, exec)` did not match: the slot is
     /// re-keyed and its sums recomputed up to the deadline.
@@ -300,7 +302,11 @@ impl TailCache {
     /// of success is priced from a queue tail — mapping, admission and
     /// pruning all read it here, so each warms the slots the others reuse.
     ///
-    /// The `(machine, task_type)` slot keeps the running sums of its last
+    /// A tail that is one impulse of mass exactly 1.0 at `t0`, such as an
+    /// idle machine's `Pmf::point(now)`, is priced straight from the PET as
+    /// `exec.mass_before(deadline − t0)` and touches no slot: every cell of
+    /// `point ⊛ exec` is `1.0 × p`, so the bits are the same. Otherwise the
+    /// `(machine, task_type)` slot keeps the running sums of its last
     /// `(tail, exec)`: a call whose inputs match it is a conv hit, and
     /// reads one sum (after extending the sums if this deadline is later
     /// than any before); any other call is a conv miss and re-keys the
@@ -317,6 +323,9 @@ impl TailCache {
         exec: &Pmf,
         deadline: Tick,
     ) -> f64 {
+        if let Some(t0) = unit_point(tail) {
+            return exec.mass_before(deadline.saturating_sub(t0));
+        }
         let TailCache { convs, conv_types, stats, .. } = self;
         if *conv_types != types {
             convs.clear();
@@ -339,6 +348,15 @@ impl TailCache {
             };
             entry.chance(deadline)
         })
+    }
+}
+
+/// The tick of `pmf` when it is one impulse of mass exactly 1.0.
+fn unit_point(pmf: &Pmf) -> Option<Tick> {
+    let mut impulses = pmf.iter();
+    match (impulses.next(), impulses.next()) {
+        (Some(only), None) if only.p == 1.0 => Some(only.t),
+        _ => None,
     }
 }
 
@@ -446,7 +464,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.conv_hits, stats.conv_misses), (3, 1));
         // A different tail in the same slot recomputes.
-        let moved = Pmf::point(40);
+        let moved = Pmf::from_impulses(vec![(40, 0.5), (41, 0.5)]).unwrap();
         let recomputed = cache.chance(1, 0, 3, &moved, &exec, 48);
         assert_eq!(recomputed.to_bits(), moved.convolve(&exec).mass_before(48).to_bits());
         assert_eq!(cache.stats().conv_misses, 2);
@@ -455,11 +473,11 @@ mod tests {
     #[test]
     fn conv_stride_change_drops_the_table() {
         let mut cache = TailCache::new();
-        let tail = Pmf::point(10);
+        let tail = Pmf::from_impulses(vec![(10, 0.5), (11, 0.5)]).unwrap();
         let exec = Pmf::point(5);
-        assert_eq!(cache.chance(0, 1, 4, &tail, &exec, 16), 1.0);
+        assert_eq!(cache.chance(0, 1, 4, &tail, &exec, 17), 1.0);
         // Same (machine, type) under a different stride must not alias.
-        assert_eq!(cache.chance(0, 1, 2, &tail, &exec, 16), 1.0);
+        assert_eq!(cache.chance(0, 1, 2, &tail, &exec, 17), 1.0);
         assert_eq!(cache.stats().conv_misses, 2);
     }
 

@@ -409,7 +409,7 @@ fn priced_below<H: ObserverHub>(
     task: &OfferedTask,
     threshold: f64,
 ) -> bool {
-    let deadline = core.now() + task.deadline.saturating_sub(task.arrival);
+    let deadline = core.now().saturating_add(task.deadline.saturating_sub(task.arrival));
     core.best_chance(task.type_id, deadline).is_ok_and(|chance| chance < threshold)
 }
 
@@ -541,6 +541,20 @@ mod tests {
         );
         let stats = ctl.stats();
         assert_eq!((stats.offered, stats.admitted, stats.expired, stats.invalid), (4, 1, 1, 1));
+    }
+
+    /// The pre-drop gate prices a late offer's slack window from now; a
+    /// window that reaches past `Tick::MAX` saturates there.
+    #[test]
+    fn a_window_past_the_last_tick_saturates_at_the_gate() {
+        let s = Scenario::specint(5);
+        let mut core = open_core(&s);
+        core.inject(TaskTypeId(0), 0, 5_000).unwrap();
+        core.run_until(100);
+        assert!(core.now() > 0, "the clock moved past the offer's arrival");
+        let mut ctl = AdmissionController::new(2, BackpressurePolicy::PreDrop { threshold: 0.25 });
+        let late = OfferedTask { type_id: TaskTypeId(0), arrival: 0, deadline: Tick::MAX };
+        assert!(ctl.admit_now(late, &mut core).unwrap().is_some(), "a roomy offer is admitted");
     }
 
     #[test]

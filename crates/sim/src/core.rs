@@ -39,7 +39,7 @@ use taskdrop_model::ctx::{CacheStats, PolicyCtx};
 use taskdrop_model::queue::{ChainEvaluator, ChainTask};
 use taskdrop_model::view::{DropContext, MachineView, MappingInput, QueueView};
 use taskdrop_model::{Machine, MachineId, PetMatrix, Task, TaskId, TaskTypeId};
-use taskdrop_pmf::{Pmf, Tick};
+use taskdrop_pmf::{convolved_mass_before, running_masses, Pmf, Tick, ROUNDING_MARGIN};
 use taskdrop_sched::MappingHeuristic;
 use taskdrop_stats::{derive_seed, new_rng};
 use taskdrop_workload::{Scenario, Workload};
@@ -642,38 +642,91 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 
     /// The paper's Eq 2 for a task of `type_id` appended *right now*: the
     /// best chance, over the machines that are up, that it completes
-    /// before `deadline`. Each machine's queue tail (as
-    /// [`SimCore::queue_tail_estimate`] gives it) is priced against the
-    /// task's learned execution PMF by the same [`TailCache::chance`] the
-    /// PAM mapper uses, so admission, pruning and mapping share one table
-    /// of `tail ⊛ exec` running sums. Down machines are skipped — the
-    /// mapper gives them no work — so the chance is 0 when every machine
-    /// is down.
+    /// before `deadline`. The one-query case of [`SimCore::best_chances`].
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownTaskType`] for a type the scenario lacks.
+    pub fn best_chance(&mut self, type_id: TaskTypeId, deadline: Tick) -> Result<f64, SimError> {
+        Ok(self.best_chances(&[(type_id, deadline)])?.pop().unwrap_or_default())
+    }
+
+    /// The paper's Eq 2 for each `(type, deadline)` query, all priced at
+    /// this instant: per query, the best chance over the machines that are
+    /// up that a task of that type appended *right now* completes before
+    /// the deadline, in query order. Each machine's queue tail (as
+    /// [`SimCore::queue_tail_estimate`] gives it) is priced against the
+    /// task's learned execution PMF by the same [`TailCache::chance`] the
+    /// PAM mapper uses, so admission, pruning and mapping share one table
+    /// of `tail ⊛ exec` running sums. Down machines are skipped — the
+    /// mapper gives them no work — so a chance is 0 when every machine is
+    /// down.
+    ///
+    /// One walk over the machines serves every query. Idle machines come
+    /// first: their tail is a point at now, priced straight from the PET,
+    /// so they raise each query's best early. Each busy machine's tail is
+    /// looked up once, and a query's price on it is skipped when its
+    /// ceiling from the tail's running masses shows it cannot exceed the
+    /// query's best so far (DESIGN.md §13). The max of the prices is the
+    /// same in any order, and a skipped price is at most the max, so every
+    /// chance is bit-identical to pricing every machine.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownTaskType`] if a query names a type the scenario
+    /// lacks; then nothing is priced.
     ///
     /// [`TailCache::chance`]: taskdrop_model::TailCache::chance
-    pub fn best_chance(&mut self, type_id: TaskTypeId, deadline: Tick) -> Result<f64, SimError> {
-        known_type(self.scenario, type_id)?;
+    pub fn best_chances(&mut self, queries: &[(TaskTypeId, Tick)]) -> Result<Vec<f64>, SimError> {
+        for &(type_id, _) in queries {
+            known_type(self.scenario, type_id)?;
+        }
+        let mut best = vec![0.0f64; queries.len()];
+        if queries.is_empty() {
+            return Ok(best);
+        }
         let types = self.scenario.task_type_count();
         let pet = &self.scenario.pet;
-        let mut best = 0.0f64;
-        for m in self.machines.iter().filter(|m| !m.down) {
-            let exec = pet.pmf(type_id, m.machine.type_id);
+        let (now, config) = (self.now, self.config);
+        let idle_tail = Pmf::point(now);
+        let up = || self.machines.iter().filter(|m| !m.down);
+        for m in up().filter(|m| m.occupancy() == 0) {
+            let machine = m.machine.id.index();
+            for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
+                let exec = pet.pmf(type_id, m.machine.type_id);
+                let chance = self.ctx.tails.chance(
+                    machine,
+                    type_id.index(),
+                    types,
+                    &idle_tail,
+                    exec,
+                    deadline,
+                );
+                *best = best.max(chance);
+            }
+        }
+        let mut sums = Vec::new();
+        for m in up().filter(|m| m.occupancy() > 0) {
             let machine = m.machine.id.index();
             let approx_pet = self.approx_pet.as_ref();
-            let chance = with_queue_tail(
-                pet,
-                approx_pet,
-                self.now,
-                m,
-                self.config,
-                &mut self.ctx,
-                |tail, ctx| ctx.tails.chance(machine, type_id.index(), types, tail, exec, deadline),
-            );
-            best = best.max(chance);
+            with_queue_tail(pet, approx_pet, now, m, config, &mut self.ctx, |tail, ctx| {
+                let mut summed = false;
+                for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
+                    let exec = pet.pmf(type_id, m.machine.type_id);
+                    if *best > 0.0 {
+                        if !summed {
+                            running_masses(tail, &mut sums);
+                            summed = true;
+                        }
+                        if cannot_raise(tail, &sums, exec, deadline, *best) {
+                            continue;
+                        }
+                    }
+                    let chance =
+                        ctx.tails.chance(machine, type_id.index(), types, tail, exec, deadline);
+                    *best = best.max(chance);
+                }
+            });
         }
         Ok(best)
     }
@@ -1589,6 +1642,25 @@ fn queue_tail(
     ctx: &mut PolicyCtx,
 ) -> Pmf {
     with_queue_tail(pet, approx_pet, now, m, config, ctx, |tail, _| tail.clone())
+}
+
+/// Whether the price of `exec` appended behind `tail`, before `deadline`,
+/// provably cannot exceed `best`, so [`SimCore::best_chances`] may skip it.
+///
+/// The price is at most the ceiling summed from `tail_sums` (the tail's
+/// [`running_masses`]) scaled by `1 + ROUNDING_MARGIN`, plus
+/// `f64::EPSILON` (see [`convolved_mass_before`]). A ceiling that, with
+/// that margin and one more `f64::EPSILON`, is at most `best` bounds a
+/// price that cannot raise the max. Debug builds recompute each skipped
+/// price without the cache and check it.
+fn cannot_raise(tail: &Pmf, tail_sums: &[f64], exec: &Pmf, deadline: Tick, best: f64) -> bool {
+    let ceiling = convolved_mass_before(tail, tail_sums, exec, deadline);
+    let skip = ceiling * (1.0 + ROUNDING_MARGIN) + 2.0 * f64::EPSILON <= best;
+    debug_assert!(
+        !skip || tail.convolve(exec).mass_before(deadline) <= best,
+        "the pricing bound skipped a price that raises the best chance {best}"
+    );
+    skip
 }
 
 /// Runs `read` on `m`'s queue tail without copying it.

@@ -17,15 +17,17 @@
 //! 4. **One pricing path**: `SimCore::best_chance` — the Eq 2 chance that
 //!    admission and pruning read — is the cached `tail ⊛ exec` mass before
 //!    the deadline, maximised over the machines that are up, and a cold
-//!    restored twin prices bit-identically.
+//!    restored twin prices bit-identically. One `SimCore::best_chances`
+//!    batch prices every query as the one-query calls do.
 //! 5. **Running sums price exactly**: `TailCache::chance`, which keeps the
 //!    running sums of `tail ⊛ exec` only up to the latest deadline asked,
 //!    equals `tail.convolve(exec).mass_before(deadline)` bit for bit in
-//!    any deadline order, and counts one conv hit or miss per call.
+//!    any deadline order, and counts one conv hit or miss per call; a
+//!    unit-point tail is priced from the exec alone and counts none.
 
 use proptest::prelude::*;
 use taskdrop::model::TailCache;
-use taskdrop::pmf::{ChainEvaluator, ChainTask};
+use taskdrop::pmf::{ChainEvaluator, ChainTask, DENSE_SPAN_LIMIT, MASS_EPSILON};
 use taskdrop::prelude::*;
 
 fn cfg() -> SimConfig {
@@ -233,7 +235,10 @@ proptest! {
     /// off, `best_chance` equals the max over up machines of the cached
     /// `tail ⊛ exec` mass before the deadline bit for bit, sits within
     /// 1e-12 of the fused kernel, and a cold restored twin prices every
-    /// query bit-identically to the warm core.
+    /// query bit-identically to the warm core. One `best_chances` batch of
+    /// the queries, one of them twice, gives the same bits on the warm
+    /// core and on another cold twin; a batch naming an unknown type is
+    /// refused with no cache counter moved.
     #[test]
     fn best_chance_is_the_cached_eq2_over_up_machines(
         seed in 0u64..500,
@@ -255,11 +260,33 @@ proptest! {
         }
         static PAM: Pam = Pam;
         static DROPPER: ReactiveOnly = ReactiveOnly;
-        let mut cold = SimCore::restore(&scenario, &PAM, &DROPPER, &warm.snapshot()).unwrap();
+        let checkpoint = warm.snapshot();
+        let mut cold = SimCore::restore(&scenario, &PAM, &DROPPER, &checkpoint).unwrap();
         for (&(t, window), &price) in queries.iter().zip(&warm_prices) {
             let again = cold.best_chance(TaskTypeId(t), now + window).unwrap();
             prop_assert_eq!(again.to_bits(), price.to_bits(), "type {} window {}", t, window);
         }
+        // One batch, with its first query repeated at the end, prices every
+        // query as the one-query calls did, on the warm core and on a cold
+        // restored twin.
+        let mut batch: Vec<(TaskTypeId, Tick)> =
+            queries.iter().map(|&(t, window)| (TaskTypeId(t), now + window)).collect();
+        batch.extend(batch.first().copied());
+        let expected: Vec<u64> =
+            warm_prices.iter().chain(warm_prices.first()).map(|p| p.to_bits()).collect();
+        let mut cold_batch = SimCore::restore(&scenario, &PAM, &DROPPER, &checkpoint).unwrap();
+        for core in [&mut warm, &mut cold_batch] {
+            let batched = core.best_chances(&batch).unwrap();
+            prop_assert_eq!(batched.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected.clone());
+        }
+        // A batch that names an unknown type is refused before any price.
+        batch.insert(batch.len() / 2, (TaskTypeId(12), now + 5));
+        let before = warm.cache_stats();
+        prop_assert_eq!(
+            warm.best_chances(&batch),
+            Err(SimError::UnknownTaskType { type_id: 12, task_types: 12 })
+        );
+        prop_assert_eq!(warm.cache_stats(), before);
     }
 }
 
@@ -285,6 +312,20 @@ fn arb_pmf() -> impl Strategy<Value = Pmf> {
     })
 }
 
+/// A unit-point tail (one impulse of mass exactly 1.0), at a tick drawn
+/// from the first few thousand or, one time in four, from the last few
+/// thousand before `Tick::MAX`.
+fn arb_unit_point() -> impl Strategy<Value = Pmf> {
+    (0u8..4, 0u64..5_000)
+        .prop_map(|(kind, t)| Pmf::point(if kind == 0 { Tick::MAX - t } else { t }))
+}
+
+/// Whether `pmf` is one impulse of mass exactly 1.0, which
+/// `TailCache::chance` prices without a slot.
+fn is_unit_point(pmf: &Pmf) -> bool {
+    pmf.len() == 1 && pmf.iter().all(|i| i.p == 1.0)
+}
+
 proptest! {
     // The default config reads PROPTEST_CASES; CI runs a deep pass.
 
@@ -295,12 +336,19 @@ proptest! {
     /// order in its own slot — and then again after the first slot is
     /// re-keyed with the roles swapped and the second with the tail as
     /// its own exec. Every call counts exactly one conv hit (the slot's
-    /// key matched) or miss.
+    /// key matched) or miss, except against a unit-point tail.
+    ///
+    /// A unit-point tail is priced straight from the exec and counts
+    /// nothing. It is drawn near 0 and near `Tick::MAX`, and priced
+    /// against the drawn exec, an empty one, one of mass
+    /// `1 + MASS_EPSILON` and one whose span passes `DENSE_SPAN_LIMIT`, at
+    /// deadlines before, at and after the point and at each exec tick.
     #[test]
     fn chance_is_convolve_then_mass_before_bit_for_bit(
         tail in arb_pmf(),
         exec in arb_pmf(),
         fractions in prop::collection::vec(0u64..=1_200, 1..10),
+        point in arb_unit_point(),
     ) {
         let conv = tail.convolve(&exec);
         let (lo, hi) = (conv.support_min().unwrap_or(0), conv.support_max().unwrap_or(0));
@@ -331,11 +379,35 @@ proptest! {
                 let expected = t.convolve(e).mass_before(d);
                 prop_assert_eq!(chance.to_bits(), expected.to_bits(), "slot {} deadline {}", machine, d);
                 let after = cache.stats();
+                if is_unit_point(t) {
+                    prop_assert_eq!(after, before);
+                    continue;
+                }
                 let hit = keys[machine] == Some((t, e));
                 let counted = (after.conv_hits - before.conv_hits, after.conv_misses - before.conv_misses);
                 prop_assert_eq!(counted, if hit { (1, 0) } else { (0, 1) });
                 prop_assert_eq!(after.lookups(), before.lookups() + 1);
                 keys[machine] = Some((t, e));
+            }
+        }
+
+        let t0 = point.support_min().unwrap_or(0);
+        let heavy = Pmf::from_impulses(vec![(3, 0.25), (8, 1.0 + MASS_EPSILON - 0.25)]).unwrap();
+        let wide = Pmf::from_impulses(vec![(1, 0.5), (DENSE_SPAN_LIMIT + 7, 0.5)]).unwrap();
+        for e in [&exec, &Pmf::empty(), &heavy, &wide] {
+            let mut deadlines = vec![0, t0.saturating_sub(1), t0, t0.saturating_add(1), Tick::MAX];
+            for i in e.iter() {
+                let at = t0.saturating_add(i.t);
+                deadlines.extend([at.saturating_sub(1), at, at.saturating_add(1)]);
+            }
+            let span = e.support_max().unwrap_or(0) + 10;
+            deadlines.extend(fractions.iter().map(|&f| t0.saturating_add(f * span / 1_000)));
+            for d in deadlines {
+                let before = cache.stats();
+                let chance = cache.chance(0, 1, 3, &point, e, d);
+                let expected = point.convolve(e).mass_before(d);
+                prop_assert_eq!(chance.to_bits(), expected.to_bits(), "point {} deadline {}", t0, d);
+                prop_assert_eq!(cache.stats(), before, "a unit point took a slot");
             }
         }
     }

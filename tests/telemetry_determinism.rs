@@ -110,7 +110,7 @@ fn telemetry_attachment_is_observationally_free() {
             tail_hits: 3_238,
             tail_misses: 709,
             conv_hits: 135,
-            conv_misses: 1_554,
+            conv_misses: 1_518,
             verdict_hits: 3_553,
             verdict_misses: 2_725,
         }
