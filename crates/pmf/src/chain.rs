@@ -16,13 +16,13 @@
 //! product tick are read off the ends of the two sorted inputs split at the
 //! deadline; when that span fits [`crate::DENSE_SPAN_LIMIT`] the products
 //! go straight into a reusable **dense tick-indexed accumulator** (no pair
-//! buffer, no sort), the raw impulses are built and the chance summed in
-//! one ascending sweep, and compaction rebins straight into a ping-pong
-//! output buffer that becomes the next step's predecessor. A step whose
-//! completion is never read (a one-shot chance, the last task of a chance
-//! sum) scatters only the products that land before the deadline and
-//! builds nothing. No allocation occurs after the buffers reach their
-//! steady-state sizes.
+//! buffer, no sort), the chance is the ascending sum of the cells before
+//! the deadline, and compaction reads the cells straight into a ping-pong
+//! output buffer that becomes the next step's predecessor, with no raw
+//! impulse built in between. A step whose completion is never read (a
+//! one-shot chance, the last task of a chance sum) scatters only the
+//! products that land before the deadline and builds nothing. No
+//! allocation occurs after the buffers reach their steady-state sizes.
 //!
 //! # Determinism contract
 //!
@@ -173,20 +173,34 @@ fn pair_path(
     chance_before(raw, task.deadline)
 }
 
-/// One Eq (1) step of `task` behind `prev` into `raw` (cleared first;
-/// sorted and coalesced), returning its Eq (2) chance. Bit-identical to
-/// [`pair_path`]: every cell gets the same products in the same order, and
-/// the chance sums the same impulses in the same ascending order.
-fn convolve_into(
+/// Ascending sum of `cells` from `+0.0`: the Eq (2) chance of the cells
+/// before a deadline. Every cell is `+0.0` or positive, and an empty one
+/// leaves the sum as it is, so this sums exactly the impulses
+/// [`chance_before`] sums, in the same order.
+fn chance_of(cells: &[f64]) -> f64 {
+    cells.iter().fold(0.0f64, |sum, &p| sum + p)
+}
+
+/// One Eq (1) step of `task` behind `prev`, compacted into `out` (cleared
+/// first), returning its Eq (2) chance. Bit-identical to [`pair_path`]
+/// then [`Compaction::apply_into`]: every cell gets the same products in
+/// the same order, the chance sums the cells before the deadline
+/// ([`chance_of`]), and compaction reads the cells straight
+/// ([`Compaction::apply_cells_into`]), so no raw impulse is built.
+fn step_into(
     prev: &[Impulse],
     task: ChainTask<'_>,
+    compaction: Compaction,
     pairs: &mut Vec<(Tick, f64)>,
     acc: &mut Vec<f64>,
     raw: &mut Vec<Impulse>,
+    out: &mut Vec<Impulse>,
 ) -> f64 {
     let Some(Window { split, lo, span }) = dense_window(prev, &task.exec.impulses, task.deadline)
     else {
-        return pair_path(prev, task, pairs, acc, raw);
+        let chance = pair_path(prev, task, pairs, acc, raw);
+        compaction.apply_into(raw, out);
+        return chance;
     };
     let (on_time, late) = prev.split_at(split);
     acc.clear();
@@ -198,28 +212,20 @@ fn convolve_into(
             *cell += pi.p;
         }
     }
-    raw.clear();
-    let mut chance = 0.0f64;
-    for (off, &p) in acc.iter().enumerate() {
-        if p > 0.0 {
-            let t = lo + off as Tick;
-            if t < task.deadline {
-                chance += p;
-            }
-            raw.push(Impulse { t, p });
-        }
-    }
+    let before = task.deadline.saturating_sub(lo).min(span as Tick) as usize;
+    let chance = chance_of(acc.get(..before).unwrap_or_default());
+    compaction.apply_cells_into(acc, lo, out);
     chance
 }
 
-/// The Eq (2) chance of [`convolve_into`] without its completion: on the
-/// dense path only the products landing before the deadline are scattered,
-/// and nothing is built. The cells before the deadline get exactly the
+/// The Eq (2) chance of [`step_into`] without its completion: on the dense
+/// path only the products landing before the deadline are scattered, and
+/// nothing is built. The cells before the deadline get exactly the
 /// products and order they get in the full step (pass-through mass lands
-/// at or after the deadline), and the sum runs over the same non-empty
-/// cells in the same order, so the bits match. The path is still chosen
-/// by the full product span, because past [`DENSE_SPAN_LIMIT`] the sort
-/// order of every pair decides how colliding products are summed.
+/// at or after the deadline), and the sum runs over the same cells in the
+/// same order, so the bits match. The path is still chosen by the full
+/// product span, because past [`DENSE_SPAN_LIMIT`] the sort order of every
+/// pair decides how colliding products are summed.
 fn chance_into(
     prev: &[Impulse],
     task: ChainTask<'_>,
@@ -235,7 +241,7 @@ fn chance_into(
     acc.clear();
     acc.resize(before, 0.0);
     scatter(prev.split_at(split).0, &task.exec.impulses, lo, acc);
-    acc.iter().filter(|&&p| p > 0.0).fold(0.0f64, |sum, &p| sum + p)
+    chance_of(acc)
 }
 
 /// One pending task as seen by the chain: its deadline and its
@@ -263,10 +269,10 @@ pub struct ChainLink {
 /// ([`ChainEvaluator::chance_sum`]), queue tails ([`ChainEvaluator::tail`])
 /// and incremental stepping, all from one reusable set of buffers.
 ///
-/// Owns five buffers: the raw product pairs (used only past
-/// [`DENSE_SPAN_LIMIT`]), the dense accumulator, the
-/// uncompacted result, and a ping-pong pair (`cur`/`next`) holding the
-/// current and upcoming predecessor completion. All buffers are cleared and
+/// Owns five buffers: the dense accumulator, the raw product pairs and
+/// the uncompacted result (both used only past [`DENSE_SPAN_LIMIT`]), and
+/// a ping-pong pair (`cur`/`next`) holding the current and upcoming
+/// predecessor completion. All buffers are cleared and
 /// refilled per step but never shrink, so a steady-state chain evaluation
 /// performs no heap allocation. One evaluator is meant to be reused across
 /// many queues: buffers grow to the scenario's working-set size and stay
@@ -309,8 +315,7 @@ impl ChainEvaluator {
     /// new predecessor. Returns the chance of success.
     pub fn step(&mut self, task: ChainTask<'_>, compaction: Compaction) -> f64 {
         let ChainEvaluator { pairs, acc, raw, cur, next } = self;
-        let chance = convolve_into(cur, task, pairs, acc, raw);
-        compaction.apply_into(raw, next);
+        let chance = step_into(cur, task, compaction, pairs, acc, raw, next);
         std::mem::swap(cur, next);
         chance
     }
@@ -332,8 +337,7 @@ impl ChainEvaluator {
         compaction: Compaction,
     ) -> (f64, Pmf) {
         let ChainEvaluator { pairs, acc, raw, next, .. } = self;
-        let chance = convolve_into(&prev.impulses, task, pairs, acc, raw);
-        compaction.apply_into(raw, next);
+        let chance = step_into(&prev.impulses, task, compaction, pairs, acc, raw, next);
         (chance, Pmf::from_sorted_unchecked(next.clone()))
     }
 
@@ -515,6 +519,19 @@ mod tests {
         let raw = deadline_convolve(&prev, &exec, 150_000);
         assert_eq!(bits(&raw), bits(&fused));
         assert_eq!(chance.to_bits(), raw.mass_before(150_000).to_bits());
+    }
+
+    #[test]
+    fn a_step_ending_on_the_last_tick_matches_the_pair_path() {
+        let prev = Pmf::from_impulses(vec![(Tick::MAX - 12, 0.5), (Tick::MAX - 10, 0.5)]).unwrap();
+        let exec = Pmf::from_impulses(vec![(1, 0.25), (4, 0.25), (10, 0.5)]).unwrap();
+        let mut eval = ChainEvaluator::new();
+        for compaction in [Compaction::None, Compaction::MaxImpulses(2), Compaction::BinWidth(3)] {
+            let raw = deadline_convolve(&prev, &exec, Tick::MAX);
+            let (chance, fused) = eval.step_from(&prev, task(Tick::MAX, &exec), compaction);
+            assert_eq!(bits(&compaction.apply(&raw)), bits(&fused));
+            assert_eq!(chance.to_bits(), raw.mass_before(Tick::MAX).to_bits());
+        }
     }
 
     #[test]

@@ -68,9 +68,10 @@ impl Compaction {
     }
 
     /// Buffer-reusing twin of [`Compaction::apply`]: compacts the sorted,
-    /// coalesced `raw` impulses into `out` (cleared first). Shared by the
-    /// fused chain kernel ([`crate::ChainEvaluator`]) so the fused and naive
-    /// paths compact with bit-identical arithmetic.
+    /// coalesced `raw` impulses into `out` (cleared first). The sparse
+    /// fallback of the chain kernel ([`crate::ChainEvaluator`]) compacts
+    /// through it, and it is the reference [`Compaction::apply_cells_into`]
+    /// is held to.
     ///
     /// # Panics
     ///
@@ -98,6 +99,81 @@ impl Compaction {
             }
         }
     }
+
+    /// Compacts the impulses a dense accumulator holds straight into `out`
+    /// (cleared first), bit for bit as [`Compaction::apply_into`] compacts
+    /// them: cell `k` of `cells` holds the mass at tick `lo + k`, and the
+    /// impulses are the non-empty cells in tick order. Every cell must be
+    /// `+0.0` or positive, `cells` no longer than
+    /// [`crate::DENSE_SPAN_LIMIT`], and `lo + cells.len() - 1` a tick.
+    ///
+    /// A bin is a fixed run of `width` cells from the first non-empty one,
+    /// so no division finds it, and its mass and moment sum every cell of
+    /// the run in tick order: an empty cell adds `+0.0` to both, which
+    /// changes neither, so a bin sums the same impulses in the same order
+    /// as [`rebin_into`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Compaction::check_settings`] refuses the policy.
+    pub(crate) fn apply_cells_into(self, cells: &[f64], lo: Tick, out: &mut Vec<Impulse>) {
+        assert_eq!(self.check_settings(), Ok(()), "invalid compaction");
+        debug_assert!(cells.len() as u64 <= crate::DENSE_SPAN_LIMIT, "a dense span");
+        out.clear();
+        let filled = |p: &f64| *p > 0.0;
+        let (Some(first), Some(last)) =
+            (cells.iter().position(filled), cells.iter().rposition(filled))
+        else {
+            return;
+        };
+        let cells = cells.get(first..=last).unwrap_or_default();
+        let lo = lo + first as Tick;
+        // A width of one cell keeps every impulse as it is.
+        let width = match self {
+            Compaction::None => 1,
+            Compaction::MaxImpulses(max) if cells.iter().filter(|p| filled(p)).count() <= max => 1,
+            // As in `apply_into`: the span of the non-empty cells over `max`.
+            Compaction::MaxImpulses(max) => (cells.len() - 1) / max + 1,
+            Compaction::BinWidth(width) => usize::try_from(width).unwrap_or(usize::MAX),
+        };
+        if width == 1 {
+            let kept = (0u32..).zip(cells).filter(|(_, p)| filled(p));
+            out.extend(kept.map(|(off, &p)| Impulse { t: lo + Tick::from(off), p }));
+        } else {
+            rebin_cells(cells, lo, width.min(cells.len()), out);
+        }
+    }
+}
+
+/// The bins of [`Compaction::apply_cells_into`]: runs of `width` cells
+/// (at most the span) from `lo`, each collapsed to its mass-weighted mean
+/// tick as [`rebin_into`] collapses a bin. Offsets stay below
+/// [`crate::DENSE_SPAN_LIMIT`], so a `u32` holds them and converts to
+/// `f64` exactly in one instruction, where a `u64` takes several.
+fn rebin_cells(cells: &[f64], lo: Tick, width: usize, out: &mut Vec<Impulse>) {
+    let mut start = 0u32;
+    for bin in cells.chunks(width) {
+        let (mut mass, mut moment) = (0.0f64, 0.0f64);
+        for (off, &p) in (start..).zip(bin) {
+            mass += p;
+            moment += f64::from(off) * p;
+        }
+        if mass > 0.0 {
+            let mean_off = Tick::from(round_offset(moment / mass));
+            out.push(Impulse { t: lo.saturating_add(mean_off), p: mass });
+        }
+        start += width as u32;
+    }
+}
+
+/// `q.round() as u32` for `0 ≤ q < 2³¹`, without a libm call: the
+/// truncation, plus one when the fraction it drops is at least a half
+/// (`round` takes a half away from zero). The fraction `q − t` is exact,
+/// since both are multiples of `q`'s last place and it is below 1.
+fn round_offset(q: f64) -> u32 {
+    debug_assert!((0.0..2_147_483_648.0).contains(&q), "an offset within the span");
+    let t = q as u32;
+    t + u32::from(q - f64::from(t) >= 0.5)
 }
 
 fn copy_into(raw: &[Impulse], out: &mut Vec<Impulse>) {
@@ -200,6 +276,22 @@ mod tests {
         let first = c.iter().next().unwrap();
         assert!(first.t == 10 || first.t == 11);
         assert!(close(first.p, 0.5));
+    }
+
+    #[test]
+    fn a_bin_mean_on_a_half_rounds_up_from_the_cells_as_from_the_impulses() {
+        // Ticks 10 and 11 share a bin with equal mass: its mean offset is
+        // exactly 0.5, which `round` takes up to tick 11.
+        let raw = Pmf::from_impulses(vec![(10, 0.25), (11, 0.25), (14, 0.5)]).unwrap();
+        let compacted = Compaction::BinWidth(2).apply(&raw);
+        assert_eq!(compacted.to_pairs(), vec![(11, 0.5), (14, 0.5)]);
+        let mut out = Vec::new();
+        Compaction::BinWidth(2).apply_cells_into(&[0.25, 0.25, 0.0, 0.0, 0.5], 10, &mut out);
+        assert_eq!(out, compacted.impulses);
+        let below_halves = [0.5 - f64::EPSILON / 4.0, 2.5 - 2.0 * f64::EPSILON];
+        for q in [0.0, 0.5, 1.5, 2.5, 65_535.5].into_iter().chain(below_halves) {
+            assert_eq!(f64::from(round_offset(q)), q.round(), "q = {q}");
+        }
     }
 
     #[test]

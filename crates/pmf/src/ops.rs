@@ -152,6 +152,12 @@ fn convolve_dense(a: &[Impulse], b: &[Impulse], lo: Tick, span: usize) -> Pmf {
 /// the `0.0` that `mass_before`'s final `+ 0.0` gives an empty sum. Past
 /// the limit `convolve` coalesces in an order that depends on every
 /// pair, so the identity does not hold there.
+///
+/// The products of one outer impulse that land in `[from, to)` are a
+/// contiguous run of the inner impulses, and both ends of that run only
+/// move down as the outer tick rises. So the ends are walked down, in
+/// `O(|inner|)` steps over the whole call, instead of searched per outer
+/// impulse.
 pub fn extend_convolution_sums(a: &Pmf, b: &Pmf, to: usize, sums: &mut Vec<f64>) {
     let from = sums.len();
     let (outer, inner) =
@@ -165,13 +171,22 @@ pub fn extend_convolution_sums(a: &Pmf, b: &Pmf, to: usize, sums: &mut Vec<f64>)
     sums.resize(to, 0.0);
     // Cell of an (outer, inner) pair: its tick minus `lo`.
     let cell = |o: &Impulse, i: &Impulse| (o.t - o0.t + (i.t - i0.t)) as usize;
+    // The row's run `[first, end)`. Each end steps down over the inner
+    // impulses whose cell is at or past its bound. With nothing summed yet
+    // (a re-keyed slot) no cell is below `from`, so `first` stays at 0.
+    let mut first = if from == 0 { 0 } else { inner.len() };
+    let mut end = inner.len();
     for o in outer {
         if cell(o, i0) >= to {
             break;
         }
-        let first = inner.partition_point(|i| cell(o, i) < from);
-        let end = inner.partition_point(|i| cell(o, i) < to);
-        for i in inner.iter().take(end).skip(first) {
+        while first > 0 && inner.get(first - 1).is_some_and(|i| cell(o, i) >= from) {
+            first -= 1;
+        }
+        while end > first && inner.get(end - 1).is_some_and(|i| cell(o, i) >= to) {
+            end -= 1;
+        }
+        for i in inner.get(first..end).unwrap_or_default() {
             if let Some(c) = sums.get_mut(cell(o, i)) {
                 *c += o.p * i.p;
             }

@@ -99,12 +99,46 @@ fn deadline_near(prev: &Pmf, (place, distance, fraction): (u8, u64, f64)) -> Tic
     }
 }
 
-/// Strategy: any of the three policies, with small parameters.
-fn arb_compaction() -> impl Strategy<Value = Compaction> {
-    (0u8..3, 2usize..=32, 1u64..=64).prop_map(|(kind, max, width)| match kind {
+/// Strategy: a compaction policy as `(kind, max, width)`; see
+/// [`compaction_for`].
+fn arb_compaction() -> impl Strategy<Value = (u8, usize, u64)> {
+    (0u8..7, 2usize..=32, 1u64..=64)
+}
+
+/// The policy `(kind, max, width)` names for compacting `raw`: none (0),
+/// an impulse cap of `max` (1) or a bin width of `width` (2), or one set
+/// against `raw`'s impulse count `n` and tick span `s`, at the decisions
+/// compaction makes: a cap of exactly `n` (3), which keeps every impulse,
+/// or of `n − 1` (4), which rebins; a bin `width` ticks wider than the
+/// span (5); or bins of `⌊s/2⌋ + 1` ticks (6), whose last one is shorter.
+fn compaction_for(raw: &Pmf, (kind, max, width): (u8, usize, u64)) -> Compaction {
+    let span = match (raw.support_min(), raw.support_max()) {
+        (Some(lo), Some(hi)) => hi - lo + 1,
+        _ => 1,
+    };
+    match kind {
         0 => Compaction::None,
         1 => Compaction::MaxImpulses(max),
-        _ => Compaction::BinWidth(width),
+        2 => Compaction::BinWidth(width),
+        3 => Compaction::MaxImpulses(raw.len().max(2)),
+        4 => Compaction::MaxImpulses(raw.len().saturating_sub(1).max(2)),
+        5 => Compaction::BinWidth(span + width),
+        _ => Compaction::BinWidth((span / 2 + 1).max(2)),
+    }
+}
+
+/// Strategy: a normalised PMF between two impulses of the least subnormal
+/// mass, whose product rounds to zero. Behind a deadline past its support,
+/// two such PMFs leave the accumulator's first and last cells empty.
+fn arb_hollow_pmf() -> impl Strategy<Value = Pmf> {
+    (arb_pmf(), 1u64..=8, 1u64..=8).prop_map(|(body, below, above)| {
+        let least = f64::from_bits(1);
+        let body = body.shift(below);
+        let top = body.support_max().expect("non-empty") + above;
+        let mut pairs = vec![(0, least)];
+        pairs.extend(body.to_pairs());
+        pairs.push((top, least));
+        Pmf::from_impulses(pairs).expect("mass at most 1")
     })
 }
 
@@ -355,19 +389,23 @@ proptest! {
     /// path (`deadline_convolve`, `mass_before`, `Compaction::apply`) bit
     /// for bit on the inputs the dense kernel treats specially:
     /// sub-distributions, an empty predecessor or execution PMF, deadlines
-    /// before, inside and past the predecessor's support, spans on both
-    /// sides of `DENSE_SPAN_LIMIT`, and products that underflow to empty
-    /// cells. A clustered pair past the limit is also priced at every
-    /// deadline over its first 64 ticks.
+    /// before (only pass-through mass), inside and past the predecessor's
+    /// support, spans on both sides of `DENSE_SPAN_LIMIT`, and products
+    /// that underflow to empty cells, the first and last among them. The
+    /// compaction of the step is set against its result: an impulse count
+    /// of exactly the cap and of one more, a bin wider than the span, and a
+    /// last bin shorter than the others. A clustered pair past the limit is
+    /// also priced at every deadline over its first 64 ticks.
     #[test]
     fn kernel_edge_cases_match_the_pair_path_bit_for_bit(
         prev in arb_any_pmf(),
         exec in arb_any_pmf(),
         deadline in arb_deadline(),
         queue in prop::collection::vec((arb_any_pmf(), arb_deadline()), 1..=4),
-        compaction in arb_compaction(),
+        policy in arb_compaction(),
         take in 0usize..=5,
         clustered in (arb_split_pmf(), arb_split_pmf()),
+        hollow in (arb_hollow_pmf(), arb_hollow_pmf(), 0u64..=64),
     ) {
         let mut eval = ChainEvaluator::new();
         // Past the span limit the pair path's sort orders colliding
@@ -382,14 +420,22 @@ proptest! {
             prop_assert_eq!(eval.chance_from(cluster, task).to_bits(), chance.to_bits());
         }
 
-        let d = deadline_near(&prev, deadline);
-        let task = ChainTask { deadline: d, exec: &exec };
-        let raw = deadline_convolve(&prev, &exec, d);
-        let chance = raw.mass_before(d);
-        let (stepped, completion) = eval.step_from(&prev, task, compaction);
-        prop_assert_eq!(stepped.to_bits(), chance.to_bits());
-        prop_assert_eq!(pmf_bits(&completion), pmf_bits(&compaction.apply(&raw)));
-        prop_assert_eq!(eval.chance_from(&prev, task).to_bits(), chance.to_bits());
+        // One step, compacted by the policy set against its result.
+        let mut check_step = |prev: &Pmf, exec: &Pmf, d: Tick| {
+            let task = ChainTask { deadline: d, exec };
+            let raw = deadline_convolve(prev, exec, d);
+            let chance = raw.mass_before(d);
+            let compaction = compaction_for(&raw, policy);
+            let (stepped, completion) = eval.step_from(prev, task, compaction);
+            prop_assert_eq!(stepped.to_bits(), chance.to_bits());
+            prop_assert_eq!(pmf_bits(&completion), pmf_bits(&compaction.apply(&raw)));
+            prop_assert_eq!(eval.chance_from(prev, task).to_bits(), chance.to_bits());
+            compaction
+        };
+        let (hollow_prev, hollow_exec, past) = &hollow;
+        let after = hollow_prev.support_max().expect("non-empty") + 1 + past;
+        check_step(hollow_prev, hollow_exec, after);
+        let compaction = check_step(&prev, &exec, deadline_near(&prev, deadline));
 
         let tasks: Vec<ChainTask<'_>> = queue
             .iter()

@@ -100,7 +100,9 @@ pub struct FleetDriver<'a> {
     clock: Tick,
     workers: usize,
     checkpoint_every: Option<Tick>,
-    next_checkpoint: Tick,
+    /// The tick of the next periodic sweep; `None` once the schedule has
+    /// passed `Tick::MAX`.
+    next_checkpoint: Option<Tick>,
     /// Whether any checkpoint sweep has happened yet; until one has, the
     /// replay log below would be useless (restore has nothing to start
     /// from) and is not kept, so a never-checkpointing fleet does not
@@ -141,7 +143,7 @@ impl<'a> FleetDriver<'a> {
             clock: 0,
             workers: default_workers(),
             checkpoint_every: None,
-            next_checkpoint: 0,
+            next_checkpoint: None,
             has_checkpoint: false,
             epoch_log: Vec::new(),
             stealing: None,
@@ -160,6 +162,7 @@ impl<'a> FleetDriver<'a> {
 
     /// Enables periodic checkpoints: after each epoch that reaches or
     /// passes the next multiple of `interval`, every shard is snapshotted.
+    /// No sweep is scheduled past `Tick::MAX`.
     ///
     /// # Panics
     ///
@@ -168,7 +171,7 @@ impl<'a> FleetDriver<'a> {
     pub fn with_checkpoint_every(mut self, interval: Tick) -> Self {
         assert!(interval > 0, "checkpoint interval must be positive");
         self.checkpoint_every = Some(interval);
-        self.next_checkpoint = self.clock + interval;
+        self.next_checkpoint = self.clock.checked_add(interval);
         self
     }
 
@@ -237,10 +240,11 @@ impl<'a> FleetDriver<'a> {
     }
 
     /// Runs one epoch: the parallel phase advances every shard to
-    /// `clock + delta` across the worker pool, then the barrier phase
-    /// merges in shard-index order — steals, event drain into flight
-    /// recorders and telemetry, epoch record, replay-log upkeep, periodic
-    /// checkpoints. Returns the new clock.
+    /// `clock + delta` (saturating at `Tick::MAX`, so the clock never runs
+    /// backwards) across the worker pool, then the barrier phase merges in
+    /// shard-index order — steals, event drain into flight recorders and
+    /// telemetry, epoch record, replay-log upkeep, periodic checkpoints.
+    /// Returns the new clock.
     ///
     /// # Errors
     ///
@@ -256,7 +260,7 @@ impl<'a> FleetDriver<'a> {
         if delta == 0 {
             return Err(ServeError::InvalidEpoch { delta });
         }
-        let until = self.clock + delta;
+        let until = self.clock.saturating_add(delta);
         self.parallel_advance(until)?;
 
         // --- Barrier: everything below runs on the calling thread, in
@@ -279,12 +283,14 @@ impl<'a> FleetDriver<'a> {
             self.epoch_log.push(EpochEntry { until, transfers });
             self.sweep_epoch_log();
         }
-        if let Some(interval) = self.checkpoint_every {
-            if self.clock >= self.next_checkpoint {
+        if let (Some(interval), Some(due)) = (self.checkpoint_every, self.next_checkpoint) {
+            if self.clock >= due {
                 self.checkpoint_all();
-                while self.next_checkpoint <= self.clock {
-                    self.next_checkpoint += interval;
-                }
+                // The first tick of `due + k·interval` past the clock; none
+                // once that passes `Tick::MAX`.
+                self.next_checkpoint = ((self.clock - due) / interval + 1)
+                    .checked_mul(interval)
+                    .and_then(|step| due.checked_add(step));
             }
         }
         Ok(self.clock)
@@ -661,6 +667,40 @@ mod tests {
         fleet.advance(300).unwrap();
         assert!(matches!(fleet.advance(0), Err(ServeError::InvalidEpoch { delta: 0 })));
         assert_eq!(fleet.clock(), 300, "a rejected epoch must not move the clock");
+    }
+
+    #[test]
+    fn an_epoch_past_the_tick_range_saturates_the_clock() {
+        let mut fleet = FleetDriver::new().with_workers(1);
+        assert_eq!(fleet.advance(50).unwrap(), 50);
+        assert_eq!(fleet.advance(Tick::MAX).unwrap(), Tick::MAX);
+        assert_eq!(fleet.advance(1).unwrap(), Tick::MAX, "the clock must not run backwards");
+    }
+
+    #[test]
+    fn the_checkpoint_schedule_stops_at_the_end_of_the_tick_range() {
+        // `Tick::MAX` is exactly three intervals: the sweep due there is
+        // the last one that fits.
+        let interval = Tick::MAX / 3;
+        let mut fleet = FleetDriver::new().with_workers(1).with_checkpoint_every(interval);
+        for due in [2 * interval, Tick::MAX] {
+            fleet.advance(interval).unwrap();
+            assert_eq!(fleet.next_checkpoint, Some(due));
+        }
+        assert_eq!(fleet.advance(interval).unwrap(), Tick::MAX);
+        assert_eq!(fleet.next_checkpoint, None);
+        assert_eq!(fleet.advance(1).unwrap(), Tick::MAX);
+        assert_eq!(fleet.next_checkpoint, None);
+
+        // A late epoch skips the sweeps it passed, as stepping the
+        // schedule one interval at a time did; an epoch to the end of the
+        // range takes one sweep and schedules none, at once.
+        let mut fleet = FleetDriver::new().with_workers(1).with_checkpoint_every(100);
+        fleet.advance(250).unwrap();
+        assert!(fleet.has_checkpoint);
+        assert_eq!(fleet.next_checkpoint, Some(300));
+        fleet.advance(Tick::MAX).unwrap();
+        assert_eq!(fleet.next_checkpoint, None);
     }
 
     #[test]
