@@ -188,11 +188,7 @@ impl DropPolicy for ProactiveDropper {
         // buffers are warm from previous calls, the arithmetic is
         // untouched.
         let PolicyCtx { eval, probe, baseline, .. } = scratch;
-        debug_assert_eq!(
-            queue.compaction(),
-            ctx.compaction,
-            "the view chains under another compaction"
-        );
+        let compaction = queue.compaction();
         let keep_all = queue.keep_all(eval);
         let mut rechained_at: Option<usize> = None;
         // Completion PMF of the latest surviving predecessor: borrowed
@@ -204,7 +200,7 @@ impl DropPolicy for ProactiveDropper {
                 None => keep_all.get(i..window_end),
                 Some(at) => {
                     let rest = tasks.get(at..).unwrap_or_default();
-                    baseline.ensure(rest, window_end - at, ctx.compaction);
+                    baseline.ensure(rest, window_end - at, compaction);
                     baseline.links().get(i - at..window_end - at)
                 }
             }
@@ -216,14 +212,14 @@ impl DropPolicy for ProactiveDropper {
             let behind = tasks.get(i + 1..).unwrap_or_default();
             let fires = if self.eq8_cannot_fire(keep, &prev, behind) {
                 debug_assert!(
-                    ChainEvaluator::new().chance_sum(&prev, behind, self.eta, ctx.compaction)
+                    ChainEvaluator::new().chance_sum(&prev, behind, self.eta, compaction)
                         <= self.beta * keep + f64::EPSILON,
                     "the Eq 8 bound skipped a drop-future that fires at position {i}"
                 );
                 None
             } else {
                 // Drop-future: chances of up to η successors with i removed.
-                let drop = probe.chance_sum(&prev, behind, self.eta, ctx.compaction);
+                let drop = probe.chance_sum(&prev, behind, self.eta, compaction);
                 (drop > self.beta * keep + f64::EPSILON).then_some(drop)
             };
             if let Some(drop) = fires {
@@ -232,8 +228,8 @@ impl DropPolicy for ProactiveDropper {
                 // behind it; degrade when that is worth at least the drop.
                 let degraded = queue.degradable().get(i).copied().flatten().and_then(|exec| {
                     let head = ChainTask { deadline: tasks.get(i)?.deadline, exec };
-                    let (chance, completion) = probe.step_from(&prev, head, ctx.compaction);
-                    let rest = probe.chance_sum(&completion, behind, self.eta, ctx.compaction);
+                    let (chance, completion) = probe.step_from(&prev, head, compaction);
+                    let rest = probe.chance_sum(&completion, behind, self.eta, compaction);
                     (value * chance + rest >= drop).then_some(completion)
                 });
                 match degraded {
@@ -277,7 +273,7 @@ mod tests {
     use taskdrop_pmf::{Compaction, Pmf};
 
     fn ctx() -> DropContext {
-        DropContext::plain(Compaction::None)
+        DropContext::plain()
     }
 
     fn approx_ctx(spec: ApproxSpec) -> DropContext {

@@ -140,10 +140,10 @@ impl DropPolicy for OptimalDropper {
     fn select_drops(
         &self,
         queue: &QueueView<'_>,
-        ctx: &DropContext,
+        _ctx: &DropContext,
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
-        let (base, tasks) = (queue.base(), queue.tasks());
+        let (base, tasks, compaction) = (queue.base(), queue.tasks(), queue.compaction());
         let n = tasks.len();
         if n < 2 {
             return DropDecision::none();
@@ -167,10 +167,10 @@ impl DropPolicy for OptimalDropper {
 
         // Seed the incumbent with the no-drop chain so pruning has a bar,
         // then search all alternatives.
-        let seed_r = eval.chance_sum(base, tasks, n, ctx.compaction);
+        let seed_r = eval.chance_sum(base, tasks, n, compaction);
         let mut search = Search {
             tasks,
-            compaction: ctx.compaction,
+            compaction,
             prune: self.prune,
             eval,
             bound_tail,
@@ -196,7 +196,7 @@ mod tests {
     use taskdrop_model::queue::{chain_with_drops, instantaneous_robustness};
 
     fn ctx() -> DropContext {
-        DropContext::plain(Compaction::None)
+        DropContext::plain()
     }
 
     /// Oracle: enumerate all masks with `chain_with_drops` and return the

@@ -101,7 +101,7 @@ impl DropPolicy for ThresholdDropper {
         let eval = &mut scratch.eval;
         let mut prev = queue.base().clone();
         for (i, &t) in queue.tasks().iter().enumerate() {
-            let (chance, completion) = eval.step_from(&prev, t, ctx.compaction);
+            let (chance, completion) = eval.step_from(&prev, t, queue.compaction());
             if chance < threshold {
                 drops.push(i);
                 // prev unchanged: the chain skips the dropped task.
@@ -117,10 +117,9 @@ impl DropPolicy for ThresholdDropper {
 mod tests {
     use super::*;
     use crate::testutil::{idle_queue, pet};
-    use taskdrop_pmf::Compaction;
 
     fn ctx(pressure: f64) -> DropContext {
-        DropContext { compaction: Compaction::None, pressure, approx: None }
+        DropContext { pressure, approx: None }
     }
 
     #[test]

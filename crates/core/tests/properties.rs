@@ -91,7 +91,7 @@ fn build_approx_queue<'a>(
 }
 
 fn ctx() -> DropContext {
-    DropContext::plain(Compaction::None)
+    DropContext::plain()
 }
 
 /// Every built-in policy.
@@ -167,24 +167,21 @@ fn bound_cells() -> Vec<Pmf> {
 /// chains a fresh `chain` behind the latest survivor, the drop-future is a
 /// reference `chance_sum`, and Eq 8 and the degrade rule decide.
 fn textbook_eq8(queue: &QueueView<'_>, beta: f64, eta: usize, ctx: &DropContext) -> DropDecision {
-    let tasks = queue.tasks();
+    let (tasks, compaction) = (queue.tasks(), queue.compaction());
     let n = tasks.len();
     let mut decision = DropDecision::none();
     let value = ctx.approx.map_or(0.0, |a| a.value);
     let mut prev = queue.base().clone();
     for i in 0..n.saturating_sub(1) {
         let window_end = (i + 1 + eta).min(n);
-        let keep_links = chain(&prev, &tasks[i..window_end], ctx.compaction);
+        let keep_links = chain(&prev, &tasks[i..window_end], compaction);
         let keep: f64 = keep_links.iter().map(|l| l.chance).sum();
-        let drop = chance_sum(&prev, &tasks[i + 1..], eta, ctx.compaction);
+        let drop = chance_sum(&prev, &tasks[i + 1..], eta, compaction);
         if drop > beta * keep + f64::EPSILON {
             let degraded = queue.degradable().get(i).copied().flatten().and_then(|exec| {
-                let head = chain(
-                    &prev,
-                    &[ChainTask { deadline: tasks[i].deadline, exec }],
-                    ctx.compaction,
-                );
-                let rest = chance_sum(&head[0].completion, &tasks[i + 1..], eta, ctx.compaction);
+                let head =
+                    chain(&prev, &[ChainTask { deadline: tasks[i].deadline, exec }], compaction);
+                let rest = chance_sum(&head[0].completion, &tasks[i + 1..], eta, compaction);
                 (value * head[0].chance + rest >= drop).then(|| head[0].completion.clone())
             });
             match degraded {
@@ -250,11 +247,7 @@ proptest! {
                 Pmf::from_impulses(vec![(busy_until / 2, 0.5), (*busy_until, 0.5)]).unwrap()
             };
             let q = QueueView::new(base, tasks, degradable, compaction);
-            let dctx = DropContext {
-                compaction,
-                pressure: 0.0,
-                approx: on.then_some(spec),
-            };
+            let dctx = DropContext { pressure: 0.0, approx: on.then_some(spec) };
             prop_assert_eq!(
                 dropper.select_drops(&q, &dctx, &mut persistent),
                 textbook_eq8(&q, beta, eta, &dctx),

@@ -32,25 +32,17 @@ use crate::graph::TaskGraph;
 use std::collections::BTreeMap;
 use taskdrop_model::TaskTypeId;
 use taskdrop_pmf::Tick;
-use taskdrop_sim::{ObserverHub, SimCore, SimError};
+use taskdrop_sim::{SimCore, SimError};
 
 /// One node's pricing query: its type, and its slack from now as the
 /// deadline (saturating at `Tick::MAX`).
-fn own_query<H: ObserverHub>(
-    graph: &TaskGraph,
-    node: u32,
-    core: &SimCore<'_, H>,
-) -> (TaskTypeId, Tick) {
+fn own_query(graph: &TaskGraph, node: u32, core: &SimCore<'_>) -> (TaskTypeId, Tick) {
     let spec = graph.node(node);
     (spec.type_id, core.now().saturating_add(spec.slack))
 }
 
 /// One node's own chance: released now, with its slack as the window.
-fn own_chance<H: ObserverHub>(
-    graph: &TaskGraph,
-    node: u32,
-    core: &mut SimCore<'_, H>,
-) -> Result<f64, SimError> {
+fn own_chance(graph: &TaskGraph, node: u32, core: &mut SimCore<'_>) -> Result<f64, SimError> {
     let (type_id, deadline) = own_query(graph, node, core);
     core.best_chance(type_id, deadline)
 }
@@ -64,10 +56,7 @@ fn own_chance<H: ObserverHub>(
 ///
 /// [`SimError::UnknownTaskType`] if a node names a task type the core's
 /// scenario lacks.
-pub fn subtree_chances<H: ObserverHub>(
-    graph: &TaskGraph,
-    core: &mut SimCore<'_, H>,
-) -> Result<Vec<f64>, SimError> {
+pub fn subtree_chances(graph: &TaskGraph, core: &mut SimCore<'_>) -> Result<Vec<f64>, SimError> {
     let every: Vec<(&TaskGraph, u32)> = (0..graph.len() as u32).map(|node| (graph, node)).collect();
     released_subtree_chances(&every, core)
 }
@@ -90,9 +79,9 @@ pub fn subtree_chances<H: ObserverHub>(
 /// # Panics
 ///
 /// Panics if a released node is out of range for its graph.
-pub fn released_subtree_chances<H: ObserverHub>(
+pub fn released_subtree_chances(
     released: &[(&TaskGraph, u32)],
-    core: &mut SimCore<'_, H>,
+    core: &mut SimCore<'_>,
 ) -> Result<Vec<f64>, SimError> {
     let mut queries = Vec::new();
     let mut query_of = BTreeMap::new();
@@ -164,10 +153,10 @@ fn fold_subtrees(graph: &TaskGraph, own: &[Option<usize>], prices: &[f64]) -> Ve
 ///
 /// [`SimError::UnknownTaskType`] if a subtree node names a task type the
 /// core's scenario lacks.
-pub fn exhaustive_subtree_chance<H: ObserverHub>(
+pub fn exhaustive_subtree_chance(
     graph: &TaskGraph,
     node: u32,
-    core: &mut SimCore<'_, H>,
+    core: &mut SimCore<'_>,
 ) -> Result<f64, SimError> {
     let mut product = own_chance(graph, node, core)?;
     for d in graph.descendants(node) {

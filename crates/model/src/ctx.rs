@@ -1,26 +1,22 @@
 //! The persistent per-engine evaluation context: policy scratch buffers
-//! plus the keyed PET×tail cache (DESIGN.md §13).
+//! plus the Eq 2 price table (DESIGN.md §13).
 //!
 //! Every scheduling decision — drop policies, mapping tails, admission and
 //! pruning estimates — prices queue futures through the Eq (1)/(2) chain.
-//! PR 4's fused [`ChainEvaluator`] removed the per-*step* allocations, but each
-//! policy invocation still constructed fresh evaluators, and the
-//! PET×tail convolutions behind every queue-tail estimate were recomputed
-//! even when a machine's queue had not changed between mapping events —
-//! the redundancy probabilistic-pruning systems exploit with PMF caching.
-//!
-//! [`PolicyCtx`] fixes both. It is constructed **once per engine** (one
-//! `SimCore` owns one), threaded as `&mut` through
-//! `DropPolicy::select_drops` and `MappingHeuristic::map`, and reused
-//! across steps, checkpoints and serving epochs. It owns
+//! [`PolicyCtx`] is constructed **once per engine** (one `SimCore` owns
+//! one), threaded as `&mut` through `DropPolicy::select_drops` and
+//! `MappingHeuristic::map`, and reused across steps, checkpoints and
+//! serving epochs. It owns
 //!
 //! * the shared scratch evaluators every policy draws from (buffers warm
 //!   up once per trial instead of once per call), and
-//! * a [`TailCache`]: per-machine queue-tail completion PMFs keyed by
-//!   `(queue revision, base PMF, compaction)`, per-(machine, task-type)
-//!   running sums of `tail ⊛ exec` keyed by `(tail, exec)`, and
-//!   per-machine keep-all drop verdicts keyed by `(queue revision, base
-//!   PMF, drop context)`, with deterministic hit/miss counters.
+//! * a [`TailCache`]: per-(machine, task-type) running sums of
+//!   `tail ⊛ exec` keyed by `(tail, exec)`, the Eq 2 prices that PAM,
+//!   admission and pruning share, with deterministic hit/miss counters.
+//!
+//! The queue tails and keep-all drop verdicts the engine reuses between
+//! mapping events are not here: each machine's state in `SimCore` holds
+//! its own.
 //!
 //! # Correctness contract
 //!
@@ -32,15 +28,14 @@
 //! the same bytes (asserted in `tests/checkpoint_determinism.rs`).
 
 use crate::queue::{ChainEvaluator, LazyChain};
-use crate::view::DropContext;
-use taskdrop_pmf::{extend_convolution_sums, Compaction, Pmf, Tick, DENSE_SPAN_LIMIT};
+use taskdrop_pmf::{extend_convolution_sums, Pmf, Tick, DENSE_SPAN_LIMIT};
 
 /// Monotone cache hit/miss counters, deterministic for a given trial
 /// (surfaced through `StepOutcome` work counters; `BENCH_counters.json`
 /// pins them exactly for each benchmark workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Queue-tail lookups answered from the cache.
+    /// Queue-tail lookups answered from the queue's memo.
     pub tail_hits: u64,
     /// Queue-tail lookups that had to re-chain the queue.
     pub tail_misses: u64,
@@ -53,15 +48,15 @@ pub struct CacheStats {
     /// Eq 2 pricings whose `(tail, exec)` did not match: the slot is
     /// re-keyed and its sums recomputed up to the deadline.
     pub conv_misses: u64,
-    /// Drop decisions skipped because the queue was last kept whole under
-    /// the same key.
+    /// Drop decisions skipped because the queue was last kept whole, and
+    /// has not changed since, under the same base and drop context.
     pub verdict_hits: u64,
     /// Drop decisions the policy had to make.
     pub verdict_misses: u64,
 }
 
 impl CacheStats {
-    /// Total lookups across the three tables.
+    /// Total lookups of the three kinds.
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.tail_hits
@@ -96,19 +91,6 @@ impl std::fmt::Display for CacheStats {
         write!(f, ", ")?;
         part(f, "conv", self.conv_hits, self.conv_misses)
     }
-}
-
-/// One machine's cached queue tail: the exact inputs it was computed from
-/// plus the result. A lookup hits only when every key field matches, so
-/// queue mutation (revision bump), a different predecessor completion
-/// (clock advanced past a support point, failure/repair changed the
-/// running task) or a compaction-policy change each invalidate it.
-#[derive(Debug, Clone)]
-struct TailEntry {
-    rev: u64,
-    compaction: Compaction,
-    base: Pmf,
-    tail: Pmf,
 }
 
 /// One (machine, task type) slot of Eq 2 pricing: the running sums of
@@ -171,33 +153,17 @@ impl ConvEntry {
     }
 }
 
-/// One machine's keep-all drop verdict: the key of the last decision that
-/// kept the whole queue. The queue revision stands for the pending
-/// entries (as in [`TailEntry`]); the base and the drop context are the
-/// rest of the decision's input. The caller zeroes `ctx.pressure` for a
-/// policy that does not read it.
-#[derive(Debug, Clone)]
-struct VerdictEntry {
-    rev: u64,
-    base: Pmf,
-    ctx: DropContext,
-}
-
-/// Keyed PET×tail cache: per-machine queue tails, per-(machine,
-/// task-type) running sums of `tail ⊛ exec` (the Eq 2 pricing of
-/// [`TailCache::chance`]) and per-machine keep-all drop verdicts, with
-/// hit/miss accounting.
+/// The Eq 2 price table: per-(machine, task-type) running sums of
+/// `tail ⊛ exec` (the pricing of [`TailCache::chance`]), with hit/miss
+/// accounting.
 ///
-/// Keys are the complete inputs of the cached computation (`TailEntry`/
-/// `ConvEntry`/`VerdictEntry` above), so stale entries can never be
-/// served — they simply fail the comparison and are overwritten. `clear`
-/// exists for callers that want to drop memory, not for correctness.
+/// A slot's key is the complete input of its sums (`ConvEntry` above), so
+/// a stale slot can never be served — it simply fails the comparison and
+/// is overwritten.
 #[derive(Debug, Default, Clone)]
 pub struct TailCache {
-    tails: Vec<Option<TailEntry>>,
     convs: Vec<Option<ConvEntry>>,
     conv_types: usize,
-    verdicts: Vec<Option<VerdictEntry>>,
     stats: CacheStats,
 }
 
@@ -208,92 +174,11 @@ impl TailCache {
         TailCache::default()
     }
 
-    /// The hit/miss counters so far.
+    /// The conv hit/miss counters so far; the tail and verdict counters
+    /// stay zero here, since the engine counts those lookups itself.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Drops every cached entry (counters are kept — they are monotone
-    /// work accounting, not cache contents).
-    pub fn clear(&mut self) {
-        self.tails.clear();
-        self.convs.clear();
-        self.conv_types = 0;
-        self.verdicts.clear();
-    }
-
-    /// Looks up `machine`'s cached queue tail and moves it out of the
-    /// cache. Hits only when the queue revision, predecessor completion and
-    /// compaction policy all match the entry's key; every call bumps exactly
-    /// one counter. The entry leaves the cache either way, so a caller
-    /// that wants it kept stores it back with [`TailCache::store_tail`]
-    /// (the base it compared equal is the key), which copies nothing.
-    pub fn take_tail(
-        &mut self,
-        machine: usize,
-        rev: u64,
-        base: &Pmf,
-        compaction: Compaction,
-    ) -> Option<Pmf> {
-        let entry = self.tails.get_mut(machine).and_then(Option::take);
-        match entry {
-            Some(e) if e.rev == rev && e.compaction == compaction && e.base == *base => {
-                self.stats.tail_hits += 1;
-                Some(e.tail)
-            }
-            _ => {
-                self.stats.tail_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores `machine`'s queue tail under its complete key, replacing any
-    /// previous entry.
-    pub fn store_tail(
-        &mut self,
-        machine: usize,
-        rev: u64,
-        base: Pmf,
-        compaction: Compaction,
-        tail: Pmf,
-    ) {
-        if self.tails.len() <= machine {
-            self.tails.resize_with(machine + 1, || None);
-        }
-        self.tails[machine] = Some(TailEntry { rev, compaction, base, tail });
-    }
-
-    /// Whether `machine`'s last drop decision kept its whole queue under
-    /// exactly this key: the queue revision, the base PMF and the drop
-    /// context all match. Every call bumps exactly one verdict counter.
-    pub fn lookup_verdict(
-        &mut self,
-        machine: usize,
-        rev: u64,
-        base: &Pmf,
-        ctx: &DropContext,
-    ) -> bool {
-        let entry = self.verdicts.get(machine).and_then(Option::as_ref);
-        let hit = entry.is_some_and(|e| e.rev == rev && e.ctx == *ctx && e.base == *base);
-        if hit {
-            self.stats.verdict_hits += 1;
-        } else {
-            self.stats.verdict_misses += 1;
-        }
-        hit
-    }
-
-    /// Records that the drop decision for this key kept every task,
-    /// replacing `machine`'s previous verdict.
-    pub fn store_verdict(&mut self, machine: usize, rev: u64, base: Pmf, ctx: DropContext) {
-        if self.verdicts.len() <= machine {
-            self.verdicts.resize_with(machine + 1, || None);
-        }
-        if let Some(slot) = self.verdicts.get_mut(machine) {
-            *slot = Some(VerdictEntry { rev, base, ctx });
-        }
     }
 
     /// The paper's Eq 2 for a task appended to `machine`'s queue: the mass
@@ -326,7 +211,7 @@ impl TailCache {
         if let Some(t0) = unit_point(tail) {
             return exec.mass_before(deadline.saturating_sub(t0));
         }
-        let TailCache { convs, conv_types, stats, .. } = self;
+        let TailCache { convs, conv_types, stats } = self;
         if *conv_types != types {
             convs.clear();
             *conv_types = types;
@@ -361,9 +246,8 @@ fn unit_point(pmf: &Pmf) -> Option<Tick> {
 }
 
 /// Long-lived evaluation context threaded through every policy call: the
-/// scratch buffers the policies previously constructed per invocation,
-/// plus the [`TailCache`]. One per engine; see the module docs for the
-/// ownership and invalidation rules.
+/// scratch evaluators the policies share, plus the [`TailCache`] of Eq 2
+/// prices. One per engine; see the module docs.
 ///
 /// The scratch fields are public by design: a policy typically needs two
 /// of them simultaneously (split borrows), and every method that uses
@@ -380,75 +264,21 @@ pub struct PolicyCtx {
     /// Lazily-extended baseline chain of the Eq (8) dropper after its
     /// first drop or degrade.
     pub baseline: LazyChain,
-    /// The keyed PET×tail cache.
+    /// The Eq 2 price table that PAM, admission and pruning share.
     pub tails: TailCache,
 }
 
 impl PolicyCtx {
-    /// A fresh context with empty scratch and a cold cache.
+    /// A fresh context with empty scratch and a cold price table.
     #[must_use]
     pub fn new() -> Self {
         PolicyCtx::default()
-    }
-
-    /// The cache hit/miss counters so far.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.tails.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tail_lookup_hits_only_on_full_key_match() {
-        let mut cache = TailCache::new();
-        let base = Pmf::point(10);
-        let tail = Pmf::point(30);
-        assert!(cache.take_tail(2, 1, &base, Compaction::None).is_none());
-        cache.store_tail(2, 1, base.clone(), Compaction::None, tail.clone());
-        assert_eq!(cache.take_tail(2, 1, &base, Compaction::None), Some(tail.clone()));
-        // The hit moved the entry out: until it is stored back, it misses.
-        assert!(cache.take_tail(2, 1, &base, Compaction::None).is_none());
-        // Revision, base or compaction drift each miss.
-        let drifts = [
-            (2, base.clone(), Compaction::None),
-            (1, Pmf::point(11), Compaction::None),
-            (1, base.clone(), Compaction::BinWidth(4)),
-        ];
-        for (rev, drifted, compaction) in drifts {
-            cache.store_tail(2, 1, base.clone(), Compaction::None, tail.clone());
-            assert!(cache.take_tail(2, rev, &drifted, compaction).is_none());
-        }
-        // Unknown machine misses without panicking.
-        assert!(cache.take_tail(9, 1, &base, Compaction::None).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.tail_hits, stats.tail_misses), (1, 6));
-    }
-
-    #[test]
-    fn verdict_lookup_hits_only_on_full_key_match() {
-        let mut cache = TailCache::new();
-        let base = Pmf::point(10);
-        let ctx = DropContext::plain(Compaction::None);
-        assert!(!cache.lookup_verdict(2, 1, &base, &ctx));
-        cache.store_verdict(2, 1, base.clone(), ctx);
-        assert!(cache.lookup_verdict(2, 1, &base, &ctx));
-        // Revision, base, pressure or compaction drift each miss.
-        assert!(!cache.lookup_verdict(2, 2, &base, &ctx));
-        assert!(!cache.lookup_verdict(2, 1, &Pmf::point(11), &ctx));
-        assert!(!cache.lookup_verdict(2, 1, &base, &DropContext { pressure: 0.5, ..ctx }));
-        assert!(!cache.lookup_verdict(2, 1, &base, &DropContext::plain(Compaction::BinWidth(4))));
-        // Unknown machine misses without panicking; clear forgets verdicts.
-        assert!(!cache.lookup_verdict(9, 1, &base, &ctx));
-        cache.clear();
-        assert!(!cache.lookup_verdict(2, 1, &base, &ctx));
-        let stats = cache.stats();
-        assert_eq!((stats.verdict_hits, stats.verdict_misses), (1, 7));
-        assert_eq!(stats.lookups(), 8);
-    }
 
     #[test]
     fn conv_is_cached_per_inputs_and_bit_identical() {
@@ -479,20 +309,6 @@ mod tests {
         // Same (machine, type) under a different stride must not alias.
         assert_eq!(cache.chance(0, 1, 2, &tail, &exec, 17), 1.0);
         assert_eq!(cache.stats().conv_misses, 2);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let mut cache = TailCache::new();
-        let base = Pmf::point(1);
-        cache.store_tail(0, 0, base.clone(), Compaction::None, Pmf::point(2));
-        let tail = cache.take_tail(0, 0, &base, Compaction::None).expect("stored");
-        cache.store_tail(0, 0, base.clone(), Compaction::None, tail);
-        cache.clear();
-        assert!(cache.take_tail(0, 0, &base, Compaction::None).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.tail_hits, stats.tail_misses), (1, 1));
-        assert_eq!(stats.lookups(), 2);
     }
 
     #[test]

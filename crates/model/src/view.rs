@@ -32,8 +32,8 @@ pub struct QueueView<'a> {
 impl<'a> QueueView<'a> {
     /// A view of the chain from `base` through `tasks` under `compaction`,
     /// with `degradable` as [`QueueView::degradable`] describes it. The
-    /// engine passes the compaction of the [`DropContext`] the view is
-    /// handed to a policy with.
+    /// engine passes its run's compaction, the one every chain a policy
+    /// builds for this queue uses.
     #[must_use]
     pub fn new(
         base: Pmf,
@@ -68,7 +68,8 @@ impl<'a> QueueView<'a> {
         &self.degradable
     }
 
-    /// The compaction [`QueueView::keep_all`] chains under.
+    /// The compaction [`QueueView::keep_all`] chains under, and every other
+    /// chain a policy builds for this queue should too.
     #[must_use]
     pub fn compaction(&self) -> Compaction {
         self.compaction
@@ -91,11 +92,10 @@ impl<'a> QueueView<'a> {
     }
 }
 
-/// Context shared by all queues at one dropping invocation.
+/// Context shared by all queues at one dropping invocation. The compaction
+/// is each queue's own ([`QueueView::compaction`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropContext {
-    /// Compaction policy for chain computations.
-    pub compaction: Compaction,
     /// Oversubscription pressure signal: ratio of unmapped batch-queue tasks
     /// to total machine-queue capacity (>= 0). Used by the adaptive
     /// threshold baseline; the paper's autonomous mechanism ignores it.
@@ -108,8 +108,8 @@ impl DropContext {
     /// Context without pressure or approximate computing (the common case in
     /// tests and single-queue analyses).
     #[must_use]
-    pub fn plain(compaction: Compaction) -> Self {
-        DropContext { compaction, pressure: 0.0, approx: None }
+    pub fn plain() -> Self {
+        DropContext { pressure: 0.0, approx: None }
     }
 }
 

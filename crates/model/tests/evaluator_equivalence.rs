@@ -259,7 +259,6 @@ proptest! {
             }
             for (with_approx, pressure) in [(false, 0.0), (true, 1.5)] {
                 let dctx = DropContext {
-                    compaction,
                     pressure,
                     approx: if with_approx { Some(spec) } else { None },
                 };
@@ -289,7 +288,7 @@ proptest! {
             }
             // Interleave a confirmed decision into the script: apply the
             // heuristic's drops so later mutations see the pruned queue.
-            let dctx = DropContext::plain(compaction);
+            let dctx = DropContext::plain();
             let decided =
                 ProactiveDropper::paper_default().select_drops(&view, &dctx, &mut persistent);
             for &idx in decided.drops.iter().rev() {

@@ -31,7 +31,9 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty recorder keeping the most recent `capacity` events.
+    /// An empty recorder keeping the most recent `capacity` events. The
+    /// ring grows as events arrive, so a capacity that no allocation could
+    /// hold (one decoded from a checkpoint, say) costs nothing up front.
     ///
     /// # Panics
     ///
@@ -39,7 +41,7 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a flight recorder needs capacity for at least one event");
-        FlightRecorder { capacity, events: VecDeque::with_capacity(capacity) }
+        FlightRecorder { capacity, events: VecDeque::new() }
     }
 
     /// The ring capacity.

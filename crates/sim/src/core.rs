@@ -33,6 +33,7 @@ use crate::error::SimError;
 use crate::event::{Event, EventQueue};
 use crate::metrics::{TaskFate, TrialResult};
 use crate::observer::{DropKind, ObserverHub, SimEvent, SimObserver};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use taskdrop_core::DropPolicy;
 use taskdrop_model::ctx::{CacheStats, PolicyCtx};
@@ -56,17 +57,28 @@ struct MachineSt {
     epoch: u64,
     /// Failure injection: the machine is down (cannot start tasks).
     down: bool,
-    /// Queue revision: bumped on every mutation that can change the queue
-    /// tail — map-in, proactive/reactive drop, degrade, start (pop), and
-    /// failure/repair. Part of the [`PolicyCtx`] tail-cache key; **derived
-    /// state**, never serialized (a restored core starts at revision 0
-    /// with a cold cache and converges to the same bytes).
-    queue_rev: u64,
+    /// Memo: the base the queue's tail was chained from, and that tail.
+    tail: Option<(Pmf, Pmf)>,
+    /// Memo: the base and drop context of the last drop decision that kept
+    /// the whole queue.
+    kept_whole: Option<(Pmf, DropContext)>,
 }
 
 impl MachineSt {
     fn occupancy(&self) -> usize {
         usize::from(self.running.is_some()) + self.pending.len()
+    }
+
+    /// Clears the memo. Called on every change that can alter the queue's
+    /// tail or its keep-all verdict other than through the base: map-in,
+    /// proactive and reactive drop, degrade, start, failure and repair.
+    /// What is left to key on is the base (the running task and the clock)
+    /// and the drop context; the compaction is the core's for good. The
+    /// memo is **derived state**, never serialized: a restored core starts
+    /// with empty memos and converges to the same bytes.
+    fn clear_memo(&mut self) {
+        self.tail = None;
+        self.kept_whole = None;
     }
 }
 
@@ -245,10 +257,13 @@ pub struct SimCore<'a, H: ObserverHub = Vec<Box<dyn SimObserver + 'a>>> {
     /// cores on fleet worker threads.
     observers: H,
     /// The persistent evaluation context (DESIGN.md §13): policy/mapper
-    /// scratch plus the keyed PET×tail cache. Constructed once per core,
+    /// scratch plus the Eq 2 price table. Constructed once per core,
     /// reused across steps and serving epochs; derived state that is
     /// rebuilt — never serialized — on checkpoint restore.
     ctx: PolicyCtx,
+    /// Tail and verdict lookups of the machines' memos (the conv counters
+    /// are the price table's and stay zero here).
+    memo_stats: CacheStats,
 }
 
 // Manual impl: the mapper/dropper are `&dyn` references whose traits don't
@@ -387,11 +402,12 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             .map(|&machine| MachineSt {
                 machine,
                 running: None,
-                pending: VecDeque::with_capacity(config.queue_size),
+                pending: VecDeque::new(),
                 busy_ticks: 0,
                 epoch: 0,
                 down: false,
-                queue_rev: 0,
+                tail: None,
+                kept_whole: None,
             })
             .collect();
         let mut events = EventQueue::new();
@@ -417,6 +433,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             mapping_events: 0,
             observers: H::default(),
             ctx: PolicyCtx::new(),
+            memo_stats: CacheStats::default(),
         };
         core.schedule_failures();
         Ok(core)
@@ -622,22 +639,24 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// — where a task appended *right now* would wait before starting. Built
     /// from the learned PET the same way the mapping phase builds its tails
     /// (the engine's realised finish times are not leaked), and the tail
-    /// [`SimCore::best_chance`] prices against. Routed through the core's
-    /// persistent [`PolicyCtx`]: repeated calls against an unmoved queue
-    /// are served from the PET×tail cache (see [`SimCore::cache_stats`])
-    /// instead of re-chaining. Note the mapping phase never consults a
-    /// *down* machine's tail (it exposes no free slots). `None` for an
-    /// unknown machine id.
+    /// [`SimCore::best_chance`] prices against. Repeated calls against an
+    /// unmoved queue are served from the machine's memo (see
+    /// [`SimCore::cache_stats`]) instead of re-chaining. Note the mapping
+    /// phase never consults a *down* machine's tail (it exposes no free
+    /// slots). `None` for an unknown machine id.
     pub fn queue_tail_estimate(&mut self, machine: MachineId) -> Option<Pmf> {
-        let m = self.machines.get(machine.index())?;
-        Some(queue_tail(
-            &self.scenario.pet,
-            self.approx_pet.as_ref(),
-            self.now,
+        let SimCore { scenario, config, approx_pet, machines, now, ctx, memo_stats, .. } = self;
+        let m = machines.get_mut(machine.index())?;
+        let tail = queue_tail(
+            &scenario.pet,
+            approx_pet.as_ref(),
+            *now,
             m,
-            self.config,
-            &mut self.ctx,
-        ))
+            *config,
+            &mut ctx.eval,
+            memo_stats,
+        );
+        Some(tail.into_owned())
     }
 
     /// The paper's Eq 2 for a task of `type_id` appended *right now*: the
@@ -685,59 +704,56 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         if queries.is_empty() {
             return Ok(best);
         }
-        let types = self.scenario.task_type_count();
-        let pet = &self.scenario.pet;
-        let (now, config) = (self.now, self.config);
-        let idle_tail = Pmf::point(now);
-        let up = || self.machines.iter().filter(|m| !m.down);
-        for m in up().filter(|m| m.occupancy() == 0) {
+        let SimCore { scenario, config, approx_pet, machines, now, ctx, memo_stats, .. } = self;
+        let types = scenario.task_type_count();
+        let pet = &scenario.pet;
+        let idle_tail = Pmf::point(*now);
+        for m in machines.iter().filter(|m| !m.down && m.occupancy() == 0) {
             let machine = m.machine.id.index();
             for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
                 let exec = pet.pmf(type_id, m.machine.type_id);
-                let chance = self.ctx.tails.chance(
-                    machine,
-                    type_id.index(),
-                    types,
-                    &idle_tail,
-                    exec,
-                    deadline,
-                );
+                let chance =
+                    ctx.tails.chance(machine, type_id.index(), types, &idle_tail, exec, deadline);
                 *best = best.max(chance);
             }
         }
         let mut sums = Vec::new();
-        for m in up().filter(|m| m.occupancy() > 0) {
-            let machine = m.machine.id.index();
-            let approx_pet = self.approx_pet.as_ref();
-            with_queue_tail(pet, approx_pet, now, m, config, &mut self.ctx, |tail, ctx| {
-                let mut summed = false;
-                for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
-                    let exec = pet.pmf(type_id, m.machine.type_id);
-                    if *best > 0.0 {
-                        if !summed {
-                            running_masses(tail, &mut sums);
-                            summed = true;
-                        }
-                        if cannot_raise(tail, &sums, exec, deadline, *best) {
-                            continue;
-                        }
+        for m in machines.iter_mut().filter(|m| !m.down && m.occupancy() > 0) {
+            let (machine, machine_type) = (m.machine.id.index(), m.machine.type_id);
+            let tail =
+                queue_tail(pet, approx_pet.as_ref(), *now, m, *config, &mut ctx.eval, memo_stats);
+            let mut summed = false;
+            for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
+                let exec = pet.pmf(type_id, machine_type);
+                if *best > 0.0 {
+                    if !summed {
+                        running_masses(&tail, &mut sums);
+                        summed = true;
                     }
-                    let chance =
-                        ctx.tails.chance(machine, type_id.index(), types, tail, exec, deadline);
-                    *best = best.max(chance);
+                    if cannot_raise(&tail, &sums, exec, deadline, *best) {
+                        continue;
+                    }
                 }
-            });
+                let chance =
+                    ctx.tails.chance(machine, type_id.index(), types, &tail, exec, deadline);
+                *best = best.max(chance);
+            }
         }
         Ok(best)
     }
 
-    /// Cumulative hit/miss counters of the persistent PET×tail cache —
-    /// deterministic for a given trial, surfaced per step through
-    /// [`StepOutcome`] and pinned exactly by `BENCH_counters.json` and
-    /// `tests/telemetry_determinism.rs`.
+    /// Cumulative hit/miss counters of the machines' memos and the Eq 2
+    /// price table — deterministic for a given trial, surfaced per step
+    /// through [`StepOutcome`] and pinned exactly by `BENCH_counters.json`
+    /// and `tests/telemetry_determinism.rs`.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.ctx.cache_stats()
+        let prices = self.ctx.tails.stats();
+        CacheStats {
+            conv_hits: prices.conv_hits,
+            conv_misses: prices.conv_misses,
+            ..self.memo_stats
+        }
     }
 
     /// Whether `machine` is currently down (failure injection): a down
@@ -881,7 +897,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 busy_ticks: mc.busy_ticks,
                 epoch: mc.epoch,
                 down: mc.down,
-                queue_rev: 0,
+                tail: None,
+                kept_whole: None,
             })
             .collect();
         let events = EventQueue::from_snapshot(&checkpoint.events, checkpoint.event_seq);
@@ -907,9 +924,10 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             now: checkpoint.now,
             mapping_events: checkpoint.mapping_events,
             observers: H::default(),
-            // Cache and scratch are derived state: a restored core starts
+            // Caches and scratch are derived state: a restored core starts
             // cold and re-derives identical bytes (tests/tail_cache.rs).
             ctx: PolicyCtx::new(),
+            memo_stats: CacheStats::default(),
         })
     }
 
@@ -978,7 +996,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             Event::MachineFailure(mid) => {
                 let m = &mut machines[mid.index()];
                 m.down = true;
-                m.queue_rev += 1;
+                m.clear_memo();
                 let lost = m.running.take().map(|r| {
                     m.epoch += 1; // invalidate completion/kill events
                     m.busy_ticks += now - r.start;
@@ -994,7 +1012,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             Event::MachineRepair(mid) => {
                 let m = &mut machines[mid.index()];
                 m.down = false;
-                m.queue_rev += 1;
+                m.clear_memo();
                 emit(observers, SimEvent::MachineRepaired { machine: mid, now });
                 start_next(
                     self.scenario,
@@ -1027,6 +1045,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             fates,
             observers,
             ctx,
+            memo_stats,
             ..
         } = self;
         let config = *config;
@@ -1050,7 +1069,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 keep
             });
             if m.pending.len() != before {
-                m.queue_rev += 1;
+                m.clear_memo();
             }
         }
         batch.retain(|task| {
@@ -1066,15 +1085,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         });
 
         // (2) Proactive dropping policy, queue by queue. A queue the policy
-        // last kept whole is not judged again while its revision, its base
-        // and the drop context the policy reads are unchanged: the answer
-        // is a function of exactly those (DESIGN.md §13, keep-all verdict).
+        // last kept whole is not judged again while it is unchanged (its
+        // memo is not cleared) and so are its base and the drop context the
+        // policy reads: the answer is a function of exactly those
+        // (DESIGN.md §13, keep-all verdict).
         let capacity = scenario.capacity(config.queue_size);
-        let drop_ctx = DropContext {
-            compaction: config.compaction,
-            pressure: batch.len() as f64 / capacity as f64,
-            approx: config.approx,
-        };
+        let drop_ctx =
+            DropContext { pressure: batch.len() as f64 / capacity as f64, approx: config.approx };
         let verdict_ctx = if dropper.reads_pressure() {
             drop_ctx
         } else {
@@ -1084,9 +1101,9 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             if m.pending.is_empty() {
                 continue;
             }
-            let key = m.machine.id.index();
             let base = queue_base(pet, approx_pet, now, m, config);
-            if ctx.tails.lookup_verdict(key, m.queue_rev, &base, &verdict_ctx) {
+            if m.kept_whole.as_ref().is_some_and(|(b, c)| *c == verdict_ctx && *b == base) {
+                memo_stats.verdict_hits += 1;
                 debug_assert!(
                     dropper
                         .select_drops_fresh(
@@ -1099,12 +1116,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 );
                 continue;
             }
+            memo_stats.verdict_misses += 1;
             let view = queue_view(pet, approx_pet, m, base, config);
             let decision = dropper.select_drops(&view, &drop_ctx, ctx);
             if decision.is_empty() {
                 // The queue stays as the policy saw it, so the last link of
-                // a keep-all chain it read is the queue's tail under the
-                // same key: the mapping phase's `queue_tail` then hits.
+                // a keep-all chain it read is the queue's tail from the same
+                // base: the mapping phase's `queue_tail` then hits.
                 let (base, chain) = view.into_parts();
                 if let Some(last) = chain.and_then(|mut links| links.pop()) {
                     debug_assert_eq!(
@@ -1117,19 +1135,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                         "the keep-all chain's last link is not {}'s tail",
                         m.machine.id
                     );
-                    ctx.tails.store_tail(
-                        key,
-                        m.queue_rev,
-                        base.clone(),
-                        config.compaction,
-                        last.completion,
-                    );
+                    m.tail = Some((base.clone(), last.completion));
                 }
-                ctx.tails.store_verdict(key, m.queue_rev, base, verdict_ctx);
+                m.kept_whole = Some((base, verdict_ctx));
                 continue;
             }
             // Drops and degrades both change what a tail chain sees.
-            m.queue_rev += 1;
+            m.clear_memo();
             let mut last: Option<usize> = None;
             for &idx in &decision.drops {
                 assert!(idx < m.pending.len(), "dropper returned out-of-range index");
@@ -1167,7 +1179,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         // (3) Mapping heuristic fills free slots from the batch queue.
         if !batch.is_empty() {
             let machine_views: Vec<MachineView> = machines
-                .iter()
+                .iter_mut()
                 .map(|m| {
                     // A down machine exposes no free slots: the mapper must
                     // not feed a queue that cannot drain.
@@ -1178,12 +1190,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     };
                     // Tails are only consulted for machines the mapper can
                     // fill; skipping full queues avoids most of the chain
-                    // work in heavy oversubscription. The shared ctx serves
-                    // unchanged queues straight from its PET×tail cache.
+                    // work in heavy oversubscription. Unchanged queues are
+                    // served straight from their memos.
                     let tail = if free_slots == 0 {
                         Pmf::point(now)
                     } else {
-                        queue_tail(pet, approx_pet, now, m, config, ctx)
+                        queue_tail(pet, approx_pet, now, m, config, &mut ctx.eval, memo_stats)
+                            .into_owned()
                     };
                     MachineView {
                         machine: m.machine.id,
@@ -1214,7 +1227,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     a.machine
                 );
                 m.pending.push_back(QueuedCheckpoint { task: batch[a.task_idx], degraded: false });
-                m.queue_rev += 1;
+                m.clear_memo();
                 emit(
                     observers,
                     SimEvent::Mapped { task: batch[a.task_idx].id, machine: a.machine, now },
@@ -1508,7 +1521,7 @@ fn start_next<H: ObserverHub>(
         return; // queue frozen until repair
     }
     while let Some(QueuedCheckpoint { task, degraded }) = m.pending.pop_front() {
-        m.queue_rev += 1;
+        m.clear_memo();
         if task.expired(now) {
             resolve(
                 fates,
@@ -1630,20 +1643,6 @@ fn known_type(scenario: &Scenario, type_id: TaskTypeId) -> Result<(), SimError> 
     }
 }
 
-/// Completion PMF of the queue tail: where a newly appended task would wait,
-/// chained from the same [`queue_base`] and [`chain_tasks`] inputs a
-/// dropping policy reads.
-fn queue_tail(
-    pet: &PetMatrix,
-    approx_pet: Option<&PetMatrix>,
-    now: Tick,
-    m: &MachineSt,
-    config: SimConfig,
-    ctx: &mut PolicyCtx,
-) -> Pmf {
-    with_queue_tail(pet, approx_pet, now, m, config, ctx, |tail, _| tail.clone())
-}
-
 /// Whether the price of `exec` appended behind `tail`, before `deadline`,
 /// provably cannot exceed `best`, so [`SimCore::best_chances`] may skip it.
 ///
@@ -1663,37 +1662,49 @@ fn cannot_raise(tail: &Pmf, tail_sums: &[f64], exec: &Pmf, deadline: Tick, best:
     skip
 }
 
-/// Runs `read` on `m`'s queue tail without copying it.
-///
-/// The tail is served through the persistent [`PolicyCtx`]: the cache key
-/// is the complete input of the chain — the machine's queue revision
-/// (pending content), the predecessor completion `base` (running task +
-/// clock) and the compaction policy — so a hit is bit-identical to
-/// recomputation. A hit lends the cached tail and a miss re-chains with the
-/// shared evaluator scratch; either way the tail goes back into the cache
-/// under its key. Empty queues read `base` directly without touching the
-/// cache (no chain work to save).
-fn with_queue_tail<R>(
+/// Completion PMF of the queue tail: where a newly appended task would wait,
+/// chained from the same [`queue_base`] and [`chain_tasks`] inputs a
+/// dropping policy reads. An empty queue's tail is its base, and counts no
+/// lookup. Otherwise the tail comes from `m`'s memo when the memo was
+/// chained from the same base: the memo is cleared whenever anything else
+/// the chain reads changes, so a hit is bit-identical to re-chaining, which
+/// debug builds check. A miss re-chains with `eval` and memoises the tail.
+/// Either way one tail counter in `memo_stats` moves.
+fn queue_tail<'m>(
     pet: &PetMatrix,
     approx_pet: Option<&PetMatrix>,
     now: Tick,
-    m: &MachineSt,
+    m: &'m mut MachineSt,
     config: SimConfig,
-    ctx: &mut PolicyCtx,
-    read: impl FnOnce(&Pmf, &mut PolicyCtx) -> R,
-) -> R {
+    eval: &mut ChainEvaluator,
+    memo_stats: &mut CacheStats,
+) -> Cow<'m, Pmf> {
     let base = queue_base(pet, approx_pet, now, m, config);
     if m.pending.is_empty() {
-        return read(&base, ctx);
+        return Cow::Owned(base);
     }
-    let key = m.machine.id.index();
-    let tail = match ctx.tails.take_tail(key, m.queue_rev, &base, config.compaction) {
-        Some(tail) => tail,
-        None => ctx.eval.tail(&base, &chain_tasks(pet, approx_pet, m), config.compaction),
+    let tail = match m.tail.take() {
+        Some((memo_base, tail)) if memo_base == base => {
+            memo_stats.tail_hits += 1;
+            debug_assert_eq!(
+                tail,
+                ChainEvaluator::new().tail(
+                    &base,
+                    &chain_tasks(pet, approx_pet, m),
+                    config.compaction
+                ),
+                "memoised tail is stale for {}",
+                m.machine.id
+            );
+            tail
+        }
+        _ => {
+            memo_stats.tail_misses += 1;
+            eval.tail(&base, &chain_tasks(pet, approx_pet, m), config.compaction)
+        }
     };
-    let out = read(&tail, ctx);
-    ctx.tails.store_tail(key, m.queue_rev, base, config.compaction, tail);
-    out
+    let (_, tail) = m.tail.insert((base, tail));
+    Cow::Borrowed(tail)
 }
 
 #[cfg(test)]
@@ -2118,6 +2129,26 @@ mod tests {
         let w = workload(&s, 200, 4_000);
         let config = SimConfig { queue_size: 1, ..cfg() };
         assert!(run(&s, &w, &Fcfs, &ReactiveOnly, config, 1).is_conserved());
+    }
+
+    /// A queue size is a bound, not a request for memory: a core built with
+    /// `usize::MAX`, and one restored from a checkpoint whose queue size
+    /// times the machine count overflows, both drain and conserve.
+    #[test]
+    fn huge_queue_sizes_drain() {
+        let s = scenario();
+        let w = workload(&s, 150, 1_500);
+        let dropper = ProactiveDropper::paper_default();
+        let unbounded = SimConfig { queue_size: usize::MAX, ..cfg() };
+        assert!(run(&s, &w, &Pam, &dropper, unbounded, 1).is_conserved());
+        let mut core = SimCore::new(&s, &w, &Pam, &dropper, cfg(), 1).unwrap();
+        for _ in 0..30 {
+            core.step();
+        }
+        let mut cp = core.snapshot();
+        cp.config.queue_size = usize::MAX / 2;
+        let mut restored = SimCore::restore(&s, &Pam, &dropper, &cp).unwrap();
+        assert!(restored.run_to_completion().unwrap().is_conserved());
     }
 
     #[test]

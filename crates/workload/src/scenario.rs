@@ -113,10 +113,11 @@ impl Scenario {
         self.machines.len()
     }
 
-    /// Total machine-queue capacity at a given per-machine queue size.
+    /// Total machine-queue capacity at a given per-machine queue size,
+    /// saturating at `usize::MAX`.
     #[must_use]
     pub fn capacity(&self, queue_size: usize) -> usize {
-        self.machine_count() * queue_size
+        self.machine_count().saturating_mul(queue_size)
     }
 
     /// Hourly price of a machine (via its type).

@@ -261,11 +261,11 @@ fn degraded_entries_without_approx_are_refused() {
     );
 }
 
-/// The persistent PET×tail cache (DESIGN.md §13) is *derived* state: a
-/// snapshot taken from a warm-cache core serializes to exactly the bytes
-/// a cold-cache twin produces, and the warm→restore→run path is
-/// byte-identical to the cold run. Nothing about the cache — revisions,
-/// entries, counters — may leak into `Checkpoint` v1.
+/// The machines' memos and the Eq 2 price table (DESIGN.md §13) are
+/// *derived* state: a snapshot taken from a warm-cache core serializes to
+/// exactly the bytes a cold-cache twin produces, and the warm→restore→run
+/// path is byte-identical to the cold run. Nothing about the caches —
+/// memos, entries, counters — may leak into `Checkpoint` v1.
 #[test]
 fn warm_cache_snapshot_equals_cold_snapshot() {
     let scenario = Scenario::specint(21);
@@ -293,9 +293,9 @@ fn warm_cache_snapshot_equals_cold_snapshot() {
     assert_eq!(warm.run_to_completion().unwrap(), cold.run_to_completion().unwrap());
 }
 
-/// The serialized `Checkpoint` v1 layout is frozen: exactly the seed
-/// PR 3 field set, in which the new cache/revision machinery must never
-/// appear. A failure here means the checkpoint format changed — bump
+/// The serialized `Checkpoint` v1 layout is frozen: exactly its original
+/// field set, in which the cache and memo machinery must never appear.
+/// A failure here means the checkpoint format changed — bump
 /// `CHECKPOINT_VERSION` and write a migration instead.
 #[test]
 fn checkpoint_v1_field_set_is_frozen() {
@@ -332,7 +332,8 @@ fn checkpoint_v1_field_set_is_frozen() {
         assert!(json.contains(&format!("\"{field}\":")), "v1 field {field} missing");
     }
     // …and none of the derived-state machinery.
-    for forbidden in ["queue_rev", "tail_hits", "tail_misses", "conv_", "verdict", "cache", "ctx"] {
+    let derived = ["kept_whole", "tail_hits", "tail_misses", "conv_", "verdict", "cache", "ctx"];
+    for forbidden in derived {
         assert!(!json.contains(forbidden), "derived state {forbidden} leaked into checkpoint v1");
     }
 }
@@ -517,6 +518,56 @@ fn a_shard_checkpoint_with_a_broken_admission_controller_is_refused() {
     let mut checkpoint = restore_point.clone();
     checkpoint.admission = serde_json::from_str(&json).unwrap();
     assert_eq!(shard.restore_from(&checkpoint), Ok(()));
+}
+
+/// A flight recorder's capacity in a shard checkpoint is a bound, not a
+/// request for memory. A checkpoint whose recorder holds `usize::MAX`
+/// events restores onto a shard without a recorder, and the revived
+/// recorder then records exactly what the checkpointed shard's own
+/// recorder records from there on.
+#[test]
+fn a_shard_checkpoint_with_a_huge_flight_capacity_restores_and_records() {
+    let scenario = Scenario::specint(3);
+    let dropper = ProactiveDropper::paper_default();
+    let fleet = |recorder: Option<usize>| {
+        let mut shard = FleetShard::new(
+            "flight",
+            &scenario,
+            &Pam,
+            &dropper,
+            quick_config(),
+            7,
+            TrafficSource::Bursty(BurstySource::new(9, 0.05, 0.0, 300, 700, 400, 12, 40)),
+            AdmissionController::new(16, BackpressurePolicy::ShedOldest),
+        )
+        .unwrap();
+        if let Some(capacity) = recorder {
+            shard.enable_flight_recorder(capacity);
+        }
+        let mut fleet = FleetDriver::new();
+        fleet.add_shard(shard);
+        fleet.advance(200).unwrap();
+        fleet
+    };
+    let mut recorded = fleet(Some(1 << 16));
+    let mut revived = fleet(None);
+    let mut checkpoint = recorded.shard_mut(0).unwrap().take_checkpoint(200).clone();
+    let flight = checkpoint.flight.as_mut().expect("the shard records");
+    let at_checkpoint = flight.events.len();
+    assert!(at_checkpoint > 0);
+    flight.capacity = usize::MAX;
+    assert_eq!(revived.shard_mut(0).unwrap().restore_from(&checkpoint), Ok(()));
+    for fleet in [&mut recorded, &mut revived] {
+        fleet.advance(400).unwrap();
+    }
+    let events = |fleet: &FleetDriver<'_>| {
+        let recorder = fleet.shards()[0].flight_recorder().expect("a recorder");
+        (recorder.capacity(), recorder.events())
+    };
+    let ((_, expected), (capacity, got)) = (events(&recorded), events(&revived));
+    assert_eq!(capacity, usize::MAX);
+    assert!(expected.len() > at_checkpoint && expected.len() < 1 << 16);
+    assert_eq!(got, expected);
 }
 
 /// A DAG checkpoint carries the coordinator's admission controller, and

@@ -1,16 +1,17 @@
-//! The persistent PET×tail cache is invisible except in speed.
+//! The engine's memos and the Eq 2 price table are invisible except in
+//! speed.
 //!
-//! Three contracts (DESIGN.md §13):
+//! Five contracts (DESIGN.md §13):
 //!
 //! 1. **Regression for the `queue_tail_estimate` hot-path bug**: the
-//!    estimate is routed through the core's shared `PolicyCtx`, so
-//!    repeated calls against an unmoved queue are answered from the cache
-//!    (hit counters advance) and return bit-identical PMFs.
+//!    estimate reads the machine's memo, so repeated calls against an
+//!    unmoved queue are answered from it (hit counters advance) and
+//!    return bit-identical PMFs.
 //! 2. **Invalidation property**: after an arbitrary mutation sequence —
-//!    injections, stepping, machine failures and repairs — every cached
-//!    tail equals the tail a *cold* context (a checkpoint-restored twin of
-//!    the same core, which starts with an empty cache) computes from
-//!    scratch, bit for bit. Down machines are compared too, so
+//!    injections, stepping with each kind of dropper, machine failures
+//!    and repairs — every memoised tail equals the tail a *cold* core (a
+//!    checkpoint-restored twin, which starts with empty memos) computes
+//!    from scratch, bit for bit. Down machines are compared too, so
 //!    failure-aware callers see identical state either way.
 //! 3. **Surfacing**: `StepOutcome` work counters equal
 //!    `SimCore::cache_stats()` and lookups are monotone.
@@ -39,8 +40,8 @@ fn pmf_bits(p: &Pmf) -> Vec<(Tick, u64)> {
 }
 
 /// Satellite bugfix regression: `SimCore::queue_tail_estimate` used to
-/// build a throwaway evaluator per call; it now reads through the shared
-/// cache, so back-to-back calls on an unmoved queue report hits.
+/// build a throwaway evaluator per call; it now reads the machine's memo,
+/// so back-to-back calls on an unmoved queue report hits.
 #[test]
 fn repeated_tail_estimates_hit_the_cache() {
     let scenario = Scenario::specint(7);
@@ -68,7 +69,7 @@ fn repeated_tail_estimates_hit_the_cache() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(pmf_bits(a), pmf_bits(b));
     }
-    // Every second-round lookup is a hit: same revision, same base.
+    // Every second-round lookup is a hit: unchanged queue, same base.
     assert_eq!(
         after_second.tail_hits - after_first.tail_hits,
         busy.len() as u64,
@@ -102,16 +103,21 @@ fn step_outcomes_surface_cache_work() {
     assert!(last.tail_hits + last.tail_misses > 0, "a full trial performs tail lookups");
 }
 
-/// Drives a core through a scripted mix of injections and time slices,
-/// returning it mid-flight.
-fn drive<'a>(scenario: &'a Scenario, failures: bool, seed: u64, ops: &[(u8, u64)]) -> SimCore<'a> {
+/// Drives a core that drops with `dropper` through a scripted mix of
+/// injections and time slices, returning it mid-flight.
+fn drive<'a>(
+    scenario: &'a Scenario,
+    dropper: &'a dyn DropPolicy,
+    failures: bool,
+    seed: u64,
+    ops: &[(u8, u64)],
+) -> SimCore<'a> {
     static PAM: Pam = Pam;
-    static DROPPER: ReactiveOnly = ReactiveOnly;
     let config = SimConfig {
         failures: failures.then_some(taskdrop::sim::FailureSpec { mtbf: 300, mttr: 200 }),
         ..cfg()
     };
-    let mut core = SimCore::open(scenario, &PAM, &DROPPER, config, seed).unwrap();
+    let mut core = SimCore::open(scenario, &PAM, dropper, config, seed).unwrap();
     for &(op, val) in ops {
         if op % 3 == 0 {
             // A burst of arrivals with mixed deadlines.
@@ -131,33 +137,42 @@ fn drive<'a>(scenario: &'a Scenario, failures: bool, seed: u64, ops: &[(u8, u64)
 }
 
 proptest! {
-    // Each case runs a pair of mini-trials; keep the count bounded for
-    // the tier-1 budget.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case runs a pair of mini-trials, and debug builds re-chain every
+    // memo hit: keep the count bounded for the tier-1 budget, and run deep
+    // in release (CI).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 1_024 }))]
 
-    /// After any mutation sequence, every machine's cached tail is
-    /// bit-identical to one computed from scratch by a cold context (a
-    /// restored twin starts with an empty cache and rev counters, so its
-    /// first lookup re-chains everything). Failure injection is part of
-    /// the script, so the machine-down case is covered: down flags agree
-    /// and down machines' tails match too.
+    /// After any mutation sequence, every machine's memoised tail is
+    /// bit-identical to one computed from scratch by a cold core (a
+    /// restored twin starts with empty memos, so its first lookup
+    /// re-chains everything). The dropper is the paper's (whose drop pass
+    /// lends its keep-all chains' tails to the memos), the threshold
+    /// baseline or none. Failure injection is part of the script, so the
+    /// machine-down case is covered: down flags agree and down machines'
+    /// tails match too.
     #[test]
     fn warm_cache_matches_cold_recomputation(
         seed in 0u64..500,
         failure_coin in 0u8..2,
+        dropper_pick in 0u8..3,
         ops in prop::collection::vec((0u8..6, 0u64..300), 1..12),
     ) {
         let failures = failure_coin == 1;
         let scenario = Scenario::specint(11);
-        let mut warm = drive(&scenario, failures, seed, &ops);
+        let (paper, threshold) = (ProactiveDropper::paper_default(), ThresholdDropper::paper_default());
+        let dropper: &dyn DropPolicy = match dropper_pick {
+            0 => &ReactiveOnly,
+            1 => &paper,
+            _ => &threshold,
+        };
+        let mut warm = drive(&scenario, dropper, failures, seed, &ops);
         // Warm the cache further: estimate every tail once.
         for m in scenario.machines.clone() {
             let _ = warm.queue_tail_estimate(m.id);
         }
         let checkpoint = warm.snapshot();
         static PAM: Pam = Pam;
-        static DROPPER: ReactiveOnly = ReactiveOnly;
-        let mut cold = SimCore::restore(&scenario, &PAM, &DROPPER, &checkpoint).unwrap();
+        let mut cold = SimCore::restore(&scenario, &PAM, dropper, &checkpoint).unwrap();
         prop_assert_eq!(cold.cache_stats().lookups(), 0, "restored caches start cold");
         let mut saw_down = false;
         for m in scenario.machines.clone() {
@@ -247,7 +262,7 @@ proptest! {
         queries in prop::collection::vec((0u16..12, 1u64..2_000), 1..8),
     ) {
         let scenario = Scenario::specint(11);
-        let mut warm = drive(&scenario, failure_coin == 1, seed, &ops);
+        let mut warm = drive(&scenario, &ReactiveOnly, failure_coin == 1, seed, &ops);
         let now = warm.now();
         let warm_prices: Vec<f64> = queries
             .iter()
