@@ -142,14 +142,6 @@ pub struct Checkpoint {
     pub event_seq: u64,
 }
 
-impl Checkpoint {
-    /// Tasks whose fate was already decided at snapshot time.
-    #[must_use]
-    pub fn resolved_tasks(&self) -> usize {
-        self.fates.iter().filter(|f| f.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +184,5 @@ mod tests {
         assert_eq!(cp, back);
         // Canonical: re-serializing the restored value is byte-identical.
         assert_eq!(json, serde_json::to_string(&back).unwrap());
-    }
-
-    #[test]
-    fn resolved_counts_some_fates() {
-        let mut cp = tiny();
-        assert_eq!(cp.resolved_tasks(), 0);
-        cp.fates = vec![Some(TaskFate::OnTime), None, Some(TaskFate::Late)];
-        assert_eq!(cp.resolved_tasks(), 2);
     }
 }

@@ -1,9 +1,10 @@
 //! The resumable simulation core: an explicit-lifecycle state machine.
 //!
 //! [`SimCore`] owns one trial's complete state — machines, queues, the event
-//! heap, and per-task fate accounting — and advances it one *mapping event*
-//! at a time via [`SimCore::step`]. It is the engine's only entry point; a
-//! batch trial and a production-style driver use the same lifecycle:
+//! heap, and the accounting fold of its own events — and advances it one
+//! *mapping event* at a time via [`SimCore::step`]. It is the engine's only
+//! entry point; a batch trial and a production-style driver use the same
+//! lifecycle:
 //!
 //! * [`SimCore::step`] — process the next event timestamp (all simultaneous
 //!   events, then one mapping event), returning a [`StepOutcome`];
@@ -31,7 +32,7 @@ use crate::checkpoint::{
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::event::{Event, EventQueue};
-use crate::metrics::{TaskFate, TrialResult};
+use crate::metrics::{MetricsObserver, TaskFate, TrialResult};
 use crate::observer::{DropKind, ObserverHub, SimEvent, SimObserver};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -51,7 +52,6 @@ struct MachineSt {
     machine: Machine,
     running: Option<RunningCheckpoint>,
     pending: VecDeque<QueuedCheckpoint>,
-    busy_ticks: u64,
     /// Incremented each time a task starts; stamps Completion/DeadlineKill
     /// events so stale ones (for an already-ended execution) are ignored.
     epoch: u64,
@@ -79,36 +79,6 @@ impl MachineSt {
     fn clear_memo(&mut self) {
         self.tail = None;
         self.kept_whole = None;
-    }
-}
-
-/// Records the single fate of every admitted task and how many are resolved,
-/// letting the core report drain as soon as all work is accounted for
-/// (important under failure injection, whose repair events extend past the
-/// drain).
-struct FateBook {
-    fates: Vec<Option<TaskFate>>,
-    resolved: usize,
-}
-
-impl FateBook {
-    fn new(n: usize) -> Self {
-        FateBook { fates: vec![None; n], resolved: 0 }
-    }
-
-    fn set(&mut self, task: TaskId, fate: TaskFate) {
-        let slot = &mut self.fates[task.index()];
-        debug_assert!(slot.is_none(), "task {task} assigned two fates");
-        *slot = Some(fate);
-        self.resolved += 1;
-    }
-
-    fn push_slot(&mut self) {
-        self.fates.push(None);
-    }
-
-    fn all_resolved(&self) -> bool {
-        self.resolved == self.fates.len()
     }
 }
 
@@ -249,9 +219,11 @@ pub struct SimCore<'a, H: ObserverHub = Vec<Box<dyn SimObserver + 'a>>> {
     machines: Vec<MachineSt>,
     batch: Vec<Task>,
     events: EventQueue,
-    fates: FateBook,
+    /// The accounting fold of every event the core emits itself. Its fate
+    /// table grows as tasks are admitted, so the core reports drain as soon
+    /// as all work is accounted for, even with failure events still queued.
+    fold: MetricsObserver,
     now: Tick,
-    mapping_events: u64,
     /// Event delivery backend ([`ObserverHub`]): boxed observers by
     /// default, an [`EventRelay`](crate::EventRelay) buffer for `Send`
     /// cores on fleet worker threads.
@@ -276,7 +248,7 @@ impl<H: ObserverHub> std::fmt::Debug for SimCore<'_, H> {
             .field("tasks", &self.tasks.len())
             .field("batch", &self.batch.len())
             .field("machines", &self.machines.len())
-            .field("mapping_events", &self.mapping_events)
+            .field("mapping_events", &self.fold.mapping_events())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -403,7 +375,6 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 machine,
                 running: None,
                 pending: VecDeque::new(),
-                busy_ticks: 0,
                 epoch: 0,
                 down: false,
                 tail: None,
@@ -416,7 +387,10 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         }
         let approx_pet =
             config.approx.map(|spec| taskdrop_model::approx::degraded_pet(&scenario.pet, spec));
-        let fates = FateBook::new(tasks.len());
+        let mut fold = MetricsObserver::new(scenario, &config);
+        if let Some(last) = tasks.last() {
+            fold.admit(last.id);
+        }
         let mut core = SimCore {
             scenario,
             mapper,
@@ -428,9 +402,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             machines,
             batch: Vec::new(),
             events,
-            fates,
+            fold,
             now: 0,
-            mapping_events: 0,
             observers: H::default(),
             ctx: PolicyCtx::new(),
             memo_stats: CacheStats::default(),
@@ -492,7 +465,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         let id = TaskId(self.tasks.len() as u64);
         let task = Task { id, type_id, arrival, deadline };
         self.tasks.push(task);
-        self.fates.push_slot();
+        self.fold.admit(id);
         self.events.push(arrival, Event::Arrival(id.index()));
         Ok(id)
     }
@@ -504,7 +477,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// new work is [injected](SimCore::inject); remaining failure-timeline
     /// events have nothing left to disturb and stay unprocessed.
     pub fn step(&mut self) -> StepOutcome {
-        if self.fates.all_resolved() {
+        if self.fold.is_drained() {
             return StepOutcome::Drained { now: self.now, work: self.cache_stats() };
         }
         let Some((t, ev)) = self.events.pop() else {
@@ -517,9 +490,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             self.handle(ev);
         }
         self.mapping_event();
-        self.mapping_events += 1;
-        emit(&mut self.observers, SimEvent::MappingRound { now: self.now });
-        if self.fates.all_resolved() {
+        emit(&mut self.fold, &mut self.observers, SimEvent::MappingRound { now: self.now });
+        if self.fold.is_drained() {
             StepOutcome::Drained { now: self.now, work: self.cache_stats() }
         } else {
             StepOutcome::Advanced { now: self.now, work: self.cache_stats() }
@@ -531,10 +503,10 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// this returns [`SimCore::now`] is the time of the last event at or
     /// before `tick`, not `tick` itself.
     pub fn run_until(&mut self, tick: Tick) -> StepOutcome {
-        while !self.fates.all_resolved() && self.events.peek_time().is_some_and(|t| t <= tick) {
+        while !self.fold.is_drained() && self.events.peek_time().is_some_and(|t| t <= tick) {
             self.step();
         }
-        if self.fates.all_resolved() {
+        if self.fold.is_drained() {
             StepOutcome::Drained { now: self.now, work: self.cache_stats() }
         } else if self.events.peek_time().is_none() {
             StepOutcome::Idle { now: self.now }
@@ -566,24 +538,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     ///
     /// [`SimError::NotDrained`] while any admitted task is unresolved.
     pub fn result(&self) -> Result<TrialResult, SimError> {
-        if !self.fates.all_resolved() {
-            return Err(SimError::NotDrained {
-                resolved: self.fates.resolved,
-                total: self.fates.fates.len(),
-            });
-        }
-        let busy_ticks: Vec<u64> = self.machines.iter().map(|m| m.busy_ticks).collect();
-        let prices: Vec<f64> =
-            self.machines.iter().map(|m| self.scenario.price_per_hour(m.machine.id)).collect();
-        Ok(TrialResult::from_accounting(
-            &self.fates.fates,
-            self.config.exclude_boundary,
-            self.config.approx.map_or(0.0, |a| a.value),
-            busy_ticks,
-            &prices,
-            self.now,
-            self.mapping_events,
-        ))
+        self.fold.result()
     }
 
     /// Current simulation time (the last processed event timestamp).
@@ -601,26 +556,26 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// Tasks admitted so far (initial workload + injections).
     #[must_use]
     pub fn total_tasks(&self) -> usize {
-        self.fates.fates.len()
+        self.fold.total_tasks()
     }
 
     /// Tasks whose fate is already decided.
     #[must_use]
     pub fn resolved_tasks(&self) -> usize {
-        self.fates.resolved
+        self.fold.resolved_tasks()
     }
 
     /// Whether every admitted task has a fate.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.fates.all_resolved()
+        self.fold.is_drained()
     }
 
     /// The fate of a task, or `None` while it is still in flight (or the id
     /// is unknown).
     #[must_use]
     pub fn fate(&self, task: TaskId) -> Option<TaskFate> {
-        self.fates.fates.get(task.index()).copied().flatten()
+        self.fold.fate(task)
     }
 
     /// The engine configuration this core runs under.
@@ -766,7 +721,9 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 
     /// Forwards an externally produced lifecycle event to this core's
     /// observers, so one observer chain sees the complete task lifecycle
-    /// from ingress to fate. The only admissible events are
+    /// from ingress to fate. The event reaches the hub only, never the
+    /// core's own accounting fold, so [`SimCore::result`] never counts a
+    /// forfeit. The only admissible events are
     /// [`SimEvent::AdmissionDropped`] and [`SimEvent::CascadeForfeited`] —
     /// the lifecycle stages that happen *outside* the core (the serving
     /// layer's refusals and the graph layer's forfeits); every other
@@ -779,8 +736,6 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// Panics if `ev` is any variant other than
     /// [`SimEvent::AdmissionDropped`], [`SimEvent::CascadeForfeited`], or
     /// [`SimEvent::TaskMigrated`].
-    ///
-    /// [`MetricsObserver`]: crate::MetricsObserver
     pub fn notify_observers(&mut self, ev: &SimEvent) {
         assert!(
             matches!(
@@ -791,7 +746,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             ),
             "only AdmissionDropped/CascadeForfeited/TaskMigrated may be forwarded from outside the engine: {ev:?}"
         );
-        emit(&mut self.observers, *ev);
+        self.observers.deliver(ev);
     }
 
     /// A read-only snapshot of the batch queue and every machine queue.
@@ -803,15 +758,16 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             now: self.now,
             total_tasks: self.total_tasks(),
             resolved_tasks: self.resolved_tasks(),
-            mapping_events: self.mapping_events,
+            mapping_events: self.fold.mapping_events(),
             batch: self.batch.clone(),
             machines: self
                 .machines
                 .iter()
-                .map(|m| MachineState {
+                .zip(self.fold.busy_ticks())
+                .map(|(m, &busy_ticks)| MachineState {
                     machine: m.machine,
                     down: m.down,
-                    busy_ticks: m.busy_ticks,
+                    busy_ticks,
                     running: m.running.as_ref().map(|r| RunningState {
                         task: r.task,
                         start: r.start,
@@ -841,16 +797,17 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             config: self.config,
             exec_seed: self.exec_seed,
             now: self.now,
-            mapping_events: self.mapping_events,
+            mapping_events: self.fold.mapping_events(),
             tasks: self.tasks.clone(),
-            fates: self.fates.fates.clone(),
+            fates: self.fold.fates().to_vec(),
             batch: self.batch.clone(),
             machines: self
                 .machines
                 .iter()
-                .map(|m| MachineCheckpoint {
+                .zip(self.fold.busy_ticks())
+                .map(|(m, &busy_ticks)| MachineCheckpoint {
                     down: m.down,
-                    busy_ticks: m.busy_ticks,
+                    busy_ticks,
                     epoch: m.epoch,
                     running: m.running,
                     pending: m.pending.iter().copied().collect(),
@@ -872,7 +829,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// [`SimError::CheckpointVersion`] for an unknown format version;
     /// [`SimError::CheckpointMismatch`] if the checkpoint fails structural
     /// validation — scenario identity, dense task ids, fate-table sizing,
-    /// queue occupancy, task-table membership of every queued entry,
+    /// queue occupancy, busy-time and epoch bounds, task-table membership
+    /// of every queued entry,
     /// degraded entries only under approximate computing,
     /// event-heap consistency (sequence counter, payload bounds, no event
     /// before the clock, in-flight executions matched by current-epoch
@@ -894,7 +852,6 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 machine,
                 running: mc.running,
                 pending: mc.pending.iter().copied().collect(),
-                busy_ticks: mc.busy_ticks,
                 epoch: mc.epoch,
                 down: mc.down,
                 tail: None,
@@ -917,12 +874,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             machines,
             batch: checkpoint.batch.clone(),
             events,
-            fates: FateBook {
-                resolved: checkpoint.resolved_tasks(),
-                fates: checkpoint.fates.clone(),
-            },
+            fold: MetricsObserver::restore(scenario, checkpoint),
             now: checkpoint.now,
-            mapping_events: checkpoint.mapping_events,
             observers: H::default(),
             // Caches and scratch are derived state: a restored core starts
             // cold and re-derives identical bytes (tests/tail_cache.rs).
@@ -933,12 +886,12 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 
     fn handle(&mut self, ev: Event) {
         let now = self.now;
-        let SimCore { tasks, machines, batch, events, fates, observers, .. } = self;
+        let SimCore { tasks, machines, batch, events, fold, observers, .. } = self;
         match ev {
             Event::Arrival(i) => {
                 let task = tasks[i];
                 batch.push(task);
-                emit(observers, SimEvent::Arrived { task });
+                emit(fold, observers, SimEvent::Arrived { task });
             }
             Event::Completion(mid, epoch) => {
                 let m = &mut machines[mid.index()];
@@ -948,9 +901,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 let r = m.running.take().expect("epoch-matched completion");
                 debug_assert_eq!(r.finish, now);
                 m.epoch += 1; // invalidate any outstanding kill event
-                m.busy_ticks += r.finish - r.start;
-                resolve(
-                    fates,
+                emit(
+                    fold,
                     observers,
                     SimEvent::Completed {
                         task: r.task.id,
@@ -967,7 +919,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     now,
                     m,
                     events,
-                    fates,
+                    fold,
                     observers,
                 );
             }
@@ -980,8 +932,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 debug_assert_eq!(r.task.deadline, now);
                 debug_assert!(r.finish >= now, "kill scheduled after completion");
                 m.epoch += 1; // invalidate the outstanding completion event
-                m.busy_ticks += now - r.start;
-                resolve(fates, observers, SimEvent::Killed { task: r.task.id, machine: mid, now });
+                emit(fold, observers, SimEvent::Killed { task: r.task.id, machine: mid, now });
                 start_next(
                     self.scenario,
                     self.config,
@@ -989,7 +940,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     now,
                     m,
                     events,
-                    fates,
+                    fold,
                     observers,
                 );
             }
@@ -999,21 +950,15 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 m.clear_memo();
                 let lost = m.running.take().map(|r| {
                     m.epoch += 1; // invalidate completion/kill events
-                    m.busy_ticks += now - r.start;
                     r.task.id
                 });
-                let ev = SimEvent::MachineFailed { machine: mid, now, lost };
-                if lost.is_some() {
-                    resolve(fates, observers, ev);
-                } else {
-                    emit(observers, ev);
-                }
+                emit(fold, observers, SimEvent::MachineFailed { machine: mid, now, lost });
             }
             Event::MachineRepair(mid) => {
                 let m = &mut machines[mid.index()];
                 m.down = false;
                 m.clear_memo();
-                emit(observers, SimEvent::MachineRepaired { machine: mid, now });
+                emit(fold, observers, SimEvent::MachineRepaired { machine: mid, now });
                 start_next(
                     self.scenario,
                     self.config,
@@ -1021,7 +966,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                     now,
                     m,
                     events,
-                    fates,
+                    fold,
                     observers,
                 );
             }
@@ -1042,7 +987,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             machines,
             batch,
             events,
-            fates,
+            fold,
             observers,
             ctx,
             memo_stats,
@@ -1060,8 +1005,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             m.pending.retain(|qt| {
                 let keep = !qt.task.expired(now);
                 if !keep {
-                    resolve(
-                        fates,
+                    emit(
+                        fold,
                         observers,
                         SimEvent::Dropped { task: qt.task.id, now, kind: DropKind::Reactive },
                     );
@@ -1075,8 +1020,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         batch.retain(|task| {
             let keep = !task.expired(now);
             if !keep {
-                resolve(
-                    fates,
+                emit(
+                    fold,
                     observers,
                     SimEvent::Dropped { task: task.id, now, kind: DropKind::Reactive },
                 );
@@ -1161,6 +1106,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 assert!(!m.pending[idx].degraded, "task degraded twice");
                 m.pending[idx].degraded = true;
                 emit(
+                    fold,
                     observers,
                     SimEvent::Degraded { task: m.pending[idx].task.id, machine: m.machine.id, now },
                 );
@@ -1168,8 +1114,8 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             }
             for &idx in decision.drops.iter().rev() {
                 let qt = m.pending.remove(idx).expect("validated index");
-                resolve(
-                    fates,
+                emit(
+                    fold,
                     observers,
                     SimEvent::Dropped { task: qt.task.id, now, kind: DropKind::Proactive },
                 );
@@ -1229,6 +1175,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 m.pending.push_back(QueuedCheckpoint { task: batch[a.task_idx], degraded: false });
                 m.clear_memo();
                 emit(
+                    fold,
                     observers,
                     SimEvent::Mapped { task: batch[a.task_idx].id, machine: a.machine, now },
                 );
@@ -1240,7 +1187,7 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
         // (4) Idle machines start their newly queued work immediately.
         for m in machines.iter_mut() {
             if m.running.is_none() && !m.pending.is_empty() {
-                start_next(scenario, config, exec_seed, now, m, events, fates, observers);
+                start_next(scenario, config, exec_seed, now, m, events, fold, observers);
             }
         }
     }
@@ -1258,6 +1205,11 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
 /// * machine-queue occupancy within the configured capacity;
 /// * no degraded running or queued entry unless approximate computing is
 ///   configured (the engine degrades only then);
+/// * per machine, busy ticks at most its running task's start (the clock
+///   when idle) and an epoch at most twice the task count: a machine's
+///   executions never overlap, and each start and each end bumps its
+///   epoch once, so a larger value is forged and would overflow a later
+///   step;
 /// * event-heap consistency: sequence counter covers every entry, event
 ///   payloads reference real tasks/machines, and no event is scheduled
 ///   before the checkpoint clock (the engine never leaves one behind, and
@@ -1365,6 +1317,22 @@ fn validate_checkpoint(scenario: &Scenario, checkpoint: &Checkpoint) -> Result<(
                 "degraded",
                 "no degraded entry while config.approx is unset".to_string(),
                 format!("a degraded entry on m{idx}"),
+            );
+        }
+        let busy_limit = mc.running.map_or(checkpoint.now, |r| r.start);
+        if mc.busy_ticks > busy_limit {
+            return mismatch(
+                "busy_ticks",
+                format!("<= {busy_limit} on m{idx}"),
+                mc.busy_ticks.to_string(),
+            );
+        }
+        let epoch_limit = (checkpoint.tasks.len() as u64).saturating_mul(2);
+        if mc.epoch > epoch_limit {
+            return mismatch(
+                "epoch",
+                format!("<= {epoch_limit} (twice the task count) on m{idx}"),
+                mc.epoch.to_string(),
             );
         }
     }
@@ -1479,19 +1447,13 @@ fn validate_checkpoint(scenario: &Scenario, checkpoint: &Checkpoint) -> Result<(
     Ok(())
 }
 
-/// Delivers one event through the core's hub (boxed observers or a
-/// buffering relay — the engine does not care which).
-fn emit<H: ObserverHub>(observers: &mut H, ev: SimEvent) {
+/// Folds one event the engine emits into its accounting, then delivers it
+/// through the core's hub (boxed observers or a buffering relay — the
+/// engine does not care which). The engine's result is its own stream
+/// folded, so it cannot drift from what observers see.
+fn emit<H: ObserverHub>(fold: &mut MetricsObserver, observers: &mut H, ev: SimEvent) {
+    fold.on_event(&ev);
     observers.deliver(&ev);
-}
-
-/// Records the fate a terminal event implies and notifies observers. The
-/// event→fate mapping lives in one place — [`SimEvent::resolved`] — so the
-/// engine's accounting and the observer stream cannot drift apart.
-fn resolve<H: ObserverHub>(fates: &mut FateBook, observers: &mut H, ev: SimEvent) {
-    let (task, fate) = ev.resolved().expect("resolve() called with a non-terminal event");
-    fates.set(task, fate);
-    emit(observers, ev);
 }
 
 /// Actual execution time of `task` on `machine`, drawn from the truth
@@ -1513,7 +1475,7 @@ fn start_next<H: ObserverHub>(
     now: Tick,
     m: &mut MachineSt,
     events: &mut EventQueue,
-    fates: &mut FateBook,
+    fold: &mut MetricsObserver,
     observers: &mut H,
 ) {
     debug_assert!(m.running.is_none());
@@ -1523,8 +1485,8 @@ fn start_next<H: ObserverHub>(
     while let Some(QueuedCheckpoint { task, degraded }) = m.pending.pop_front() {
         m.clear_memo();
         if task.expired(now) {
-            resolve(
-                fates,
+            emit(
+                fold,
                 observers,
                 SimEvent::Dropped { task: task.id, now, kind: DropKind::Reactive },
             );
@@ -1550,7 +1512,11 @@ fn start_next<H: ObserverHub>(
             events.push(task.deadline, Event::DeadlineKill(m.machine.id, m.epoch));
         }
         events.push(finish, Event::Completion(m.machine.id, m.epoch));
-        emit(observers, SimEvent::Started { task: task.id, machine: m.machine.id, now, degraded });
+        emit(
+            fold,
+            observers,
+            SimEvent::Started { task: task.id, machine: m.machine.id, now, degraded },
+        );
         m.running = Some(RunningCheckpoint { task, start: now, finish, degraded });
         return;
     }

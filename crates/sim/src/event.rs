@@ -20,8 +20,10 @@ use taskdrop_pmf::Tick;
 /// state.
 ///
 /// The derived order only separates [`EventEntry`] values with equal time
-/// and sequence number, which the engine never produces: every push takes
-/// a fresh number.
+/// and sequence number. The engine produces none: every push takes a fresh
+/// number until the counter saturates, which only a forged checkpoint can
+/// bring about. Past that, ties fall back to this order, which is still
+/// total and deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Event {
     /// Task `workload_index` arrives.
@@ -53,9 +55,10 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedules `event` at `time`.
+    /// Schedules `event` at `time`. The sequence number saturates at
+    /// `u64::MAX` (see [`Event`] for the order of ties past it).
     pub fn push(&mut self, time: Tick, event: Event) {
-        self.seq += 1;
+        self.seq = self.seq.saturating_add(1);
         self.heap.push(Reverse(EventEntry { time, seq: self.seq, event }));
     }
 

@@ -66,10 +66,10 @@ pub use config::{DropperKind, FailureSpec, SimConfig};
 pub use core::{MachineState, RunningState, SimCore, SimState, StepOutcome};
 pub use error::SimError;
 pub use event::Event;
-pub use metrics::{TaskFate, TrialResult};
+pub use metrics::{MetricsObserver, TaskFate, TrialResult};
 pub use observer::{
-    AdmissionDropKind, DropKind, EventRelay, ForfeitKind, MetricsObserver, MigrationKind,
-    ObserverHub, SimEvent, SimObserver,
+    AdmissionDropKind, DropKind, EventRelay, ForfeitKind, MigrationKind, ObserverHub, SimEvent,
+    SimObserver,
 };
 pub use report::SimReport;
 pub use runner::{RunSpec, TrialRunner};

@@ -7,18 +7,20 @@
 //! [`TrialResult`]. Observers are strictly read-only: they cannot influence
 //! the trial, so an instrumented run is byte-identical to a bare one.
 //!
-//! [`MetricsObserver`] rebuilds a full [`TrialResult`] from nothing but the
-//! event stream; the integration tests assert it matches the engine's own
-//! accounting exactly, which pins down the stream's completeness (every task
-//! receives exactly one terminal event, busy time is fully attributed).
+//! The engine's own result is these events folded: the core feeds every
+//! event it emits to its [`MetricsObserver`] before any observer sees it, so
+//! an attached [`MetricsObserver`] reproduces the engine's [`TrialResult`]
+//! exactly (plus any forfeits forwarded to the hub), which pins down the
+//! stream's completeness (every task receives exactly one terminal event,
+//! busy time is fully attributed).
+//!
+//! [`MetricsObserver`]: crate::MetricsObserver
+//! [`TrialResult`]: crate::TrialResult
 
-use crate::config::SimConfig;
-use crate::error::SimError;
-use crate::metrics::{TaskFate, TrialResult};
+use crate::metrics::TaskFate;
 use serde::{Deserialize, Serialize};
 use taskdrop_model::{MachineId, Task, TaskId, TaskTypeId};
 use taskdrop_pmf::Tick;
-use taskdrop_workload::Scenario;
 
 /// Why a task was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -208,7 +210,8 @@ pub enum SimEvent {
     /// never by the core itself. The node was never injected, so it has no
     /// [`TaskId`] and this is **not** a terminal event for the core's own
     /// fate accounting — it is the graph layer's loss ledger, mirrored into
-    /// [`MetricsObserver`] totals as [`TaskFate::Forfeited`].
+    /// [`MetricsObserver`](crate::MetricsObserver) totals as
+    /// [`TaskFate::Forfeited`].
     CascadeForfeited {
         /// Graph instance the node belongs to (the coordinator's dense
         /// graph index).
@@ -370,148 +373,6 @@ impl ObserverHub for EventRelay {
     }
 }
 
-/// Rebuilds a [`TrialResult`] from the event stream alone.
-///
-/// This is the "metrics as a pluggable observer" half of the API: it holds
-/// no reference to the engine and sees only what every other observer sees,
-/// yet [`MetricsObserver::result`] reproduces the engine's own
-/// [`TrialResult`] byte for byte (asserted by the integration tests). Use it
-/// as a template for custom streaming metrics.
-///
-/// Attach it **before the first step**: the reconstruction can only cover
-/// events the observer actually saw, so one attached mid-trial reports only
-/// the remainder (tasks resolved earlier are missing from its totals, and
-/// executions already in flight contribute no busy time).
-#[derive(Debug)]
-pub struct MetricsObserver {
-    exclude_boundary: usize,
-    approx_value: f64,
-    /// Hourly price per machine index (from the scenario's machine types).
-    prices: Vec<f64>,
-    fates: Vec<Option<TaskFate>>,
-    busy_ticks: Vec<u64>,
-    /// Start tick of each machine's current execution.
-    running_since: Vec<Option<Tick>>,
-    makespan: Tick,
-    mapping_events: u64,
-    /// Graph nodes forfeited before injection ([`SimEvent::CascadeForfeited`]).
-    forfeited: usize,
-}
-
-impl MetricsObserver {
-    /// An observer mirroring the accounting the engine would do under
-    /// `config` on `scenario`.
-    #[must_use]
-    pub fn new(scenario: &Scenario, config: &SimConfig) -> Self {
-        MetricsObserver {
-            exclude_boundary: config.exclude_boundary,
-            approx_value: config.approx.map_or(0.0, |a| a.value),
-            prices: scenario.machines.iter().map(|m| scenario.price_per_hour(m.id)).collect(),
-            fates: Vec::new(),
-            busy_ticks: vec![0; scenario.machine_count()],
-            running_since: vec![None; scenario.machine_count()],
-            makespan: 0,
-            mapping_events: 0,
-            forfeited: 0,
-        }
-    }
-
-    /// Graph nodes seen forfeited so far (the
-    /// [`SimEvent::CascadeForfeited`] tally; 0 for independent-task
-    /// trials).
-    #[must_use]
-    pub fn forfeited(&self) -> usize {
-        self.forfeited
-    }
-
-    fn set_fate(&mut self, task: TaskId, fate: TaskFate) {
-        let idx = task.index();
-        if self.fates.len() <= idx {
-            self.fates.resize(idx + 1, None);
-        }
-        debug_assert!(self.fates[idx].is_none(), "task {task} resolved twice in event stream");
-        self.fates[idx] = Some(fate);
-    }
-
-    fn accrue_busy(&mut self, machine: MachineId, now: Tick) {
-        // A missing start means the observer was attached while this
-        // execution was already running; its ticks cannot be attributed.
-        if let Some(start) = self.running_since[machine.index()].take() {
-            self.busy_ticks[machine.index()] += now - start;
-        }
-    }
-
-    /// The reconstructed [`TrialResult`].
-    ///
-    /// Forfeited graph nodes never received a [`TaskId`], so they ride on
-    /// top of the per-task fate table: each observed
-    /// [`SimEvent::CascadeForfeited`] adds one task with
-    /// [`TaskFate::Forfeited`] to the totals and the counted window (never
-    /// boundary-trimmed — forfeiture is a steady-state loss, not a warm-up
-    /// artefact), keeping the result conserved and the robustness
-    /// denominator honest about every unit of offered graph work.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NotDrained`] if any observed task has no terminal event
-    /// yet.
-    pub fn result(&self) -> Result<TrialResult, SimError> {
-        let n = self.fates.len();
-        let resolved = self.fates.iter().filter(|f| f.is_some()).count();
-        if resolved != n {
-            return Err(SimError::NotDrained { resolved, total: n });
-        }
-        let mut result = TrialResult::from_accounting(
-            &self.fates,
-            self.exclude_boundary,
-            self.approx_value,
-            self.busy_ticks.clone(),
-            &self.prices,
-            self.makespan,
-            self.mapping_events,
-        );
-        result.total_tasks += self.forfeited;
-        result.counted_tasks += self.forfeited;
-        result.forfeited += self.forfeited;
-        Ok(result)
-    }
-}
-
-impl SimObserver for MetricsObserver {
-    fn on_event(&mut self, ev: &SimEvent) {
-        if let Some((task, fate)) = ev.resolved() {
-            self.set_fate(task, fate);
-        }
-        match *ev {
-            SimEvent::Arrived { task } => {
-                // Reserve the fate slot so totals count tasks that are still
-                // in flight.
-                let idx = task.id.index();
-                if self.fates.len() <= idx {
-                    self.fates.resize(idx + 1, None);
-                }
-            }
-            SimEvent::Started { machine, now, .. } => {
-                self.running_since[machine.index()] = Some(now);
-            }
-            SimEvent::Completed { machine, now, .. } | SimEvent::Killed { machine, now, .. } => {
-                self.accrue_busy(machine, now);
-            }
-            SimEvent::MachineFailed { machine, now, lost: Some(_) } => {
-                self.accrue_busy(machine, now);
-            }
-            SimEvent::MappingRound { now } => {
-                self.makespan = now;
-                self.mapping_events += 1;
-            }
-            SimEvent::CascadeForfeited { .. } => {
-                self.forfeited += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,6 +491,10 @@ mod tests {
 
     #[test]
     fn metrics_observer_reports_not_drained_mid_flight() {
+        use crate::config::SimConfig;
+        use crate::error::SimError;
+        use crate::metrics::MetricsObserver;
+        use taskdrop_workload::Scenario;
         let scenario = Scenario::transcode(1);
         let mut obs = MetricsObserver::new(&scenario, &SimConfig::default());
         obs.on_event(&SimEvent::Arrived { task: task(0) });

@@ -4,8 +4,9 @@
 //!
 //! This is the contract that makes the serving layer's kill/restore
 //! invisible, so it is pinned from several angles: a property test that
-//! interrupts at a random step under randomly drawn workloads and
-//! policies, a failure-injection case (outstanding failure/repair events
+//! interrupts at a random step under randomly drawn workloads, policies
+//! and failure injection and compares both the results and the final
+//! states, a failure-injection case (outstanding failure/repair events
 //! and epoch counters live in the checkpoint), a double-restore case (a
 //! checkpoint is reusable, not consumable), and JSON canonicality
 //! (identical states serialize to identical bytes).
@@ -17,8 +18,18 @@ fn quick_config() -> SimConfig {
     SimConfig { exclude_boundary: 0, ..SimConfig::default() }
 }
 
+/// A finished trial: its result and its final snapshot as JSON (fates,
+/// busy ticks, epochs, outstanding events and the event counter).
+type Finish = (TrialResult, String);
+
+fn finish(core: &mut SimCore<'_>) -> Finish {
+    let result = core.run_to_completion().expect("core drains");
+    (result, serde_json::to_string(&core.snapshot()).expect("serialize final state"))
+}
+
 /// Runs `steps` steps, snapshots through a JSON round-trip, restores, and
-/// finishes both cores; returns (uninterrupted, resumed) results.
+/// finishes both cores; returns how the uninterrupted and the resumed core
+/// finished.
 fn interrupted_vs_straight(
     scenario: &Scenario,
     workload: &Workload,
@@ -26,10 +37,10 @@ fn interrupted_vs_straight(
     config: SimConfig,
     exec_seed: u64,
     steps: usize,
-) -> (TrialResult, TrialResult) {
+) -> (Finish, Finish) {
     let mut straight = SimCore::new(scenario, workload, &Pam, dropper, config, exec_seed)
         .expect("valid straight core");
-    let expected = straight.run_to_completion().expect("straight core drains");
+    let expected = finish(&mut straight);
 
     let mut first = SimCore::new(scenario, workload, &Pam, dropper, config, exec_seed)
         .expect("valid interrupted core");
@@ -43,21 +54,25 @@ fn interrupted_vs_straight(
     let checkpoint: Checkpoint = serde_json::from_str(&json).expect("parse checkpoint");
     let mut resumed =
         SimCore::restore(scenario, &Pam, dropper, &checkpoint).expect("restore checkpoint");
-    let resumed_result = resumed.run_to_completion().expect("resumed core drains");
-    (expected, resumed_result)
+    (expected, finish(&mut resumed))
 }
 
 proptest! {
-    // Each case runs two full trials; 12 cases keep this file well under
-    // the tier-1 budget (the inputs below bound trials to ~200 tasks).
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case runs two full trials of at most ~200 tasks: 12 cases keep
+    // this file well under the tier-1 budget, and release runs deep (CI).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 128 }))]
 
+    /// Resuming from a snapshot taken at a random step, with failure
+    /// injection on or off, finishes with the same result and the same
+    /// final state, byte for byte, as never having stopped: the restored
+    /// core rebuilds its accounting fold from the checkpoint alone.
     #[test]
     fn resuming_from_a_random_interrupt_is_byte_identical(
         seed in 0u64..1_000,
         tasks in 40usize..200,
         steps in 0usize..400,
         dropper_kind in 0u8..3,
+        failure_coin in 0u8..2,
     ) {
         let scenario = Scenario::specint(17);
         let window = (tasks as u64) * 12; // ~2x oversubscription
@@ -72,9 +87,13 @@ proptest! {
             1 => &ReactiveOnly,
             _ => &threshold,
         };
-        let (expected, resumed) = interrupted_vs_straight(
-            &scenario, &workload, dropper, quick_config(), seed ^ 0xC0FFEE, steps,
-        );
+        let config = SimConfig {
+            failures: (failure_coin == 1)
+                .then_some(taskdrop::sim::FailureSpec { mtbf: 700, mttr: 150 }),
+            ..quick_config()
+        };
+        let (expected, resumed) =
+            interrupted_vs_straight(&scenario, &workload, dropper, config, seed ^ 0xC0FFEE, steps);
         prop_assert_eq!(expected, resumed);
     }
 }
@@ -95,7 +114,7 @@ fn resuming_under_failure_injection_is_byte_identical() {
     for steps in [1, 37, 160] {
         let (expected, resumed) =
             interrupted_vs_straight(&scenario, &workload, &dropper, config, 3, steps);
-        assert!(expected.is_conserved());
+        assert!(expected.0.is_conserved());
         assert_eq!(expected, resumed, "diverged after interrupt at step {steps}");
     }
 }
@@ -186,6 +205,78 @@ fn a_restored_core_that_cannot_drain_reports_not_drained() {
 
     let mut restored = SimCore::restore(&scenario, &Pam, &ReactiveOnly, &checkpoint).unwrap();
     assert_eq!(restored.run_to_completion(), Err(SimError::NotDrained { resolved: 0, total: 1 }));
+}
+
+/// Checkpoint counters at the end of their range. A machine's busy time
+/// past its running task's start (or past the clock while it is idle), or
+/// an epoch past twice the task count, is a value the engine cannot reach,
+/// and restore refuses it. The mapping-event count and the event sequence
+/// counter saturate at `u64::MAX`, so a core restored with either there
+/// steps to the drain without overflowing.
+#[test]
+fn counters_at_the_end_of_their_range_are_refused_or_saturate() {
+    use taskdrop::sim::Event;
+    let scenario = Scenario::specint(0xA5);
+    let level = OversubscriptionLevel::new("cpmax", 200, 2_400);
+    let workload = Workload::generate(&scenario, &level, 2.0, 3);
+    let dropper = ProactiveDropper::paper_default();
+    let mut core = SimCore::new(&scenario, &workload, &Pam, &dropper, quick_config(), 5).unwrap();
+    core.run_until(600);
+    let cp = core.snapshot();
+    let busy = cp.machines.iter().position(|m| m.running.is_some()).expect("a running machine");
+    let start = cp.machines[busy].running.expect("running").start;
+    let restore = |cp: &Checkpoint| SimCore::restore(&scenario, &Pam, &dropper, cp);
+    let refused = |cp: &Checkpoint| match restore(cp) {
+        Err(SimError::CheckpointMismatch { field, .. }) => field,
+        other => panic!("restored a forged checkpoint: {:?}", other.map(|_| ())),
+    };
+
+    let mut at_start = cp.clone();
+    at_start.machines[busy].busy_ticks = start;
+    assert!(restore(&at_start).unwrap().run_to_completion().unwrap().is_conserved());
+    let mut past_start = cp.clone();
+    past_start.machines[busy].busy_ticks = start + 1;
+    assert_eq!(refused(&past_start), "busy_ticks");
+    let mut busy_max = cp.clone();
+    busy_max.machines[busy].busy_ticks = u64::MAX;
+    assert_eq!(refused(&busy_max), "busy_ticks");
+
+    // An idle machine's busy time is bounded by the clock.
+    let mut open = SimCore::open(&scenario, &Pam, &dropper, quick_config(), 5).unwrap();
+    open.inject(taskdrop::model::TaskTypeId(0), 10, 700).unwrap();
+    let mut idle = open.snapshot();
+    idle.machines[0].busy_ticks = idle.now + 1;
+    assert_eq!(refused(&idle), "busy_ticks");
+
+    // The running machine's epoch at the end of the range, its completion
+    // (and deadline kill) re-stamped to match so that only the epoch is off.
+    let mut epoch_max = cp.clone();
+    let old_epoch = epoch_max.machines[busy].epoch;
+    epoch_max.machines[busy].epoch = u64::MAX;
+    for entry in &mut epoch_max.events {
+        match &mut entry.event {
+            Event::Completion(m, ep) | Event::DeadlineKill(m, ep)
+                if m.index() == busy && *ep == old_epoch =>
+            {
+                *ep = u64::MAX;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(refused(&epoch_max), "epoch");
+
+    let expected = core.run_to_completion().unwrap();
+    let mut rounds_max = cp.clone();
+    rounds_max.mapping_events = u64::MAX;
+    let saturated = restore(&rounds_max).unwrap().run_to_completion().unwrap();
+    assert_eq!(saturated.mapping_events, u64::MAX);
+    assert_eq!(TrialResult { mapping_events: expected.mapping_events, ..saturated }, expected);
+
+    let mut seq_max = cp.clone();
+    seq_max.event_seq = u64::MAX;
+    let first = restore(&seq_max).unwrap().run_to_completion().unwrap();
+    assert!(first.is_conserved());
+    assert_eq!(restore(&seq_max).unwrap().run_to_completion().unwrap(), first);
 }
 
 /// A mid-run checkpoint of an approximate-computing trial, taken at the

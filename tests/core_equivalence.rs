@@ -120,6 +120,9 @@ fn event_stream_conserves_task_fates() {
     }
 }
 
+/// The engine's result is its own events folded by a `MetricsObserver`, so
+/// an attached one reproduces it exactly when the hub delivers every event
+/// the engine folds.
 #[test]
 fn metrics_observer_reconstructs_the_trial_result_exactly() {
     let scenario = scenario();

@@ -8,11 +8,12 @@
 //!    unmoved queue are answered from it (hit counters advance) and
 //!    return bit-identical PMFs.
 //! 2. **Invalidation property**: after an arbitrary mutation sequence —
-//!    injections, stepping with each kind of dropper, machine failures
-//!    and repairs — every memoised tail equals the tail a *cold* core (a
-//!    checkpoint-restored twin, which starts with empty memos) computes
-//!    from scratch, bit for bit. Down machines are compared too, so
-//!    failure-aware callers see identical state either way.
+//!    injections, stepping with each kind of dropper, tail reads between
+//!    single steps, machine failures and repairs — every memoised tail
+//!    equals the tail a *cold* core (a checkpoint-restored twin, which
+//!    starts with empty memos) computes from scratch, bit for bit. Down
+//!    machines are compared too, so failure-aware callers see identical
+//!    state either way.
 //! 3. **Surfacing**: `StepOutcome` work counters equal
 //!    `SimCore::cache_stats()` and lookups are monotone.
 //! 4. **One pricing path**: `SimCore::best_chance` — the Eq 2 chance that
@@ -104,7 +105,11 @@ fn step_outcomes_surface_cache_work() {
 }
 
 /// Drives a core that drops with `dropper` through a scripted mix of
-/// injections and time slices, returning it mid-flight.
+/// injections, time slices and tail reads, returning it mid-flight. Ops
+/// 0 to 5 are light bursts and slices; op 6 is a heavy burst with tight
+/// deadlines, and op 7 reads every tail and then takes up to eight single
+/// steps, checking every tail against a cold twin ([`cold_twin`]) after
+/// each.
 fn drive<'a>(
     scenario: &'a Scenario,
     dropper: &'a dyn DropPolicy,
@@ -119,21 +124,72 @@ fn drive<'a>(
     };
     let mut core = SimCore::open(scenario, &PAM, dropper, config, seed).unwrap();
     for &(op, val) in ops {
-        if op % 3 == 0 {
-            // A burst of arrivals with mixed deadlines.
-            for k in 0..=(val % 5) {
-                let arrival = core.now() + val % 90;
-                let _ = core.inject(
-                    TaskTypeId(((val + k) % 12) as u16),
-                    arrival,
-                    arrival + 40 + (val * (k + 1)) % 400,
-                );
+        match op {
+            // Enough waiting work with little slack, arriving at the next
+            // tick, that the droppers act on the queues the mapper has
+            // just filled.
+            6 => {
+                let arrival = core.now() + 1;
+                for k in 0..(16 + val % 32) {
+                    let _ = core.inject(
+                        TaskTypeId(((val + k) % 12) as u16),
+                        arrival,
+                        arrival + 30 + (val * (k + 1)) % 150,
+                    );
+                }
             }
-        } else {
-            core.run_until(core.now() + 1 + val % 150);
+            // Admission pricing reads tails between events, which memoises
+            // them; the next event may then drop from a queue the mapper
+            // filled at the last one, under the same running task. Check
+            // right after each step, before a later event clears the memo
+            // (the check reads every tail again).
+            7 => {
+                for m in &scenario.machines {
+                    let _ = core.queue_tail_estimate(m.id);
+                }
+                for _ in 0..=val % 8 {
+                    core.step();
+                    cold_twin(scenario, dropper, &mut core);
+                }
+            }
+            // A burst of arrivals with mixed deadlines.
+            _ if op % 3 == 0 => {
+                for k in 0..=(val % 5) {
+                    let arrival = core.now() + val % 90;
+                    let _ = core.inject(
+                        TaskTypeId(((val + k) % 12) as u16),
+                        arrival,
+                        arrival + 40 + (val * (k + 1)) % 400,
+                    );
+                }
+            }
+            _ => {
+                core.run_until(core.now() + 1 + val % 150);
+            }
         }
     }
     core
+}
+
+/// A twin of `warm` restored from its checkpoint, after asserting that
+/// every machine's tail on `warm`, memoised or not, is bit-identical to
+/// the twin's, and that their down flags agree. The twin starts with empty
+/// memos, so its first lookups re-chain everything.
+fn cold_twin<'a>(
+    scenario: &'a Scenario,
+    dropper: &'a dyn DropPolicy,
+    warm: &mut SimCore<'_>,
+) -> SimCore<'a> {
+    static PAM: Pam = Pam;
+    let mut cold = SimCore::restore(scenario, &PAM, dropper, &warm.snapshot()).unwrap();
+    assert_eq!(cold.cache_stats().lookups(), 0, "restored caches start cold");
+    for m in &scenario.machines {
+        let from_warm = warm.queue_tail_estimate(m.id).unwrap();
+        let from_cold = cold.queue_tail_estimate(m.id).unwrap();
+        assert_eq!(pmf_bits(&from_warm), pmf_bits(&from_cold), "machine {}", m.id);
+        assert_eq!(warm.machine_is_down(m.id), cold.machine_is_down(m.id));
+    }
+    cold
 }
 
 proptest! {
@@ -142,20 +198,20 @@ proptest! {
     // in release (CI).
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 1_024 }))]
 
-    /// After any mutation sequence, every machine's memoised tail is
-    /// bit-identical to one computed from scratch by a cold core (a
-    /// restored twin starts with empty memos, so its first lookup
-    /// re-chains everything). The dropper is the paper's (whose drop pass
-    /// lends its keep-all chains' tails to the memos), the threshold
-    /// baseline or none. Failure injection is part of the script, so the
-    /// machine-down case is covered: down flags agree and down machines'
-    /// tails match too.
+    /// After any mutation sequence, and after each single step the script
+    /// takes (op 7), every machine's memoised tail is bit-identical
+    /// to one computed from scratch by a cold core (a restored twin starts
+    /// with empty memos, so its first lookup re-chains everything). The
+    /// dropper is the paper's (whose drop pass lends its keep-all chains'
+    /// tails to the memos), the threshold baseline or none. Failure
+    /// injection is part of the script, so the machine-down case is
+    /// covered: down flags agree and down machines' tails match too.
     #[test]
     fn warm_cache_matches_cold_recomputation(
         seed in 0u64..500,
         failure_coin in 0u8..2,
         dropper_pick in 0u8..3,
-        ops in prop::collection::vec((0u8..6, 0u64..300), 1..12),
+        ops in prop::collection::vec((0u8..8, 0u64..300), 1..12),
     ) {
         let failures = failure_coin == 1;
         let scenario = Scenario::specint(11);
@@ -167,22 +223,10 @@ proptest! {
         };
         let mut warm = drive(&scenario, dropper, failures, seed, &ops);
         // Warm the cache further: estimate every tail once.
-        for m in scenario.machines.clone() {
+        for m in &scenario.machines {
             let _ = warm.queue_tail_estimate(m.id);
         }
-        let checkpoint = warm.snapshot();
-        static PAM: Pam = Pam;
-        let mut cold = SimCore::restore(&scenario, &PAM, dropper, &checkpoint).unwrap();
-        prop_assert_eq!(cold.cache_stats().lookups(), 0, "restored caches start cold");
-        let mut saw_down = false;
-        for m in scenario.machines.clone() {
-            let from_warm = warm.queue_tail_estimate(m.id).unwrap();
-            let from_cold = cold.queue_tail_estimate(m.id).unwrap();
-            prop_assert_eq!(pmf_bits(&from_warm), pmf_bits(&from_cold), "machine {}", m.id);
-            prop_assert_eq!(warm.machine_is_down(m.id), cold.machine_is_down(m.id));
-            saw_down |= warm.machine_is_down(m.id) == Some(true);
-        }
-        let _ = saw_down; // failure scripts cover it; uptime scripts cannot
+        let mut cold = cold_twin(&scenario, dropper, &mut warm);
         // And both cores finish byte-identically: the cache never leaks
         // into trial state.
         if warm.total_tasks() > 0 && !warm.is_drained() {
