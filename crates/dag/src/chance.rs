@@ -26,7 +26,9 @@
 //! this node make it if released into queues shaped like this?" is the
 //! honest question. A release batch prices only the released nodes and
 //! their descendants, each distinct `(type, deadline)` once, in one walk
-//! over the machines ([`released_subtree_chances`]).
+//! over the machines ([`released_subtree_chances`]). Pruning asks only
+//! whether each chance is below a threshold, which the idle machines'
+//! prices alone settle for most batches ([`released_below_threshold`]).
 
 use crate::graph::TaskGraph;
 use std::collections::BTreeMap;
@@ -83,40 +85,98 @@ pub fn released_subtree_chances(
     released: &[(&TaskGraph, u32)],
     core: &mut SimCore<'_>,
 ) -> Result<Vec<f64>, SimError> {
-    let mut queries = Vec::new();
-    let mut query_of = BTreeMap::new();
-    // Per graph, each node's query, or `None` outside the released subtrees.
-    let mut folds: Vec<(&TaskGraph, Vec<Option<usize>>)> = Vec::new();
-    let mut fold_of = Vec::with_capacity(released.len());
-    for &(graph, node) in released {
-        let at = folds.iter().position(|(g, _)| std::ptr::eq(*g, graph)).unwrap_or_else(|| {
-            folds.push((graph, vec![None; graph.len()]));
-            folds.len() - 1
-        });
-        fold_of.push(at);
-        let Some((_, own)) = folds.get_mut(at) else { continue };
-        let mut stack = vec![node];
-        while let Some(next) = stack.pop() {
-            let query = own_query(graph, next, core);
-            let Some(slot @ None) = own.get_mut(next as usize) else { continue };
-            let fresh = queries.len();
-            *slot = Some(*query_of.entry(query).or_insert_with(|| {
-                queries.push(query);
-                fresh
-            }));
-            stack.extend_from_slice(graph.succs(next));
-        }
+    let batch = ReleasedQueries::collect(released, core);
+    let prices = core.best_chances(&batch.queries)?;
+    Ok(batch.fold(&prices))
+}
+
+/// Whether each released `(graph, node)`'s subtree chance is below
+/// `threshold`, in order: exactly `released_subtree_chances(released,
+/// core)` compared with `< threshold`, element by element.
+///
+/// The released subtrees' queries are first priced on the idle machines
+/// alone ([`SimCore::idle_chances`]), which reads no queue tail, and the
+/// floors are folded as the chances are. A floor is one term of the max a
+/// price takes, and IEEE multiplication and `min` are monotone on
+/// non-negative values, so a folded floor never exceeds the folded price:
+/// a node whose folded floor is at least `threshold` is not below it.
+/// Only when some node is left unsettled is the whole batch priced
+/// exactly, from the same queries (DESIGN.md §15).
+///
+/// # Errors
+///
+/// [`SimError::UnknownTaskType`] if a priced node names a task type the
+/// core's scenario lacks, as [`released_subtree_chances`] refuses it; then
+/// nothing is priced.
+///
+/// # Panics
+///
+/// Panics if a released node is out of range for its graph.
+pub fn released_below_threshold(
+    released: &[(&TaskGraph, u32)],
+    threshold: f64,
+    core: &mut SimCore<'_>,
+) -> Result<Vec<bool>, SimError> {
+    let batch = ReleasedQueries::collect(released, core);
+    let floors = batch.fold(&core.idle_chances(&batch.queries)?);
+    if floors.iter().all(|&floor| floor >= threshold) {
+        return Ok(vec![false; released.len()]);
     }
-    let prices = core.best_chances(&queries)?;
-    let chances: Vec<Vec<f64>> =
-        folds.iter().map(|(graph, own)| fold_subtrees(graph, own, &prices)).collect();
-    Ok(released
-        .iter()
-        .zip(fold_of)
-        .map(|(&(_, node), at)| {
-            chances.get(at).and_then(|c| c.get(node as usize)).copied().unwrap_or_default()
-        })
-        .collect())
+    let chances = batch.fold(&core.best_chances(&batch.queries)?);
+    Ok(chances.into_iter().map(|chance| chance < threshold).collect())
+}
+
+/// The pricing queries of a release batch: each distinct `(type,
+/// deadline)` of the released nodes and their descendants, once.
+struct ReleasedQueries<'g> {
+    queries: Vec<(TaskTypeId, Tick)>,
+    /// Per graph, each node's query, or `None` outside the released
+    /// subtrees.
+    folds: Vec<(&'g TaskGraph, Vec<Option<usize>>)>,
+    /// Per released node, its graph's entry in `folds` and the node.
+    released: Vec<(usize, u32)>,
+}
+
+impl<'g> ReleasedQueries<'g> {
+    fn collect(released: &[(&'g TaskGraph, u32)], core: &SimCore<'_>) -> Self {
+        let mut queries = Vec::new();
+        let mut query_of = BTreeMap::new();
+        let mut folds: Vec<(&TaskGraph, Vec<Option<usize>>)> = Vec::new();
+        let mut picks = Vec::with_capacity(released.len());
+        for &(graph, node) in released {
+            let at = folds.iter().position(|(g, _)| std::ptr::eq(*g, graph)).unwrap_or_else(|| {
+                folds.push((graph, vec![None; graph.len()]));
+                folds.len() - 1
+            });
+            picks.push((at, node));
+            let Some((_, own)) = folds.get_mut(at) else { continue };
+            let mut stack = vec![node];
+            while let Some(next) = stack.pop() {
+                let query = own_query(graph, next, core);
+                let Some(slot @ None) = own.get_mut(next as usize) else { continue };
+                let fresh = queries.len();
+                *slot = Some(*query_of.entry(query).or_insert_with(|| {
+                    queries.push(query);
+                    fresh
+                }));
+                stack.extend_from_slice(graph.succs(next));
+            }
+        }
+        ReleasedQueries { queries, folds, released: picks }
+    }
+
+    /// Each released node's subtree fold of `prices`, one per query, in
+    /// release order.
+    fn fold(&self, prices: &[f64]) -> Vec<f64> {
+        let chances: Vec<Vec<f64>> =
+            self.folds.iter().map(|(graph, own)| fold_subtrees(graph, own, prices)).collect();
+        self.released
+            .iter()
+            .map(|&(at, node)| {
+                chances.get(at).and_then(|c| c.get(node as usize)).copied().unwrap_or_default()
+            })
+            .collect()
+    }
 }
 
 /// `subtree(n) = own(n) × min over successors s of subtree(s)` for every

@@ -20,7 +20,7 @@
 //! resuming from [`DagCheckpoint::restore`] is byte-identical to never
 //! having stopped (the tap is derived state: attach a fresh one).
 
-use crate::chance::released_subtree_chances;
+use crate::chance::released_below_threshold;
 use crate::error::DagError;
 use crate::graph::TaskGraph;
 use crate::stats::DagStats;
@@ -104,8 +104,9 @@ pub struct DagCoordinator {
     admission: Option<AdmissionController>,
     graphs: Vec<GraphRun>,
     /// Open engine tasks → the node(s) riding them (more than one under
-    /// merging). Kept sorted by task id: ids are handed out
-    /// monotonically, so pushes append in order.
+    /// merging). Kept sorted by task id, and searched by it: ids are
+    /// handed out monotonically, so pushes append in order (a restored
+    /// table names only tasks the core holds unresolved).
     in_flight: Vec<(TaskId, Vec<NodeRef>)>,
     /// Identical-request index for function-chain merging; stale keys
     /// (release tick already passed) are swept at each release.
@@ -313,7 +314,9 @@ impl DagCoordinator {
                         && key.arrival.saturating_add(spec.slack) == key.deadline
                 })
             };
-            let riders = self.in_flight.iter().find(|(t, _)| t == task).map(|(_, refs)| refs);
+            // In task order, checked above.
+            let at = self.in_flight.binary_search_by_key(task, |(t, _)| *t).ok();
+            let riders = at.and_then(|at| self.in_flight.get(at)).map(|(_, refs)| refs);
             if riders.is_some_and(|refs| !refs.iter().all(keyed)) {
                 return Err("a merge-index entry must key the nodes riding its task");
             }
@@ -436,7 +439,7 @@ impl DagCoordinator {
         fate: TaskFate,
         ready: &mut Vec<NodeRef>,
     ) {
-        let Some(pos) = self.in_flight.iter().position(|(t, _)| *t == task) else {
+        let Ok(pos) = self.in_flight.binary_search_by_key(&task, |(t, _)| *t) else {
             return;
         };
         let (_, refs) = self.in_flight.remove(pos);
@@ -540,20 +543,21 @@ impl DagCoordinator {
         if batch.is_empty() {
             return Ok(());
         }
-        // Pruning prices every released node's subtree against the queues
+        // Pruning judges every released node's subtree against the queues
         // as they stand at the release instant (the paper's batch
         // discipline: tails are a function of the instant, not of the
-        // offer), the whole batch in one walk over the machines.
+        // offer): from the idle machines' floor when it settles the whole
+        // batch, else from the exact prices, in one walk over the machines.
         let survivors: Vec<NodeRef> = match self.prune {
             PrunePolicy::Off => batch.to_vec(),
             PrunePolicy::PruneSubtree { threshold } => {
                 let released: Vec<(&TaskGraph, u32)> =
                     batch.iter().map(|r| (&self.graphs[r.graph as usize].graph, r.node)).collect();
-                let chances = released_subtree_chances(&released, core)?;
+                let below = released_below_threshold(&released, threshold, core)?;
                 let mut survivors = Vec::with_capacity(batch.len());
                 let mut pruned = Vec::new();
-                for (&r, chance) in batch.iter().zip(chances) {
-                    if chance < threshold {
+                for (&r, below) in batch.iter().zip(below) {
+                    if below {
                         pruned.push(r);
                     } else {
                         survivors.push(r);
@@ -581,7 +585,8 @@ impl DagCoordinator {
                     .find(|(k, _)| *k == key)
                     .map(|&(_, task)| task)
                     .and_then(|task| {
-                        self.in_flight.iter_mut().find(|(t, _)| *t == task).map(|e| (task, e))
+                        let at = self.in_flight.binary_search_by_key(&task, |(t, _)| *t).ok()?;
+                        self.in_flight.get_mut(at).map(|e| (task, e))
                     });
                 if let Some((task, (_, refs))) = rider {
                     refs.push(r);
@@ -641,7 +646,8 @@ impl DagCheckpoint {
     /// [`SimError::CheckpointMismatch`] with field `"admission"` if the
     /// coordinator's admission controller fails
     /// [`AdmissionController::validate`], with field `"coordinator"` if
-    /// the coordinator fails [`DagCoordinator::validate`] or a graph
+    /// the coordinator fails [`DagCoordinator::validate`], has a task in
+    /// flight that the core's checkpoint does not hold unresolved, or a graph
     /// names a task type `scenario` lacks, or any
     /// [`SimError`] from [`SimCore::restore`] (version or structural
     /// mismatch).
@@ -663,6 +669,18 @@ impl DagCheckpoint {
                 field: "coordinator",
                 expected: "coordinator state its own methods keep".to_string(),
                 found: format!("one that breaks \"{problem}\""),
+            }));
+        }
+        // A task the core never admitted, or has resolved, resolves no more,
+        // so its riders would wait for good. And the in-flight table is
+        // binary-searched by id: every id the core hands out next must be
+        // above the ids in it.
+        let open = |task: &TaskId| matches!(self.core.fates.get(task.index()), Some(None));
+        if let Some((task, _)) = self.coordinator.in_flight.iter().find(|(t, _)| !open(t)) {
+            return Err(DagError::Sim(SimError::CheckpointMismatch {
+                field: "coordinator",
+                expected: "in-flight tasks the core holds unresolved".to_string(),
+                found: format!("in-flight {task}"),
             }));
         }
         let task_types = scenario.task_type_count();

@@ -637,13 +637,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     /// down.
     ///
     /// One walk over the machines serves every query. Idle machines come
-    /// first: their tail is a point at now, priced straight from the PET,
-    /// so they raise each query's best early. Each busy machine's tail is
-    /// looked up once, and a query's price on it is skipped when its
-    /// ceiling from the tail's running masses shows it cannot exceed the
-    /// query's best so far (DESIGN.md §13). The max of the prices is the
-    /// same in any order, and a skipped price is at most the max, so every
-    /// chance is bit-identical to pricing every machine.
+    /// first, as [`SimCore::idle_chances`] prices them, so they raise each
+    /// query's best early. Each busy machine's tail is then looked up
+    /// once, and a query's price on it is skipped when its ceiling from the
+    /// tail's running masses shows it cannot exceed the query's best so far
+    /// (DESIGN.md §13). The max of the prices is the same in any order, and
+    /// a skipped price is at most the max, so every chance is bit-identical
+    /// to pricing every machine.
     ///
     /// # Errors
     ///
@@ -652,26 +652,13 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
     ///
     /// [`TailCache::chance`]: taskdrop_model::TailCache::chance
     pub fn best_chances(&mut self, queries: &[(TaskTypeId, Tick)]) -> Result<Vec<f64>, SimError> {
-        for &(type_id, _) in queries {
-            known_type(self.scenario, type_id)?;
-        }
-        let mut best = vec![0.0f64; queries.len()];
+        let mut best = self.idle_chances(queries)?;
         if queries.is_empty() {
             return Ok(best);
         }
         let SimCore { scenario, config, approx_pet, machines, now, ctx, memo_stats, .. } = self;
         let types = scenario.task_type_count();
         let pet = &scenario.pet;
-        let idle_tail = Pmf::point(*now);
-        for m in machines.iter().filter(|m| !m.down && m.occupancy() == 0) {
-            let machine = m.machine.id.index();
-            for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
-                let exec = pet.pmf(type_id, m.machine.type_id);
-                let chance =
-                    ctx.tails.chance(machine, type_id.index(), types, &idle_tail, exec, deadline);
-                *best = best.max(chance);
-            }
-        }
         let mut sums = Vec::new();
         for m in machines.iter_mut().filter(|m| !m.down && m.occupancy() > 0) {
             let (machine, machine_type) = (m.machine.id.index(), m.machine.type_id);
@@ -691,6 +678,42 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
                 }
                 let chance =
                     ctx.tails.chance(machine, type_id.index(), types, &tail, exec, deadline);
+                *best = best.max(chance);
+            }
+        }
+        Ok(best)
+    }
+
+    /// The idle walk of [`SimCore::best_chances`]: per query, the best
+    /// chance over the up machines with nothing running or queued, and 0
+    /// when none is idle. An idle machine's tail is the unit point at now,
+    /// which [`TailCache::chance`] prices straight from the PET, so this
+    /// reads no queue tail and moves no [`SimCore::cache_stats`] counter.
+    /// Each entry is one term of the max `best_chances` takes, so it is at
+    /// most the `best_chances` entry, and equal to it when no up machine is
+    /// busy: a floor that DAG pruning decides from before it prices busy
+    /// queues (DESIGN.md §15).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownTaskType`] if a query names a type the scenario
+    /// lacks; then nothing is priced.
+    ///
+    /// [`TailCache::chance`]: taskdrop_model::TailCache::chance
+    pub fn idle_chances(&mut self, queries: &[(TaskTypeId, Tick)]) -> Result<Vec<f64>, SimError> {
+        for &(type_id, _) in queries {
+            known_type(self.scenario, type_id)?;
+        }
+        let mut best = vec![0.0f64; queries.len()];
+        let SimCore { scenario, machines, now, ctx, .. } = self;
+        let types = scenario.task_type_count();
+        let idle_tail = Pmf::point(*now);
+        for m in machines.iter().filter(|m| !m.down && m.occupancy() == 0) {
+            let machine = m.machine.id.index();
+            for (best, &(type_id, deadline)) in best.iter_mut().zip(queries) {
+                let exec = scenario.pet.pmf(type_id, m.machine.type_id);
+                let chance =
+                    ctx.tails.chance(machine, type_id.index(), types, &idle_tail, exec, deadline);
                 *best = best.max(chance);
             }
         }

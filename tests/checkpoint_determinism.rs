@@ -765,3 +765,60 @@ fn a_dag_checkpoint_naming_an_unknown_task_type_is_refused() {
     ));
     assert!(checkpoint.restore(&scenario, &Pam, &ReactiveOnly).is_ok());
 }
+
+/// `DagCheckpoint::restore` refuses a coordinator with a task in flight
+/// that the core's checkpoint does not hold unresolved: one it never
+/// admitted, or one it already resolved. Either restored before, and its
+/// riders then waited for good for a resolution that never came, leaving
+/// their successors held. The coordinator also finds in-flight tasks by a
+/// binary search that relies on each new task id exceeding those in
+/// flight.
+#[test]
+fn a_dag_checkpoint_riding_a_task_the_core_holds_no_more_is_refused() {
+    let scenario = Scenario::specint(3);
+    let mut core = SimCore::open(&scenario, &Pam, &ReactiveOnly, quick_config(), 1).unwrap();
+    let tap = DagTap::new();
+    tap.attach(&mut core);
+    let mut coordinator = DagCoordinator::new();
+    let chain = GraphBlueprint {
+        arrival: 0,
+        nodes: vec![BlueprintNode { type_id: TaskTypeId(0), slack: 2_000 }; 2],
+        edges: vec![(0, 1)],
+    };
+    coordinator.add_graph(&mut core, TaskGraph::from_blueprint(&chain).unwrap()).unwrap();
+    coordinator.advance(&mut core, &tap, 1).unwrap();
+    assert_eq!((core.total_tasks(), coordinator.in_flight()), (1, 1));
+    // The root rides task 1, which the core never admitted.
+    let unadmitted = coordinator.snapshot(&core);
+    while coordinator.held() > 0 {
+        let next = core.next_event_time().expect("the root is still running");
+        coordinator.advance(&mut core, &tap, next).unwrap();
+    }
+    assert_eq!((core.total_tasks(), coordinator.in_flight()), (2, 1));
+    // The successor rides task 0, the root's, which the core has resolved.
+    let resolved = coordinator.snapshot(&core);
+    for (checkpoint, from, to) in [(unadmitted, 0, 1), (resolved, 1, 0)] {
+        // In the node's state and in the in-flight table alike, so the
+        // coordinator alone still validates.
+        let mut json = serde_json::to_string(&checkpoint.coordinator).unwrap();
+        let edits = [
+            (format!("{{\"Injected\":{from}}}"), format!("{{\"Injected\":{to}}}")),
+            (format!("[[{from},["), format!("[[{to},[")),
+        ];
+        for (field, renumbered) in edits {
+            assert_eq!(json.matches(&field).count(), 1, "{json}");
+            json = json.replace(&field, &renumbered);
+        }
+        let mut broken = checkpoint.clone();
+        broken.coordinator = serde_json::from_str(&json).expect("the edited coordinator parses");
+        assert_eq!(broken.coordinator.validate(), Ok(()));
+        assert!(
+            matches!(
+                broken.restore(&scenario, &Pam, &ReactiveOnly),
+                Err(DagError::Sim(SimError::CheckpointMismatch { field: "coordinator", .. }))
+            ),
+            "task {from} renumbered to {to}"
+        );
+        assert!(checkpoint.restore(&scenario, &Pam, &ReactiveOnly).is_ok());
+    }
+}

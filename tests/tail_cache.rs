@@ -20,7 +20,9 @@
 //!    admission and pruning read — is the cached `tail ⊛ exec` mass before
 //!    the deadline, maximised over the machines that are up, and a cold
 //!    restored twin prices bit-identically. One `SimCore::best_chances`
-//!    batch prices every query as the one-query calls do.
+//!    batch prices every query as the one-query calls do, and its idle
+//!    walk alone (`SimCore::idle_chances`) is a floor on each price that
+//!    reads no queue tail.
 //! 5. **Running sums price exactly**: `TailCache::chance`, which keeps the
 //!    running sums of `tail ⊛ exec` only up to the latest deadline asked,
 //!    equals `tail.convolve(exec).mass_before(deadline)` bit for bit in
@@ -296,8 +298,11 @@ proptest! {
     /// 1e-12 of the fused kernel, and a cold restored twin prices every
     /// query bit-identically to the warm core. One `best_chances` batch of
     /// the queries, one of them twice, gives the same bits on the warm
-    /// core and on another cold twin; a batch naming an unknown type is
-    /// refused with no cache counter moved.
+    /// core and on another cold twin. On both, each `idle_chances` entry
+    /// of the batch is at most its `best_chances` entry, equal to it when
+    /// no up machine is busy, and computing it moves no cache counter. A
+    /// batch naming an unknown type is refused by both walks with no cache
+    /// counter moved.
     #[test]
     fn best_chance_is_the_cached_eq2_over_up_machines(
         seed in 0u64..500,
@@ -334,17 +339,30 @@ proptest! {
         let expected: Vec<u64> =
             warm_prices.iter().chain(warm_prices.first()).map(|p| p.to_bits()).collect();
         let mut cold_batch = SimCore::restore(&scenario, &PAM, &DROPPER, &checkpoint).unwrap();
+        // The idle walk is the whole walk when no up machine is busy.
+        let all_idle = warm
+            .state()
+            .machines
+            .iter()
+            .all(|m| m.down || (m.running.is_none() && m.pending.is_empty()));
         for core in [&mut warm, &mut cold_batch] {
+            let before = core.cache_stats();
+            let floors = core.idle_chances(&batch).unwrap();
+            prop_assert_eq!(core.cache_stats(), before, "the floor priced a busy queue");
             let batched = core.best_chances(&batch).unwrap();
             prop_assert_eq!(batched.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected.clone());
+            for (floor, price) in floors.iter().zip(&batched) {
+                prop_assert!(floor.to_bits() <= price.to_bits(), "floor {} above {}", floor, price);
+                prop_assert!(!all_idle || floor.to_bits() == price.to_bits(), "idle {} vs {}", floor, price);
+            }
         }
-        // A batch that names an unknown type is refused before any price.
+        // A batch that names an unknown type is refused before any price,
+        // by the floor as by the whole walk.
         batch.insert(batch.len() / 2, (TaskTypeId(12), now + 5));
         let before = warm.cache_stats();
-        prop_assert_eq!(
-            warm.best_chances(&batch),
-            Err(SimError::UnknownTaskType { type_id: 12, task_types: 12 })
-        );
+        let unknown = Err(SimError::UnknownTaskType { type_id: 12, task_types: 12 });
+        prop_assert_eq!(warm.idle_chances(&batch), unknown.clone());
+        prop_assert_eq!(warm.best_chances(&batch), unknown);
         prop_assert_eq!(warm.cache_stats(), before);
     }
 }
